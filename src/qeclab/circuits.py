@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +23,6 @@ import numpy as np
 from .states import (
     U, UDAG, V, VDAG, W, WDAG, X, Z,
     PureState,
-    _apply_gate_array,
     cnot_permutation,
     controlled_phase_signs,
 )
@@ -96,16 +96,39 @@ class Circuit:
         return len(self.ops)
 
 
+@lru_cache(maxsize=4096)
+def _op_kernel(n: int, kind: str, targets: tuple, controls: tuple):
+    """Read-only kernel of one op on n qubits: the 2x2 matrix of a one-qubit
+    gate, the index permutation of a CNOT, or the sign vector of a CPHASE.
+    On registers of up to 6 qubits there are fewer distinct ops than the
+    cache holds."""
+    if kind in SINGLE_QUBIT_KINDS:
+        kernel = GATE_MATRICES[kind].copy()
+    elif kind == "CNOT":
+        kernel = cnot_permutation(n, controls[0], targets[0])
+    else:
+        kernel = controlled_phase_signs(n, controls, targets)
+    kernel.flags.writeable = False
+    return kernel
+
+
 def _apply_op_array(amps: np.ndarray, op: GateOp, n: int) -> np.ndarray:
+    """Apply one op to an array whose leading axis indexes the basis; trailing
+    axes (a block of columns) are carried along."""
+    kernel = _op_kernel(n, op.kind, op.targets, op.controls)
     if op.kind in SINGLE_QUBIT_KINDS:
-        return _apply_gate_array(amps, GATE_MATRICES[op.kind], op.targets, n)
+        # axis 1 of the (2**q, 2, rest) view is the target qubit's bit
+        return (kernel @ amps.reshape(2 ** op.targets[0], 2, -1)).reshape(amps.shape)
     if op.kind == "CNOT":
-        perm = cnot_permutation(n, op.controls[0], op.targets[0])
-        return amps[perm]
-    signs = controlled_phase_signs(n, op.controls, op.targets)
-    if amps.ndim == 1:
-        return amps * signs
-    return amps * signs.reshape((-1,) + (1,) * (amps.ndim - 1))
+        return amps[kernel]
+    return amps * kernel.reshape((-1,) + (1,) * (amps.ndim - 1))
+
+
+def apply_circuit_array(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
+    """Run the circuit on a basis-indexed array: one state or a block of columns."""
+    for op in circuit.ops:
+        amps = _apply_op_array(amps, op, circuit.n_qubits)
+    return amps
 
 
 def apply_circuit(circuit: Circuit, state: PureState) -> PureState:
@@ -114,20 +137,14 @@ def apply_circuit(circuit: Circuit, state: PureState) -> PureState:
         raise ValueError(
             f"state has {state.n_qubits} qubits but circuit expects {circuit.n_qubits}"
         )
-    amps = state.amplitudes
-    for op in circuit.ops:
-        amps = _apply_op_array(amps, op, circuit.n_qubits)
-    return PureState(circuit.n_qubits, amps)
+    return PureState(circuit.n_qubits, apply_circuit_array(circuit, state.amplitudes))
 
 
 def circuit_to_unitary(circuit: Circuit) -> np.ndarray:
     """Full ``2**n x 2**n`` matrix: the product of op matrices in application order."""
     if circuit.n_qubits > 6:
         raise ValueError("dense unitary construction is limited to 6 qubits")
-    mat = np.eye(2**circuit.n_qubits, dtype=complex)
-    for op in circuit.ops:
-        mat = _apply_op_array(mat, op, circuit.n_qubits)
-    return mat
+    return apply_circuit_array(circuit, np.eye(2**circuit.n_qubits, dtype=complex))
 
 
 def invert_circuit(circuit: Circuit) -> Circuit:

@@ -54,7 +54,7 @@ from .noise import (
     run_scheme,
     scheme_coherence,
 )
-from .search import SearchConfig, is_valid_perfect_code, search
+from .search import SearchConfig, is_valid_perfect_code, pulse_cost, search
 from .states import PureState, fidelity
 
 EXIT_OK = 0
@@ -122,7 +122,7 @@ def cmd_verify_code(args) -> int:
     if code.encoder is not None:
         report["encoder_alignment_error"] = encoder_alignment_error(code)
         report["encoder_ops"] = len(code.encoder.ops)
-        report["encoder_pulse_cost"] = compile_circuit(code.encoder).cost
+        report["encoder_pulse_cost"] = pulse_cost(code.encoder)
 
     kl = check_knill_laflamme(code, code.error_classes)
     report["knill_laflamme"] = {

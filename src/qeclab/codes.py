@@ -28,11 +28,12 @@ built by brute force over the code's error classes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, GateOp, apply_circuit, invert_circuit
+from .circuits import Circuit, GateOp, apply_circuit, apply_circuit_array, invert_circuit
 from .states import (
     I2, X, Y, Z,
     PureState,
@@ -128,10 +129,34 @@ def single_qubit_error_classes(n_qubits: int) -> tuple:
     return tuple(classes)
 
 
+@lru_cache(maxsize=4096)
+def _error_gather(n: int, kind: str, qubit: Optional[int]):
+    """Read-only (index, phase) with ``(E psi)[k] = phase[k] * psi[index[k]]``.
+
+    Each Pauli has one nonzero per row, so X is an index xor, Z a sign and
+    Y = iXZ both, with phase i(-1)^(1 - bit).
+    """
+    index = np.arange(2**n)
+    phase = np.ones(2**n, dtype=complex)
+    if kind != "I":
+        if not 0 <= qubit < n:
+            raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
+        shift = n - 1 - qubit
+        bit = (index >> shift) & 1
+        mat = _ERROR_MATRICES[kind]
+        source = np.argmax(mat != 0, axis=1)[bit]
+        phase = mat[bit, source]
+        index = index ^ ((bit ^ source) << shift)
+    index.flags.writeable = False
+    phase.flags.writeable = False
+    return index, phase
+
+
 def apply_error(state: PureState, error: ErrorOp) -> PureState:
     if error.kind == "I":
         return state
-    return apply_gate(state, _ERROR_MATRICES[error.kind], [error.qubit])
+    index, phase = _error_gather(state.n_qubits, error.kind, error.qubit)
+    return PureState(state.n_qubits, phase * state.amplitudes[index])
 
 
 @dataclass(frozen=True)
@@ -194,20 +219,24 @@ def _amplitudes_to_json(state: PureState) -> list:
 def encoder_alignment_error(code: CodeSpec) -> float:
     """Distance between encoder-generated and stored codewords after removing
     one common global phase."""
-    images = encoder_images(code)
-    stacked_img = np.concatenate([images[0].amplitudes, images[1].amplitudes])
-    stacked_ref = np.concatenate([code.logical_zero.amplitudes, code.logical_one.amplitudes])
-    return phase_aligned_distance(stacked_ref, stacked_img)
-
-
-def encoder_images(code: CodeSpec) -> tuple:
-    """Images of |0>|0..0> and |1>|0..0> under the encoder circuit."""
     if code.encoder is None:
         raise ValueError(f"code {code.name} has no encoder circuit")
-    n = code.n_physical
-    img0 = apply_circuit(code.encoder, PureState.basis(n, 0))
-    img1 = apply_circuit(code.encoder, PureState.basis(n, 1 << (n - 1)))
-    return img0, img1
+    # transposed, both ravel to codeword 0 followed by codeword 1
+    return phase_aligned_distance(code.isometry().T, codeword_block(code.encoder).T)
+
+
+def codeword_block(circuit: Circuit) -> np.ndarray:
+    """(2**n, 2) array whose columns are the images of |0>|0..0> and |1>|0..0>."""
+    n = circuit.n_qubits
+    block = np.zeros((2**n, 2), dtype=complex)
+    block[0, 0] = block[1 << (n - 1), 1] = 1.0
+    return apply_circuit_array(circuit, block)
+
+
+def circuit_codewords(circuit: Circuit) -> tuple:
+    """Images of |0>|0...0> and |1>|0...0> under the circuit, as states."""
+    block = codeword_block(circuit)
+    return PureState(circuit.n_qubits, block[:, 0]), PureState(circuit.n_qubits, block[:, 1])
 
 
 def encode(code: CodeSpec, psi: PureState) -> PureState:
@@ -424,21 +453,19 @@ def check_knill_laflamme(code: CodeSpec, errors: Sequence[ErrorOp], atol: float 
     The criterion: <i_L| Ea+ Eb |j_L> must vanish for i != j and be
     independent of i on the diagonal. Returns the error-overlap witness
     matrix c_ab (the shared diagonal value) and the worst violation found.
+
+    All overlaps come from one Gram matrix of the stacked images Ea|j_L>.
     """
     errors = tuple(errors)
-    images = {0: [], 1: []}
-    for error in errors:
-        images[0].append(apply_error(code.logical_zero, error).amplitudes)
-        images[1].append(apply_error(code.logical_one, error).amplitudes)
-    m = len(errors)
-    worst = 0.0
-    witness = np.zeros((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            g00 = np.vdot(images[0][a], images[0][b])
-            g11 = np.vdot(images[1][a], images[1][b])
-            g01 = np.vdot(images[0][a], images[1][b])
-            g10 = np.vdot(images[1][a], images[0][b])
-            worst = max(worst, abs(g01), abs(g10), abs(g00 - g11))
-            witness[a, b] = (g00 + g11) / 2.0
-    return KnillLaflammeResult(worst < atol, witness, float(worst))
+    n, m = code.n_physical, len(errors)
+    gathers = [_error_gather(n, e.kind, e.qubit) for e in errors]
+    index = np.array([g[0] for g in gathers], dtype=np.intp).reshape(m, 2**n)
+    phase = np.array([g[1] for g in gathers], dtype=complex).reshape(m, 2**n)
+    images = phase[:, :, None] * code.isometry()[index]     # [a, k, i] = (Ea|i_L>)[k]
+    images = images.transpose(1, 0, 2).reshape(2**n, 2 * m)  # column 2a + i
+    gram = (images.conj().T @ images).reshape(m, 2, m, 2)
+    g00, g11 = gram[:, 0, :, 0], gram[:, 1, :, 1]
+    worst = float(max(np.abs(gram[:, 0, :, 1]).max(initial=0.0),
+                      np.abs(gram[:, 1, :, 0]).max(initial=0.0),
+                      np.abs(g00 - g11).max(initial=0.0)))
+    return KnillLaflammeResult(worst < atol, (g00 + g11) / 2.0, worst)

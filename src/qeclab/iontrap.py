@@ -225,18 +225,25 @@ def compile_op(op: GateOp) -> PulseSequence:
     return compile_cphase(op.controls, op.targets)
 
 
+def op_pulse_cost(op: GateOp) -> int:
+    """The cost law: 1 pulse per one-qubit gate, 2c+k per CPHASE with c
+    controls and k targets, 5 per CNOT (basis change + 3-pulse sign flip +
+    basis change back). ``compile_op`` emits exactly this many pulses."""
+    if op.kind in SINGLE_QUBIT_KINDS:
+        return 1
+    if op.kind == "CNOT":
+        return 5
+    return 2 * len(op.controls) + len(op.targets)
+
+
 def compile_circuit(circuit: Circuit) -> PulseSequence:
-    """Lower a circuit to pulses: 1 per one-qubit gate, 2c+k per CPHASE,
-    5 per CNOT (basis change + 3-pulse sign flip + basis change back)."""
-    seq = PulseSequence(())
-    for op in circuit.ops:
-        seq = seq + compile_op(op)
-    return seq
+    """Lower a circuit to pulses, op by op (see ``op_pulse_cost`` for the counts)."""
+    return PulseSequence(tuple(p for op in circuit.ops for p in compile_op(op).pulses))
 
 
 def per_gate_costs(circuit: Circuit) -> list:
     """(op, pulse count) for each op, in circuit order."""
-    return [(op, compile_op(op).cost) for op in circuit.ops]
+    return [(op, op_pulse_cost(op)) for op in circuit.ops]
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Hill climbing with random restarts over op-level moves (insert, delete,
 replace, swap two ops). A candidate is scored lexicographically: validity
-first, then pulse cost (via the ion-trap compiler) for valid circuits or the
+first, then pulse cost (the ion-trap cost law) for valid circuits or the
 worst correction-condition violation for invalid ones, then op count, then a
 stable textual encoding. The best *valid* candidate can only improve over the
 run, and every reported-valid candidate is re-checked independently.
@@ -14,14 +14,22 @@ restarts could execute in any order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, GateOp, SINGLE_QUBIT_KINDS, apply_circuit, serialize_circuit
-from .codes import CodeSpec, check_knill_laflamme, five_qubit_codewords, single_qubit_error_classes
-from .iontrap import compile_circuit
+from .circuits import Circuit, GateOp, SINGLE_QUBIT_KINDS
+from .codes import (
+    CodeSpec,
+    check_knill_laflamme,
+    circuit_codewords,  # also public here, as search.circuit_codewords
+    codeword_block,
+    five_qubit_codewords,
+    single_qubit_error_classes,
+)
+from .iontrap import op_pulse_cost
 from .states import PureState
 
 DEFAULT_ALPHABET = SINGLE_QUBIT_KINDS + ("CNOT", "CPHASE")
@@ -37,12 +45,7 @@ class ValidityResult:
         return self.valid
 
 
-def circuit_codewords(circuit: Circuit) -> tuple:
-    """Images of |0>|0...0> and |1>|0...0> under the circuit."""
-    n = circuit.n_qubits
-    w0 = apply_circuit(circuit, PureState.basis(n, 0))
-    w1 = apply_circuit(circuit, PureState.basis(n, 1 << (n - 1)))
-    return w0, w1
+_FIVE_QUBIT_ERRORS = single_qubit_error_classes(5)
 
 
 def is_valid_perfect_code(circuit: Circuit, mode: str = "auto") -> ValidityResult:
@@ -54,40 +57,44 @@ def is_valid_perfect_code(circuit: Circuit, mode: str = "auto") -> ValidityResul
     """
     if circuit.n_qubits != 5:
         raise ValueError("the perfect-code check applies to 5-qubit circuits")
-    w0, w1 = circuit_codewords(circuit)
-    overlap = abs(np.vdot(w0.amplitudes, w1.amplitudes))
+    block = codeword_block(circuit)
+    overlap = abs(np.vdot(block[:, 0], block[:, 1]))
     if overlap > 1e-10:
         return ValidityResult(False, None, float(overlap))
 
-    exact = _matches_reference(w0, w1)
+    mismatch = _reference_mismatch(block)
+    exact = mismatch < 1e-10
     if mode == "exact":
         if exact:
             return ValidityResult(True, "exact", 0.0)
-        return ValidityResult(False, None, _exact_mismatch(w0, w1))
+        return ValidityResult(False, None, mismatch)
 
-    candidate = CodeSpec("candidate", 5, w0, w1)
-    kl = check_knill_laflamme(candidate, single_qubit_error_classes(5))
+    candidate = CodeSpec("candidate", 5, PureState(5, block[:, 0]), PureState(5, block[:, 1]))
+    kl = check_knill_laflamme(candidate, _FIVE_QUBIT_ERRORS)
     if not kl.ok:
         return ValidityResult(False, None, kl.worst_violation)
     return ValidityResult(True, "exact" if exact else "kl", 0.0)
 
 
-def _matches_reference(w0: PureState, w1: PureState, atol: float = 1e-10) -> bool:
+@lru_cache(maxsize=None)
+def _reference_block() -> np.ndarray:
     ref0, ref1 = five_qubit_codewords()
-    z0 = np.vdot(ref0.amplitudes, w0.amplitudes)
-    z1 = np.vdot(ref1.amplitudes, w1.amplitudes)
-    return abs(abs(z0) - 1) < atol and abs(z0 - z1) < atol
+    block = np.stack([ref0.amplitudes, ref1.amplitudes], axis=1)
+    block.flags.writeable = False
+    return block
 
 
-def _exact_mismatch(w0: PureState, w1: PureState) -> float:
-    ref0, ref1 = five_qubit_codewords()
-    z0 = np.vdot(ref0.amplitudes, w0.amplitudes)
-    z1 = np.vdot(ref1.amplitudes, w1.amplitudes)
+def _reference_mismatch(block: np.ndarray) -> float:
+    """How far the codeword columns are from the reference codewords up to
+    one common global phase; they match when this is below 1e-10."""
+    ref = _reference_block()
+    z0 = np.vdot(ref[:, 0], block[:, 0])
+    z1 = np.vdot(ref[:, 1], block[:, 1])
     return float(max(abs(abs(z0) - 1), abs(z0 - z1)))
 
 
 def pulse_cost(circuit: Circuit) -> int:
-    return compile_circuit(circuit).cost
+    return sum(op_pulse_cost(op) for op in circuit.ops)
 
 
 @dataclass(frozen=True)
@@ -104,6 +111,9 @@ class SearchConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if not 1 <= self.restarts <= self.budget:
+            raise ValueError(f"restarts must be between 1 and the budget ({self.budget}), "
+                             f"got {self.restarts}")
         if not self.alphabet:
             raise ValueError("alphabet must be nonempty")
         bad = [k for k in self.alphabet if k not in DEFAULT_ALPHABET]
@@ -233,7 +243,7 @@ def search(cfg: SearchConfig,
     best_invalid: Optional[Candidate] = None
     history = []
     iterations = 0
-    per_restart = max(1, cfg.budget // max(1, cfg.restarts))
+    per_restart = cfg.budget // cfg.restarts
 
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,)))

@@ -262,3 +262,16 @@ class TestSearchCommand:
         doc = json.loads(out)
         assert doc["found_valid"] is False
         assert "best_invalid_violation" in doc
+
+    def test_more_restarts_than_budget_is_rejected(self, capsys):
+        """Ten restarts cannot share a budget of three iterations."""
+        code, out, err = run_cli(capsys, "search", "--budget", "3", "--restarts", "10")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: restarts must be between 1 and the budget (3), got 10")
+
+    def test_zero_restarts_is_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "search", "--budget", "3", "--restarts", "0")
+        assert code == 2
+        assert err.startswith("error: restarts must be")

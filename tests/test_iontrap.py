@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from qeclab.circuits import Circuit, GateOp, circuit_to_unitary
+from qeclab.circuits import Circuit, GateOp, SINGLE_QUBIT_KINDS, circuit_to_unitary
 from qeclab.codes import five_qubit_code
 from qeclab.iontrap import (
     Pulse,
@@ -10,6 +12,8 @@ from qeclab.iontrap import (
     apply_pulse,
     compile_cphase,
     compile_circuit,
+    compile_op,
+    op_pulse_cost,
     per_gate_costs,
     pulses_from_json,
     pulses_to_json,
@@ -18,7 +22,7 @@ from qeclab.iontrap import (
     trap_dim,
     verify_compilation,
 )
-from qeclab.search import random_circuit
+from qeclab.search import pulse_cost, random_circuit
 from qeclab.states import U
 
 
@@ -203,6 +207,25 @@ class TestCircuitCompilation:
     def test_total_is_sum_of_per_gate_costs(self, rng):
         circ = random_circuit(4, 9, rng)
         assert compile_circuit(circ).cost == sum(c for _, c in per_gate_costs(circ))
+
+    def test_search_cost_is_the_compiled_pulse_count(self, rng):
+        circ = random_circuit(5, 30, rng)
+        assert pulse_cost(circ) == compile_circuit(circ).cost
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_cost_law_matches_compiler_for_every_op(self, n):
+        """Every op on n qubits, including multi-control multi-target CPHASE."""
+        ops = [GateOp(kind, (q,)) for kind in SINGLE_QUBIT_KINDS for q in range(n)]
+        ops += [GateOp("CNOT", (t,), (c,)) for c, t in itertools.permutations(range(n), 2)]
+        # each qubit is idle (0), a control (1) or a target (2)
+        for roles in itertools.product((0, 1, 2), repeat=n):
+            controls = tuple(q for q in range(n) if roles[q] == 1)
+            targets = tuple(q for q in range(n) if roles[q] == 2)
+            if controls and targets:
+                ops.append(GateOp("CPHASE", targets, controls))
+        assert len(ops) == 8 * n + n * (n - 1) + 3**n - 2 * 2**n + 1
+        for op in ops:
+            assert compile_op(op).cost == op_pulse_cost(op), op
 
     def test_fusion_advantage_four_vs_six(self):
         """One fused two-target gate needs 4 pulses; split in two it needs 6."""

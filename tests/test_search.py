@@ -116,6 +116,10 @@ class TestSearch:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(budget=0)
+        with pytest.raises(ValueError, match="restarts"):
+            SearchConfig(budget=3, restarts=10)
+        with pytest.raises(ValueError, match="restarts"):
+            SearchConfig(restarts=0)
         with pytest.raises(ValueError):
             SearchConfig(alphabet=("U", "RX"))
 
@@ -163,3 +167,54 @@ class TestRandomCircuit:
     def test_ops_are_well_formed(self, rng):
         circ = random_circuit(5, 50, rng)
         assert len(circ.ops) == 50  # construction validates every op
+
+
+# Best results of `search --start reference --budget 500 --restarts 2
+# --mode auto --seed s`, pinned so that work on the evaluation kernels cannot
+# change what the climb finds: seed -> (best cost, best circuit), each op
+# written kind:targets or kind:controls>targets.
+SEEDED_SEARCH_RESULTS = {
+    0: (46, "U:2 V:4 CPHASE:0>4 V:3 CPHASE:3>4 Udag:4 CPHASE:2>3 U:2 Vdag:3 "
+            "CPHASE:0>3 CPHASE:2>3 V:1 CPHASE:1>3,4 Udag:0 CPHASE:0>2 U:0 U:2 "
+            "CPHASE:0>2 U:2 Vdag:4 U:0 CPHASE:0>2 Udag:2 CPHASE:2>3,4"),
+    1: (46, "Vdag:4 Vdag:3 CPHASE:0>4 CPHASE:3>4 Udag:4 Udag:3 Udag:2 CPHASE:2>3 "
+            "U:2 Z:2 CPHASE:0>3 U:0 Vdag:1 Vdag:3 CPHASE:1>3,4 CPHASE:0>2 U:0 "
+            "Udag:2 CPHASE:0>2 Udag:0 V:4 U:2 CPHASE:0>2 Udag:2 Udag:0 CPHASE:2>3,4"),
+    2: (51, "Udag:2 U:0 Vdag:4 CPHASE:0>4 Udag:3 CPHASE:3>4 X:1 CPHASE:2>3 Udag:2 "
+            "Udag:3 CPHASE:0>3 CPHASE:2>3 U:3 Udag:4 Udag:1 Udag:3 Udag:0 "
+            "CPHASE:1>3,4 CPHASE:0>2 U:0 Udag:2 CPHASE:0>2 U:2 Vdag:4 Udag:0 "
+            "CPHASE:0>2 Udag:2 CPHASE:2>3,4 X:3"),
+    3: (48, "Vdag:4 CPHASE:0>4 Udag:1 Udag:3 CPHASE:3>4 Vdag:4 Udag:2 CPHASE:2>3 "
+            "Wdag:2 Udag:3 CPHASE:0>3 CPHASE:2>3 X:4 CPHASE:1>3,4 Udag:0 CPHASE:0>2 "
+            "Udag:2 U:0 CPHASE:0>2 Udag:4 U:2 Udag:0 CPHASE:0>2 Wdag:2 CPHASE:2>3,4 "
+            "Wdag:3"),
+    4: (47, "U:4 CPHASE:0>4 Udag:3 CPHASE:3>4 Udag:4 CPHASE:2>3 U:2 X:3 CPHASE:0>3 "
+            "CPHASE:2>3 U:3 Udag:1 CPHASE:1>3,4 Udag:0 CPHASE:0>2 U:0 Udag:2 "
+            "CPHASE:0>2 U:2 Vdag:4 Udag:0 CPHASE:0>2 Udag:2 CPHASE:2>3,4 Vdag:2"),
+    5: (46, "Vdag:4 CPHASE:0>4 Udag:3 CPHASE:3>4 Udag:4 Udag:2 CPHASE:2>3 Vdag:3 "
+            "Udag:2 CPHASE:0>3 CPHASE:2>3 Udag:2 V:1 CPHASE:1>3,4 CPHASE:0>2 Udag:0 "
+            "U:2 CPHASE:0>2 Wdag:2 Vdag:4 U:0 CPHASE:0>2 CPHASE:2>3,4 Wdag:1"),
+    6: (44, "Vdag:4 Udag:3 CPHASE:0>4 CPHASE:3>4 Udag:4 V:1 X:0 Udag:2 Vdag:4 "
+            "CPHASE:0>3 CPHASE:2>3 V:3 CPHASE:1>3,4 U:0 CPHASE:0>2 Udag:0 Udag:2 "
+            "CPHASE:0>2 U:2 Vdag:4 Udag:0 CPHASE:0>2 Vdag:2 CPHASE:2>3,4"),
+    7: (44, "Vdag:4 Udag:3 CPHASE:0>4 Vdag:1 CPHASE:3>4 Udag:4 U:2 CPHASE:2>3 U:2 "
+            "Udag:3 CPHASE:0>3 CPHASE:1>3,4 CPHASE:2>3 CPHASE:0>2 U:0 Udag:2 "
+            "CPHASE:0>2 U:2 Vdag:4 Udag:0 CPHASE:0>2 CPHASE:2>3,4"),
+}
+
+
+def _op_token(op: GateOp) -> str:
+    qubits = ",".join(map(str, op.targets))
+    if op.controls:
+        qubits = ",".join(map(str, op.controls)) + ">" + qubits
+    return f"{op.kind}:{qubits}"
+
+
+@pytest.mark.parametrize("seed", sorted(SEEDED_SEARCH_RESULTS))
+def test_seeded_search_results_are_unchanged(seed):
+    cfg = SearchConfig(start=five_qubit_code().encoder, budget=500, restarts=2,
+                       seed=seed, validity_mode="auto")
+    result = search(cfg)
+    cost, ops = SEEDED_SEARCH_RESULTS[seed]
+    assert result.best.cost == cost
+    assert " ".join(_op_token(op) for op in result.best.circuit.ops) == ops
