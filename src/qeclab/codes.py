@@ -457,12 +457,11 @@ def check_knill_laflamme(code: CodeSpec, errors: Sequence[ErrorOp], atol: float 
     All overlaps come from one Gram matrix of the stacked images Ea|j_L>.
     """
     errors = tuple(errors)
-    n, m = code.n_physical, len(errors)
-    gathers = [_error_gather(n, e.kind, e.qubit) for e in errors]
-    index = np.array([g[0] for g in gathers], dtype=np.intp).reshape(m, 2**n)
-    phase = np.array([g[1] for g in gathers], dtype=complex).reshape(m, 2**n)
-    images = phase[:, :, None] * code.isometry()[index]     # [a, k, i] = (Ea|i_L>)[k]
-    images = images.transpose(1, 0, 2).reshape(2**n, 2 * m)  # column 2a + i
+    m = len(errors)
+    images = np.empty((code.logical_zero.dim, 2 * m), dtype=complex)
+    for a, error in enumerate(errors):                       # column 2a + i = Ea|i_L>
+        images[:, 2 * a] = apply_error(code.logical_zero, error).amplitudes
+        images[:, 2 * a + 1] = apply_error(code.logical_one, error).amplitudes
     gram = (images.conj().T @ images).reshape(m, 2, m, 2)
     g00, g11 = gram[:, 0, :, 0], gram[:, 1, :, 1]
     worst = float(max(np.abs(gram[:, 0, :, 1]).max(initial=0.0),
