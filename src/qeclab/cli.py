@@ -46,12 +46,12 @@ from .iontrap import (
 from .noise import (
     IPLUS,
     PLUS,
+    CoherenceCurve,
+    CurveSample,
     Scheme,
-    coherence,
     curves_to_csv,
     figure5_data,
     mc_coherence,
-    run_scheme,
     scheme_coherence,
 )
 from .search import SearchConfig, is_valid_perfect_code, pulse_cost, search
@@ -224,17 +224,16 @@ def _psi_from_args(args) -> PureState:
 def cmd_noise(args) -> int:
     psi = _psi_from_args(args)
     scheme = Scheme(args.scheme, args.n)
-    lines = ["t,scheme,n,C_exact,C_mc,mc_stderr"]
+    samples = []
     for t in args.t:
         if t < 0:
             raise ValueError("time must be nonnegative")
         c_exact = scheme_coherence(scheme, psi, t)
-        mc = se = ""
+        c_mc = stderr = None
         if args.shots is not None:
             c_mc, stderr = mc_coherence(scheme, psi, t, args.shots, seed=args.seed)
-            mc, se = f"{c_mc:.12g}", f"{stderr:.12g}"
-        lines.append(f"{t:.12g},{scheme.kind},{scheme.repetitions},{c_exact:.12g},{mc},{se}")
-    print("\n".join(lines))
+        samples.append(CurveSample(t, c_exact, c_mc, stderr))
+    print(curves_to_csv([CoherenceCurve(scheme.kind, scheme.repetitions, tuple(samples))]), end="")
     return EXIT_OK
 
 

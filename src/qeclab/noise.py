@@ -17,8 +17,9 @@ Three schemes are run against this channel:
 A scheme with n repetitions encodes, exposes each physical qubit for t/n,
 decodes and corrects, and repeats n times. Coherence is measured as
 C = |<1|rho|0> / <1|rho_0|0>|. Both an exact density-matrix route and a
-seeded Monte-Carlo trajectory route are provided; trajectories are keyed by
-(seed, trajectory index) so results do not depend on execution order.
+seeded Monte-Carlo trajectory route are provided. Both read the same recovery
+operators. Trajectories are drawn in blocks of ``MC_BLOCK``, each keyed by
+(seed, block index), so results do not depend on execution order.
 """
 
 from __future__ import annotations
@@ -68,17 +69,17 @@ def dephasing_kraus(t: float):
 
 
 @lru_cache(maxsize=None)
-def _qubit_flip_mask(n_qubits: int, qubit: int) -> np.ndarray:
-    bits = basis_bits(n_qubits)[:, qubit].astype(float)
-    mask = (bits[:, None] != bits[None, :]).astype(float)
-    mask.flags.writeable = False
-    return mask
+def _hamming_mask(n_qubits: int, qubits: tuple) -> np.ndarray:
+    """Number of the given qubits on which each pair of basis states differs."""
+    bits = basis_bits(n_qubits)[:, list(qubits)].astype(np.int64)
+    ham = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
+    ham.flags.writeable = False
+    return ham
 
 
-def _dephase_array(mat: np.ndarray, n_qubits: int, qubit: int, t: float) -> np.ndarray:
-    gamma = math.exp(-t)
-    mask = _qubit_flip_mask(n_qubits, qubit)
-    return mat * (1.0 - (1.0 - gamma) * mask)
+def _dephase(mat: np.ndarray, n_qubits: int, t: float, qubits: tuple) -> np.ndarray:
+    """Exact dephasing of ``qubits`` for time t: element (i, j) times exp(-t)**d(i, j)."""
+    return mat * math.exp(-t) ** _hamming_mask(n_qubits, qubits)
 
 
 def dephase_channel(rho: DensityMatrix, qubit: int, t: float) -> DensityMatrix:
@@ -87,30 +88,23 @@ def dephase_channel(rho: DensityMatrix, qubit: int, t: float) -> DensityMatrix:
         raise ValueError("exposure time must be nonnegative")
     if not 0 <= qubit < rho.n_qubits:
         raise ValueError(f"qubit index {qubit} out of range")
-    return DensityMatrix(rho.n_qubits, _dephase_array(rho.matrix, rho.n_qubits, qubit, t))
-
-
-@lru_cache(maxsize=None)
-def _hamming_mask(n_qubits: int) -> np.ndarray:
-    bits = basis_bits(n_qubits).astype(np.int64)
-    ham = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
-    ham.flags.writeable = False
-    return ham
-
-
-def _dephase_all(mat: np.ndarray, n_qubits: int, t: float) -> np.ndarray:
-    return mat * math.exp(-t) ** _hamming_mask(n_qubits)
+    return DensityMatrix(rho.n_qubits, _dephase(rho.matrix, rho.n_qubits, t, (qubit,)))
 
 
 # --- stochastic trajectories ---------------------------------------------------
 
-def trajectory_rng(seed, index: int) -> np.random.Generator:
-    """Generator for one trajectory, independent of all others."""
+# Trajectories per Generator. Part of the definition of the MC stream: block b
+# holds trajectories [b * MC_BLOCK, (b + 1) * MC_BLOCK), whatever the shot count.
+MC_BLOCK = 4096
+
+
+def block_rng(seed, block: int) -> np.random.Generator:
+    """Generator for one block of trajectories, independent of all others."""
     if isinstance(seed, np.random.SeedSequence):
         ss = np.random.SeedSequence(entropy=seed.entropy,
-                                    spawn_key=tuple(seed.spawn_key) + (index,))
+                                    spawn_key=tuple(seed.spawn_key) + (block,))
     else:
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
     return np.random.default_rng(ss)
 
 
@@ -128,15 +122,13 @@ def sample_trajectory_phases(n_qubits: int, t: float, seed=None) -> np.ndarray:
 class _SchemeModel:
     n_physical: int
     isometry: np.ndarray          # (2**n, 2), columns are codewords
-    decode_unitary: np.ndarray    # (2**n, 2**n)
-    corrections: tuple            # 2x2 matrix per ancilla outcome, in outcome order
-    recovery: tuple               # (2, 2**n) operators combining decode+read+correct
+    recovery: np.ndarray          # (K, 2, 2**n): decode, read ancilla outcome s, correct
 
 
 def _build_model(kind: str) -> _SchemeModel:
     if kind == "uncoded":
         eye = np.eye(2, dtype=complex)
-        return _SchemeModel(1, eye.copy(), eye.copy(), (eye.copy(),), (eye.copy(),))
+        return _SchemeModel(1, eye, eye[None].copy())
     if kind == "zeno2":
         code = two_qubit_zeno_code()
         table = None
@@ -146,7 +138,6 @@ def _build_model(kind: str) -> _SchemeModel:
     n = code.n_physical
     decode = circuit_to_unitary(invert_circuit(code.encoder))
     n_anc = n - 1
-    corrections = []
     recovery = []
     for s in range(2**n_anc):
         if table is None:
@@ -158,9 +149,8 @@ def _build_model(kind: str) -> _SchemeModel:
         selector = np.zeros((2, 2**n), dtype=complex)
         selector[0, s] = 1.0
         selector[1, (1 << (n - 1)) + s] = 1.0
-        corrections.append(corr)
         recovery.append(corr @ selector @ decode)
-    return _SchemeModel(n, code.isometry(), decode, tuple(corrections), tuple(recovery))
+    return _SchemeModel(n, code.isometry(), np.stack(recovery))
 
 
 @lru_cache(maxsize=None)
@@ -172,51 +162,54 @@ def _run_exact(scheme: Scheme, psi: PureState, t: float) -> np.ndarray:
     model = _model(scheme.kind)
     n_reps = scheme.repetitions
     step = t / n_reps
+    qubits = tuple(range(model.n_physical))
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
     for _ in range(n_reps):
         full = model.isometry @ rho @ model.isometry.conj().T
-        full = _dephase_all(full, model.n_physical, step)
+        full = _dephase(full, model.n_physical, step, qubits)
         rho = sum(A @ full @ A.conj().T for A in model.recovery)
     return rho
 
 
 def _run_trajectories(scheme: Scheme, psi: PureState, t: float, shots: int, seed) -> np.ndarray:
-    """Final one-qubit pure states, one row per trajectory."""
-    if shots <= 0:
-        raise ValueError("shots must be positive")
+    """Final one-qubit pure states, one row per trajectory.
+
+    Each block of ``MC_BLOCK`` trajectories draws its phases, shape
+    (block, repetitions, n), then its Born-sampling uniforms, shape
+    (block, repetitions), from ``block_rng(seed, block)``.
+    """
+    if shots is None:
+        raise ValueError("monte-carlo mode needs a shot count")
+    if shots < 2:
+        raise ValueError(f"shots must be >= 2 (got {shots}); one trajectory has no error bar")
     model = _model(scheme.kind)
     n = model.n_physical
     n_reps = scheme.repetitions
-    step = t / n_reps
+    sigma = math.sqrt(2.0 * t / n_reps)
+    n_outcomes = model.recovery.shape[0]
+    recovery = model.recovery.reshape(2 * n_outcomes, 2**n).T   # (2**n, 2K)
+    bits = basis_bits(n).T.astype(float)                        # (n, 2**n)
 
-    phases = np.empty((shots, n_reps, n))
-    draws = np.empty((shots, n_reps))
-    for i in range(shots):
-        rng = trajectory_rng(seed, i)
-        phases[i] = rng.normal(0.0, math.sqrt(2.0 * step), size=(n_reps, n))
-        draws[i] = rng.uniform(size=n_reps)
-
-    bits = basis_bits(n).astype(float)
-    n_anc = n - 1
-    corr = np.stack(model.corrections)               # (2**n_anc, 2, 2)
-    states = np.tile(psi.amplitudes, (shots, 1))     # (shots, 2)
-    for rep in range(n_reps):
-        full = states @ model.isometry.T             # (shots, 2**n)
-        full = full * np.exp(1j * phases[:, rep, :] @ bits.T)
-        full = full @ model.decode_unitary.T
-        if n_anc == 0:
-            states = full
-            continue
-        # Born sampling of the ancilla outcome, then collapse and correct
-        cols = np.stack([full[:, 0:2**n_anc], full[:, 2**n_anc:2**n_anc + 2**n_anc]], axis=2)
-        probs = (np.abs(cols) ** 2).sum(axis=2)      # (shots, 2**n_anc)
-        cum = np.cumsum(probs, axis=1)
-        chosen = (cum > draws[:, rep, None] * cum[:, -1:]).argmax(axis=1)
-        rows = np.arange(shots)
-        branch = cols[rows, chosen, :]               # (shots, 2)
-        branch /= np.linalg.norm(branch, axis=1, keepdims=True)
-        states = np.einsum("sij,sj->si", corr[chosen], branch)
-    return states
+    out = np.empty((shots, 2), dtype=complex)
+    for block, start in enumerate(range(0, shots, MC_BLOCK)):
+        size = min(MC_BLOCK, shots - start)
+        rng = block_rng(seed, block)
+        phases = rng.normal(0.0, sigma, size=(size, n_reps, n))
+        draws = rng.uniform(size=(size, n_reps))
+        rows = np.arange(size)
+        states = np.broadcast_to(psi.amplitudes, (size, 2))
+        for rep in range(n_reps):
+            full = states @ model.isometry.T                    # (size, 2**n)
+            full *= np.exp(1j * (phases[:, rep, :] @ bits))
+            amps = (full @ recovery).reshape(size, n_outcomes, 2)
+            # Born sampling of the ancilla outcome, then collapse
+            probs = (amps.real**2 + amps.imag**2).sum(axis=2)   # (size, K)
+            cum = np.cumsum(probs, axis=1)
+            chosen = (cum > draws[:, rep, None] * cum[:, -1:]).argmax(axis=1)
+            branch = amps[rows, chosen]                         # (size, 2)
+            states = branch / np.linalg.norm(branch, axis=1, keepdims=True)
+        out[start:start + size] = states
+    return out
 
 
 def run_scheme(scheme: Scheme, psi: PureState, t: float, mode: str = "exact",
@@ -230,13 +223,10 @@ def run_scheme(scheme: Scheme, psi: PureState, t: float, mode: str = "exact",
         raise ValueError("schemes protect a single qubit")
     if t < 0:
         raise ValueError("exposure time must be nonnegative")
-    mode = {"exact-channel": "exact", "monte-carlo": "mc"}.get(mode, mode)
     if mode == "exact":
         return DensityMatrix(1, _run_exact(scheme, psi, t))
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
-    if shots is None:
-        raise ValueError("monte-carlo mode needs a shot count")
     states = _run_trajectories(scheme, psi, t, shots, seed)
     rho = np.einsum("si,sj->ij", states, states.conj()) / states.shape[0]
     rho = (rho + rho.conj().T) / 2.0
@@ -259,10 +249,11 @@ def scheme_coherence(scheme: Scheme, psi: PureState, t: float) -> float:
 
 
 def mc_coherence(scheme: Scheme, psi: PureState, t: float, shots: int, seed=None):
-    """Monte-Carlo coherence estimate and its standard error.
+    """Monte-Carlo coherence estimate and its standard error (``shots`` >= 2).
 
-    The standard error of the mean off-diagonal element is propagated through
-    the absolute value.
+    The standard error of |mean z| over the per-trajectory off-diagonal
+    elements z is the delta method's: the spread of z projected on the
+    direction of the mean, over sqrt(shots).
     """
     z0 = psi.density().matrix[1, 0]
     if abs(z0) < 1e-12:
@@ -272,12 +263,11 @@ def mc_coherence(scheme: Scheme, psi: PureState, t: float, shots: int, seed=None
     states = _run_trajectories(scheme, psi, t, shots, seed)
     z = states[:, 1] * states[:, 0].conj()
     mean = z.mean()
-    se_re = z.real.std(ddof=1) / math.sqrt(shots)
-    se_im = z.imag.std(ddof=1) / math.sqrt(shots)
     if abs(mean) < 1e-300:
-        se_abs = math.hypot(se_re, se_im)
+        se_abs = math.hypot(z.real.std(ddof=1), z.imag.std(ddof=1)) / math.sqrt(shots)
     else:
-        se_abs = math.hypot(mean.real * se_re, mean.imag * se_im) / abs(mean)
+        radial = (z * (mean.conjugate() / abs(mean))).real
+        se_abs = radial.std(ddof=1) / math.sqrt(shots)
     return float(abs(mean) / abs(z0)), float(se_abs / abs(z0))
 
 

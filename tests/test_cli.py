@@ -275,3 +275,19 @@ class TestSearchCommand:
         code, _, err = run_cli(capsys, "search", "--budget", "3", "--restarts", "0")
         assert code == 2
         assert err.startswith("error: restarts must be")
+
+
+class TestShotValidation:
+    @pytest.mark.parametrize("argv", [
+        ("noise", "--scheme", "phase3", "--t", "1", "--shots", "1"),
+        ("figure5", "--steps", "2", "--shots", "1"),
+    ])
+    def test_one_shot_is_a_validation_error(self, capsys, tmp_path, argv):
+        if argv[0] == "figure5":
+            argv = argv + ("--out", str(tmp_path / "fig5.csv"))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "shots" in lines[0]
+        assert not (tmp_path / "fig5.csv").exists()

@@ -4,11 +4,22 @@ import math
 import numpy as np
 import pytest
 
+from qeclab.circuits import circuit_to_unitary, invert_circuit
+from qeclab.codes import (
+    CORRECTION_MATRICES,
+    build_syndrome_table,
+    three_qubit_phase_code,
+    two_qubit_zeno_code,
+)
 from qeclab.noise import (
     CSV_HEADER,
+    DEFAULT_CURVES,
     IPLUS,
+    MC_BLOCK,
     PLUS,
     Scheme,
+    _run_trajectories,
+    block_rng,
     coherence,
     curves_to_csv,
     dephase_channel,
@@ -21,11 +32,10 @@ from qeclab.noise import (
     run_scheme,
     sample_trajectory_phases,
     scheme_coherence,
-    trajectory_rng,
     uncoded_coherence_closed_form,
     zeno2_coherence_closed_form,
 )
-from qeclab.states import DensityMatrix, PureState, X
+from qeclab.states import DensityMatrix, PureState, X, basis_bits
 
 from conftest import random_pure_state
 
@@ -106,11 +116,18 @@ class TestTrajectoryPhases:
         draws = sample_trajectory_phases(200_000, 0.5, seed=rng)
         assert abs(np.var(draws) - 1.0) < 0.02
 
-    def test_trajectory_rng_is_order_independent(self):
-        a = trajectory_rng(3, 17).normal(size=4)
-        _ = trajectory_rng(3, 5).normal(size=10)
-        b = trajectory_rng(3, 17).normal(size=4)
-        np.testing.assert_allclose(a, b)
+    def test_block_rng_is_order_independent(self):
+        """Block b's draws do not depend on which blocks were drawn before."""
+        a = block_rng(3, 17).normal(size=(MC_BLOCK, 4))
+        _ = block_rng(3, 5).normal(size=(MC_BLOCK, 10))
+        _ = block_rng(3, 16).uniform(size=MC_BLOCK)
+        b = block_rng(3, 17).normal(size=(MC_BLOCK, 4))
+        np.testing.assert_array_equal(a, b)
+        point = np.random.SeedSequence(entropy=3, spawn_key=(1, 2))
+        c = block_rng(point, 17).normal(size=4)
+        _ = block_rng(point, 0).normal(size=4)
+        np.testing.assert_array_equal(c, block_rng(point, 17).normal(size=4))
+        assert not np.array_equal(a[0], c)
 
 
 class TestRunSchemeExact:
@@ -248,6 +265,96 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_coherence(Scheme("zeno2"), IPLUS, 1.0, 0, seed=1)
 
+    def test_one_shot_rejected(self):
+        """One trajectory has no error bar: both MC entry points refuse it."""
+        with pytest.raises(ValueError, match="shots"):
+            mc_coherence(Scheme("phase3"), IPLUS, 1.0, 1, seed=1)
+        with pytest.raises(ValueError, match="shots"):
+            run_scheme(Scheme("phase3"), IPLUS, 1.0, mode="mc", shots=1, seed=1)
+
+    def test_first_block_does_not_depend_on_shot_count(self):
+        scheme = Scheme("phase3", 3)
+        a = _run_trajectories(scheme, IPLUS, 0.7, MC_BLOCK, seed=4)
+        b = _run_trajectories(scheme, IPLUS, 0.7, MC_BLOCK + 5, seed=4)
+        assert b.shape == (MC_BLOCK + 5, 2)
+        np.testing.assert_array_equal(a, b[:MC_BLOCK])
+
+    @pytest.mark.parametrize("kind,reps", DEFAULT_CURVES)
+    def test_recovery_route_matches_decode_and_corrections_loop(self, kind, reps):
+        """The MC route through the recovery operators agrees with decoding,
+        sampling the ancilla on the decoded amplitudes and then correcting."""
+        shots, t, seed = MC_BLOCK + 300, 1.3, 8
+        expected = _decode_and_correct_trajectories(Scheme(kind, reps), IPLUS, t, shots, seed)
+        got = _run_trajectories(Scheme(kind, reps), IPLUS, t, shots, seed)
+        assert np.abs(got - expected).max() < 1e-12
+
+    def test_stderr_matches_the_spread_of_replicates(self):
+        """On a 45 degree input the error bar is the spread of |mean| over replicates.
+
+        The Re/Im-separable formula reads about 1.6x too high at this point."""
+        psi = PureState(1, np.array([1, np.exp(1j * np.pi / 4)]) / np.sqrt(2))
+        runs = [mc_coherence(Scheme("uncoded"), psi, 0.25, 1000, seed=s) for s in range(200)]
+        values, stderrs = np.array(runs).T
+        ratio = stderrs.mean() / values.std(ddof=1)
+        assert abs(ratio - 1.0) < 0.15, ratio
+
+    @pytest.mark.parametrize("kind,reps", [("zeno2", 1), ("phase3", 1), ("phase3", 10)])
+    def test_stderr_on_iplus_equals_the_separable_formula(self, kind, reps):
+        """Re of the mean vanishes on IPLUS for the coded schemes, so the
+        covariance term drops out and the two formulas agree."""
+        shots, t, seed = 5000, 1.0, 31
+        states = _run_trajectories(Scheme(kind, reps), IPLUS, t, shots, seed)
+        z = states[:, 1] * states[:, 0].conj()
+        m = z.mean()
+        se_re = z.real.std(ddof=1) / math.sqrt(shots)
+        se_im = z.imag.std(ddof=1) / math.sqrt(shots)
+        z0 = abs(IPLUS.density().matrix[1, 0])
+        old = math.hypot(m.real * se_re, m.imag * se_im) / abs(m) / z0
+        _, stderr = mc_coherence(Scheme(kind, reps), IPLUS, t, shots, seed=seed)
+        assert abs(stderr - old) < 1e-12
+
+
+def _decode_and_correct_trajectories(scheme, psi, t, shots, seed):
+    """Reference MC loop: decode unitary, Born sampling on the decoded ancilla
+    columns, collapse, then the syndrome table's correction. Draws the same
+    numbers in the same order as the engine."""
+    if scheme.kind == "uncoded":
+        n, isometry, decode, corr = 1, np.eye(2), np.eye(2), np.eye(2)[None]
+    else:
+        code = two_qubit_zeno_code() if scheme.kind == "zeno2" else three_qubit_phase_code()
+        n = code.n_physical
+        isometry = code.isometry()
+        decode = circuit_to_unitary(invert_circuit(code.encoder))
+        if scheme.kind == "zeno2":
+            corr = np.stack([np.eye(2)] * 2 ** (n - 1))
+        else:
+            table = build_syndrome_table(code)
+            corr = np.stack([CORRECTION_MATRICES[table.lookup(format(s, f"0{n - 1}b"))]
+                             for s in range(2 ** (n - 1))])
+    n_anc = n - 1
+    n_reps = scheme.repetitions
+    bits = basis_bits(n).astype(float)
+    out = []
+    for block, start in enumerate(range(0, shots, MC_BLOCK)):
+        size = min(MC_BLOCK, shots - start)
+        rng = block_rng(seed, block)
+        phases = rng.normal(0.0, math.sqrt(2.0 * t / n_reps), size=(size, n_reps, n))
+        draws = rng.uniform(size=(size, n_reps))
+        states = np.tile(psi.amplitudes, (size, 1))
+        for rep in range(n_reps):
+            full = states @ isometry.T
+            full = full * np.exp(1j * (phases[:, rep, :] @ bits.T))
+            full = full @ decode.T
+            cols = np.stack([full[:, : 2**n_anc], full[:, 2**n_anc:]], axis=2)
+            probs = (np.abs(cols) ** 2).sum(axis=2)
+            cum = np.cumsum(probs, axis=1)
+            chosen = (cum > draws[:, rep, None] * cum[:, -1:]).argmax(axis=1)
+            branch = cols[np.arange(size), chosen, :]
+            branch /= np.linalg.norm(branch, axis=1, keepdims=True)
+            states = np.einsum("sij,sj->si", corr[chosen], branch)
+        out.append(states)
+    return np.concatenate(out)
+
 
 class TestFigure5:
     def test_grid_shape_and_t0(self):
@@ -299,6 +406,17 @@ class TestFigure5:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             figure5_data(3.0, 1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_zero_stderr_rows_print_the_exact_value(self, seed):
+        """At t = 0 every trajectory is the input; a row whose error bar is 0
+        must then print C_mc equal to C_exact."""
+        rows = [line.split(",") for line in
+                curves_to_csv(figure5_data(3.0, 2, shots=500, seed=seed)).splitlines()[1:]]
+        zero_rows = [row for row in rows if float(row[5]) == 0.0]
+        assert zero_rows
+        for row in zero_rows + [row for row in rows if row[0] == "0"]:
+            assert row[4] == row[3], row
 
 
 class TestClosedForms:
