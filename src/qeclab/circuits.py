@@ -167,14 +167,22 @@ def serialize_circuit(circuit: Circuit) -> str:
     return json.dumps(circuit_to_dict(circuit), indent=2)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``1.7`` are not qubit indices."""
+    return type(value) is int
+
+
 def _op_from_dict(doc: dict, position: int) -> GateOp:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise CircuitFormatError(f"op {position} is not an object with a 'kind'")
-    kind = doc["kind"]
-    targets = doc.get("targets", [])
-    controls = doc.get("controls", [])
+    qubits = {}
+    for key in ("targets", "controls"):
+        value = doc.get(key, [])
+        if not isinstance(value, list) or not all(_is_int(q) for q in value):
+            raise CircuitFormatError(f"{key} must be a list of integers, got {value!r} at op {position}")
+        qubits[key] = tuple(value)
     try:
-        return GateOp(kind, tuple(targets), tuple(controls))
+        return GateOp(doc["kind"], qubits["targets"], qubits["controls"])
     except CircuitFormatError as exc:
         raise CircuitFormatError(f"{exc} at op {position}") from None
 
@@ -182,19 +190,11 @@ def _op_from_dict(doc: dict, position: int) -> GateOp:
 def circuit_from_dict(doc: dict) -> Circuit:
     if not isinstance(doc, dict) or "n" not in doc or "ops" not in doc:
         raise CircuitFormatError("circuit document needs top-level 'n' and 'ops'")
-    n = int(doc["n"])
-    ops = [_op_from_dict(op_doc, i) for i, op_doc in enumerate(doc["ops"])]
-    try:
-        return Circuit(n, tuple(ops))
-    except CircuitFormatError:
-        # re-raise with the offending position
-        for i, op in enumerate(ops):
-            for q in op.qubits():
-                if not 0 <= q < n:
-                    raise CircuitFormatError(
-                        f"qubit index {q} out of range at op {i} ({op.kind})"
-                    ) from None
-        raise
+    if not _is_int(doc["n"]) or doc["n"] < 1:
+        raise CircuitFormatError(f"'n' must be a positive integer, got {doc['n']!r}")
+    if not isinstance(doc["ops"], list):
+        raise CircuitFormatError(f"'ops' must be a list, got {doc['ops']!r}")
+    return Circuit(doc["n"], tuple(_op_from_dict(op_doc, i) for i, op_doc in enumerate(doc["ops"])))
 
 
 def parse_circuit(text: str) -> Circuit:

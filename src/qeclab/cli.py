@@ -69,7 +69,11 @@ _CODES = {
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("QECC_SEED", "0"))
+    raw = os.environ.get("QECC_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"QECC_SEED must be an integer, got {raw!r}") from None
 
 
 def _read_text(path: str) -> str:
@@ -327,9 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,9 @@ Three codes are provided:
 
 Decoding always runs the encoder backwards and reads the ancilla qubits;
 the syndrome table mapping ancilla bits to the data-qubit correction is
-built by brute force over the code's error classes.
+built by brute force over the code's error classes. ``recovery_operators``
+is that decoder as one operator stack; the syndrome table, decode-and-correct
+and the noise schemes all read it.
 """
 
 from __future__ import annotations
@@ -33,15 +35,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, GateOp, apply_circuit, apply_circuit_array, invert_circuit
-from .states import (
-    I2, X, Y, Z,
-    PureState,
-    apply_gate,
-    fidelity,
-    measurement_branches,
-    phase_aligned_distance,
-)
+from .circuits import Circuit, GateOp, apply_circuit_array, circuit_to_unitary, invert_circuit
+from .states import I2, X, Y, Z, PureState, phase_aligned_distance
 
 FIVE_QUBIT_ZERO_TERMS = (
     ("00000", 1), ("00110", 1), ("01001", 1), ("01111", -1),
@@ -262,11 +257,11 @@ def five_qubit_encoder() -> Circuit:
     return Circuit(5, ops)
 
 
-def five_qubit_code(encoder: Optional[Circuit] = "default") -> CodeSpec:
-    """The perfect code; pass ``encoder=None`` to drop the circuit or a custom
-    circuit to validate an alternative encoder against the reference codewords."""
+def five_qubit_code(encoder: Optional[Circuit] = None) -> CodeSpec:
+    """The perfect code with the shipped encoder, or with a custom circuit,
+    which is validated against the reference codewords."""
     zero, one = five_qubit_codewords()
-    if isinstance(encoder, str):
+    if encoder is None:
         encoder = five_qubit_encoder()
     return CodeSpec(
         name="five-qubit",
@@ -354,28 +349,25 @@ class SyndromeTable:
 _PROBE = PureState(1, np.array([0.6, 0.8j], dtype=complex))
 
 
-def _decode_once(code: CodeSpec, state: PureState):
-    """Inverse encoder + deterministic ancilla read; errors if the syndrome is
-    not definite (a branch probability away from 0 or 1)."""
-    decoded = apply_circuit(invert_circuit(code.encoder), state)
-    branches = measurement_branches(decoded, code.ancilla_qubits)
-    top = max(branches, key=lambda b: b[1])
-    if top[1] < 1.0 - 1e-10:
-        raise ValueError(
-            f"ancilla measurement is not deterministic (p={top[1]:.6f}); "
-            f"the circuit is not a valid encoder for this error"
-        )
-    bits, _, collapsed = top
-    syndrome = "".join(str(b) for b in bits)
-    data = _extract_data_qubit(collapsed, code.n_physical, bits)
-    return syndrome, data
+def _syndrome(outcome: int, n: int) -> str:
+    return format(outcome, f"0{n - 1}b")
 
 
-def _extract_data_qubit(state: PureState, n: int, ancilla_bits: tuple) -> PureState:
-    offset = sum(b << (n - 2 - i) for i, b in enumerate(ancilla_bits))
-    amps = np.array([state.amplitudes[offset], state.amplitudes[(1 << (n - 1)) + offset]])
-    norm = np.linalg.norm(amps)
-    return PureState(1, amps / norm)
+def recovery_operators(code: CodeSpec, table: Optional[SyndromeTable] = None) -> np.ndarray:
+    """(K, 2, 2**n) stack, K = 2**(n-1): block s runs the encoder backwards,
+    keeps the two data-qubit rows where the ancillas read s, and applies the
+    table's correction for s (none when ``table`` is None)."""
+    if code.encoder is None:
+        raise ValueError(f"code {code.name} has no encoder circuit")
+    n = code.n_physical
+    decode = circuit_to_unitary(invert_circuit(code.encoder))
+    # row d * K + s of the decoded space holds data bit d and ancilla outcome s
+    blocks = decode.reshape(2, 2 ** (n - 1), 2**n).transpose(1, 0, 2)
+    if table is None:
+        return blocks
+    corrections = np.stack([CORRECTION_MATRICES[table.lookup(_syndrome(s, n))]
+                            for s in range(2 ** (n - 1))])
+    return corrections @ blocks
 
 
 def build_syndrome_table(code: CodeSpec, errors: Optional[Sequence[ErrorOp]] = None) -> SyndromeTable:
@@ -387,19 +379,24 @@ def build_syndrome_table(code: CodeSpec, errors: Optional[Sequence[ErrorOp]] = N
     two errors demanding different corrections raises, since that means the
     circuit is not a valid encoder for the given error set.
     """
-    if code.encoder is None:
-        raise ValueError(f"code {code.name} has no encoder circuit")
+    recovery = recovery_operators(code)
     if errors is None:
         errors = code.error_classes
     encoded_probe = encode(code, _PROBE)
     table = SyndromeTable(code.ancilla_qubits)
     for error in errors:
-        syndrome, data = _decode_once(code, apply_error(encoded_probe, error))
-        correction = None
-        for name, mat in CORRECTION_MATRICES.items():
-            if fidelity(apply_gate(data, mat, [0]), _PROBE) >= 1.0 - 1e-10:
-                correction = name
-                break
+        branches = recovery @ apply_error(encoded_probe, error).amplitudes      # (K, 2)
+        probs = (np.abs(branches) ** 2).sum(axis=1)
+        outcome = int(probs.argmax())
+        if probs[outcome] < 1.0 - 1e-10:
+            raise ValueError(
+                f"ancilla measurement is not deterministic (p={probs[outcome]:.6f}); "
+                f"the circuit is not a valid encoder for this error"
+            )
+        syndrome = _syndrome(outcome, code.n_physical)
+        data = branches[outcome] / np.sqrt(probs[outcome])
+        correction = next((name for name, mat in CORRECTION_MATRICES.items()
+                           if abs(np.vdot(_PROBE.amplitudes, mat @ data)) ** 2 >= 1.0 - 1e-10), None)
         if correction is None:
             raise ValueError(f"no single-qubit correction restores the probe after {error.label()}")
         existing = table.corrections.get(syndrome)
@@ -417,24 +414,24 @@ def decode_and_correct(code: CodeSpec, table: Optional[SyndromeTable], state: Pu
     correction to the data qubit.
 
     Returns (data state, syndrome string). For detection-only codes the table
-    may be None and no correction is applied.
+    may be None and no correction is applied. ``rng`` may be a seed or a numpy
+    Generator; one uniform is drawn per call.
     """
     if code.encoder is None:
         raise ValueError(f"code {code.name} has no encoder circuit")
     if state.n_qubits != code.n_physical:
         raise ValueError(f"state has {state.n_qubits} qubits, code needs {code.n_physical}")
-    from .states import measure_qubits
-
-    decoded = apply_circuit(invert_circuit(code.encoder), state)
-    bits, collapsed, _ = measure_qubits(decoded, code.ancilla_qubits, rng=rng)
-    syndrome = "".join(str(b) for b in bits)
-    data = _extract_data_qubit(collapsed, code.n_physical, bits)
+    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    branches = recovery_operators(code) @ state.amplitudes                      # (K, 2)
+    probs = (np.abs(branches) ** 2).sum(axis=1)
+    outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
+    syndrome = _syndrome(outcome, code.n_physical)
+    data = branches[outcome] / np.sqrt(probs[outcome])
     if code.detection_only:
-        return data, syndrome
+        return PureState(1, data), syndrome
     if table is None:
         raise ValueError("a syndrome table is required for correcting codes")
-    correction = table.lookup(syndrome)
-    return apply_gate(data, CORRECTION_MATRICES[correction], [0]), syndrome
+    return PureState(1, CORRECTION_MATRICES[table.lookup(syndrome)] @ data), syndrome
 
 
 @dataclass(frozen=True)

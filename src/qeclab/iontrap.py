@@ -41,6 +41,7 @@ from .states import U, UDAG, is_unitary
 LEVELS = 3          # g, e, e'
 G, E, EPRIME = 0, 1, 2
 PHONON_DIM = 2
+MAX_IONS = 6        # the dense circuit paths' cap; the simulated block has 2 * 6**n entries
 
 PULSE_KINDS = ("WPhon", "WPhonDag", "VPulse", "VPhon", "VPhonDag", "OneQubit")
 _DAGGER = {"WPhon": "WPhonDag", "WPhonDag": "WPhon",
@@ -93,9 +94,6 @@ class PulseSequence:
 
     def __len__(self) -> int:
         return len(self.pulses)
-
-    def __add__(self, other: "PulseSequence") -> "PulseSequence":
-        return PulseSequence(self.pulses + other.pulses)
 
 
 def trap_dim(n_ions: int) -> int:
@@ -259,6 +257,8 @@ def simulate_pulse_sequence(seq: PulseSequence, n_ions: int) -> PulseSimResult:
     Returns the induced 2**n x 2**n operator together with the worst residual
     amplitude outside the qubit subspace and the worst phonon excitation.
     """
+    if not 1 <= n_ions <= MAX_IONS:
+        raise ValueError(f"n_ions must be in 1..{MAX_IONS}, got {n_ions}")
     dim = trap_dim(n_ions)
     nq = 2**n_ions
     cols = np.zeros((dim, nq), dtype=complex)
@@ -325,17 +325,32 @@ def pulses_to_json(seq: PulseSequence) -> list:
     return docs
 
 
+def _json_number(value) -> float:
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a number")
+    return value
+
+
 def pulses_from_json(docs: Sequence[dict]) -> PulseSequence:
+    if not isinstance(docs, list):
+        raise ValueError("a pulse program is a list of pulse entries")
     pulses = []
     for i, doc in enumerate(docs):
         try:
             kind = doc["kind"]
-            ion = int(doc["ion"])
-            dag = bool(doc.get("dag", False))
+            ion = doc["ion"]
+            dag = doc.get("dag", False)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed pulse entry at position {i}: {exc}") from None
+        if type(kind) is not str or type(ion) is not int or type(dag) is not bool:
+            raise ValueError(f"pulse entry at position {i} needs a string 'kind', "
+                             f"an integer 'ion' and a boolean 'dag'")
         if kind == "OneQubit":
-            mat = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
+            try:
+                mat = np.array([[complex(_json_number(re), _json_number(im)) for re, im in row]
+                                for row in doc["matrix"]])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"malformed matrix at position {i}: {exc}") from None
             if dag:
                 mat = mat.conj().T
             pulses.append(Pulse("OneQubit", ion, mat, label=doc.get("label")))

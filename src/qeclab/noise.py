@@ -31,10 +31,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuits import circuit_to_unitary, invert_circuit
 from .codes import (
-    CORRECTION_MATRICES,
     build_syndrome_table,
+    recovery_operators,
     three_qubit_phase_code,
     two_qubit_zeno_code,
 )
@@ -129,28 +128,9 @@ def _build_model(kind: str) -> _SchemeModel:
     if kind == "uncoded":
         eye = np.eye(2, dtype=complex)
         return _SchemeModel(1, eye, eye[None].copy())
-    if kind == "zeno2":
-        code = two_qubit_zeno_code()
-        table = None
-    else:
-        code = three_qubit_phase_code()
-        table = build_syndrome_table(code)
-    n = code.n_physical
-    decode = circuit_to_unitary(invert_circuit(code.encoder))
-    n_anc = n - 1
-    recovery = []
-    for s in range(2**n_anc):
-        if table is None:
-            corr = I2
-        else:
-            syndrome = format(s, f"0{n_anc}b")
-            corr = CORRECTION_MATRICES[table.lookup(syndrome)]
-        # rows of the full space belonging to ancilla outcome s
-        selector = np.zeros((2, 2**n), dtype=complex)
-        selector[0, s] = 1.0
-        selector[1, (1 << (n - 1)) + s] = 1.0
-        recovery.append(corr @ selector @ decode)
-    return _SchemeModel(n, code.isometry(), np.stack(recovery))
+    code = two_qubit_zeno_code() if kind == "zeno2" else three_qubit_phase_code()
+    table = None if code.detection_only else build_syndrome_table(code)
+    return _SchemeModel(code.n_physical, code.isometry(), recovery_operators(code, table))
 
 
 @lru_cache(maxsize=None)

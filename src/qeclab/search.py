@@ -209,8 +209,7 @@ def mutate(circuit: Circuit, cfg: SearchConfig, rng: np.random.Generator) -> Cir
     return Circuit(cfg.n_qubits, tuple(ops))
 
 
-def _evaluate(circuit: Circuit, cfg: SearchConfig,
-              validator: Callable[[Circuit], ValidityResult]) -> Candidate:
+def _evaluate(circuit: Circuit, validator: Callable[[Circuit], ValidityResult]) -> Candidate:
     res = validator(circuit)
     return Candidate(circuit, pulse_cost(circuit), res.valid, res.mode, res.violation)
 
@@ -248,14 +247,14 @@ def search(cfg: SearchConfig,
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,)))
         if cfg.start is not None:
-            current = _evaluate(cfg.start, cfg, validator)
+            current = _evaluate(cfg.start, validator)
         else:
             n_ops = int(rng.integers(1, cfg.max_ops + 1))
-            current = _evaluate(random_circuit(cfg.n_qubits, n_ops, rng, cfg.alphabet), cfg, validator)
+            current = _evaluate(random_circuit(cfg.n_qubits, n_ops, rng, cfg.alphabet), validator)
 
         for it in range(per_restart):
             iterations += 1
-            proposal = _evaluate(mutate(current.circuit, cfg, rng), cfg, validator)
+            proposal = _evaluate(mutate(current.circuit, cfg, rng), validator)
             if _accept_key(proposal) <= _accept_key(current):
                 current = proposal
             if current.valid and (best_valid is None or current.cost < best_valid.cost):
@@ -304,7 +303,7 @@ def exhaustive_search(cfg: SearchConfig,
     for length in range(cfg.max_ops + 1):
         for combo in itertools.product(all_ops, repeat=length):
             count += 1
-            cand = _evaluate(Circuit(n, combo), cfg, validator)
+            cand = _evaluate(Circuit(n, combo), validator)
             if cand.valid and (best_valid is None or _score(cand) < _score(best_valid)):
                 best_valid = cand
     history = ()

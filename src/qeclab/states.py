@@ -159,32 +159,19 @@ def _check_qubits(qubits: Sequence[int], n_qubits: int) -> tuple:
     return qubits
 
 
-def _apply_gate_array(amps: np.ndarray, gate: np.ndarray, qubits: tuple, n: int) -> np.ndarray:
-    """Apply ``gate`` on ``qubits`` to an array whose leading axis indexes the basis.
-
-    Extra trailing axes are carried along, which lets the same code act on a
-    single state vector or on a whole batch of columns at once.
-    """
-    k = len(qubits)
-    extra = amps.shape[1:]
-    tensor = amps.reshape((2,) * n + extra)
-    tensor = np.moveaxis(tensor, qubits, range(k))
-    moved_shape = tensor.shape
-    tensor = gate @ tensor.reshape(2**k, -1)
-    tensor = tensor.reshape(moved_shape)
-    tensor = np.moveaxis(tensor, range(k), qubits)
-    return tensor.reshape((2**n,) + extra)
-
-
 def apply_gate(state: PureState, gate: np.ndarray, qubits: Sequence[int]) -> PureState:
     """Apply a ``2**k x 2**k`` unitary on the given k qubits (identity elsewhere)."""
-    qubits = _check_qubits(qubits, state.n_qubits)
+    n = state.n_qubits
+    qubits = _check_qubits(qubits, n)
+    k = len(qubits)
     gate = np.asarray(gate, dtype=complex)
-    dim = 2 ** len(qubits)
-    if gate.shape != (dim, dim):
-        raise ValueError(f"gate shape {gate.shape} does not match {len(qubits)} qubit(s)")
+    if gate.shape != (2**k, 2**k):
+        raise ValueError(f"gate shape {gate.shape} does not match {k} qubit(s)")
     require_unitary(gate)
-    return PureState(state.n_qubits, _apply_gate_array(state.amplitudes, gate, qubits, state.n_qubits))
+    tensor = np.moveaxis(state.amplitudes.reshape((2,) * n), qubits, range(k))
+    moved_shape = tensor.shape
+    tensor = (gate @ tensor.reshape(2**k, -1)).reshape(moved_shape)
+    return PureState(n, np.moveaxis(tensor, range(k), qubits).reshape(2**n))
 
 
 def controlled_phase_signs(n_qubits: int, controls: Sequence[int], targets: Sequence[int]) -> np.ndarray:
@@ -226,16 +213,6 @@ def apply_cnot(state: PureState, control: int, target: int) -> PureState:
     return PureState(state.n_qubits, state.amplitudes[perm])
 
 
-def _outcome_keys(n_qubits: int, qubits: tuple) -> np.ndarray:
-    """Basis index -> integer outcome label for the listed qubits, in order."""
-    bits = basis_bits(n_qubits)
-    k = len(qubits)
-    keys = np.zeros(2**n_qubits, dtype=np.int64)
-    for pos, q in enumerate(qubits):
-        keys |= bits[:, q].astype(np.int64) << (k - 1 - pos)
-    return keys
-
-
 def measurement_branches(state: PureState, qubits: Sequence[int]):
     """All measurement branches as (outcome bits, probability, collapsed state).
 
@@ -244,7 +221,9 @@ def measurement_branches(state: PureState, qubits: Sequence[int]):
     """
     qubits = _check_qubits(qubits, state.n_qubits)
     k = len(qubits)
-    keys = _outcome_keys(state.n_qubits, qubits)
+    # basis index -> integer outcome label for the listed qubits, in order
+    powers = 1 << np.arange(k - 1, -1, -1)
+    keys = basis_bits(state.n_qubits)[:, list(qubits)].astype(np.int64) @ powers
     probs = np.bincount(keys, weights=state.probabilities(), minlength=2**k)
     branches = []
     for outcome in range(2**k):
@@ -258,38 +237,28 @@ def measurement_branches(state: PureState, qubits: Sequence[int]):
 
 
 def measure_qubits(state: PureState, qubits: Sequence[int], rng=None):
-    """Born-rule measurement of the listed qubits.
+    """Born-rule measurement of the listed qubits, one uniform draw per call.
 
     Returns (outcome bits, collapsed state, probability). ``rng`` may be a
     seed or a numpy Generator; omit it for a fresh nondeterministic draw.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    qubits = _check_qubits(qubits, state.n_qubits)
-    k = len(qubits)
-    keys = _outcome_keys(state.n_qubits, qubits)
-    probs = np.bincount(keys, weights=state.probabilities(), minlength=2**k)
-    outcome = int(rng.choice(2**k, p=probs / probs.sum()))
-    p = float(probs[outcome])
-    amps = np.where(keys == outcome, state.amplitudes, 0.0) / np.sqrt(p)
-    bits = tuple((outcome >> (k - 1 - pos)) & 1 for pos in range(k))
-    return bits, PureState(state.n_qubits, amps), p
+    branches = measurement_branches(state, qubits)
+    probs = np.array([p for _, p, _ in branches])
+    bits, p, collapsed = branches[int(rng.choice(len(branches), p=probs / probs.sum()))]
+    return bits, collapsed, p
 
 
 def collapse_to_outcome(state: PureState, qubits: Sequence[int], outcome: Sequence[int]):
     """Project onto a chosen measurement outcome; error if its probability is 0."""
-    qubits = _check_qubits(qubits, state.n_qubits)
-    k = len(qubits)
+    branches = measurement_branches(state, qubits)
     outcome = tuple(int(b) for b in outcome)
-    if len(outcome) != k:
-        raise ValueError(f"outcome {outcome} does not match {k} measured qubits")
-    label = sum(b << (k - 1 - pos) for pos, b in enumerate(outcome))
-    keys = _outcome_keys(state.n_qubits, qubits)
-    mask = keys == label
-    p = float(np.sum(state.probabilities()[mask]))
-    if p < 1e-15:
-        raise ValueError(f"measurement branch {outcome} has zero probability")
-    amps = np.where(mask, state.amplitudes, 0.0) / np.sqrt(p)
-    return PureState(state.n_qubits, amps), p
+    if len(outcome) != len(qubits):
+        raise ValueError(f"outcome {outcome} does not match {len(qubits)} measured qubits")
+    for bits, p, collapsed in branches:
+        if bits == outcome:
+            return collapsed, p
+    raise ValueError(f"measurement branch {outcome} has zero probability")
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

@@ -140,6 +140,19 @@ class TestSerialization:
         with pytest.raises(CircuitFormatError, match="at op 0"):
             circuit_from_dict(doc)
 
+    @pytest.mark.parametrize("doc, match", [
+        ({"n": None, "ops": []}, "'n' must be a positive integer"),
+        ({"n": 2.0, "ops": []}, "'n' must be a positive integer"),
+        ({"n": -3, "ops": []}, "'n' must be a positive integer"),
+        ({"n": 2, "ops": 5}, "'ops' must be a list"),
+        ({"n": 2, "ops": [{"kind": "X", "targets": [0]}, {"kind": "X", "targets": [1.7]}]}, "at op 1"),
+        ({"n": 2, "ops": [{"kind": "X", "targets": [True]}]}, "at op 0"),
+        ({"n": 2, "ops": [{"kind": "X", "targets": 1}]}, "at op 0"),
+    ])
+    def test_non_integer_fields_rejected(self, doc, match):
+        with pytest.raises(CircuitFormatError, match=match):
+            circuit_from_dict(doc)
+
     def test_invalid_json(self):
         with pytest.raises(CircuitFormatError, match="JSON"):
             parse_circuit("{not json")

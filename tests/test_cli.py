@@ -291,3 +291,57 @@ class TestShotValidation:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "shots" in lines[0]
         assert not (tmp_path / "fig5.csv").exists()
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+_ONE_QUBIT_PROGRAM = [{"kind": "OneQubit", "ion": 0, "dag": False,
+                       "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]
+
+
+class TestBadInputs:
+    """Each malformed input ends in exit code 2 and one ``error:`` line."""
+
+    @pytest.mark.parametrize("doc", [
+        {"n": None, "ops": []},
+        {"n": -3, "ops": []},
+        {"n": 2, "ops": 5},
+        {"n": 2, "ops": [{"kind": "X", "targets": [1.7]}]},
+        {"n": 2, "ops": [{"kind": "X", "targets": [True]}]},
+        {"n": 2, "ops": [{"kind": "CNOT", "controls": 0, "targets": [1]}]},
+    ], ids=["n-null", "n-negative", "ops-not-a-list", "fractional-qubit", "boolean-qubit", "controls-not-a-list"])
+    def test_malformed_circuit_document(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.qc.json"
+        path.write_text(json.dumps(doc))
+        assert_one_error_line(*run_cli(capsys, "compile", "--circuit", str(path), "--report", "full"))
+
+    @pytest.mark.parametrize("doc", [
+        [{"kind": "OneQubit", "ion": 0, "matrix": [[["a", 0], [0, 0]], [[0, 0], [1, 0]]]}],
+        [{"kind": "WPhon", "ion": 0.5}],
+        {"kind": "WPhon", "ion": 0},
+    ], ids=["non-numeric-matrix-entry", "fractional-ion", "not-a-list"])
+    def test_malformed_pulse_file(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.pulses.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate-pulses", "--pulses", str(path), "--ions", "1")
+        assert_one_error_line(code, out, err)
+        assert "position 0" in err or "list" in err
+
+    @pytest.mark.parametrize("ions", ["7", "0", "-1"])
+    def test_ion_count_out_of_range(self, capsys, tmp_path, ions):
+        path = tmp_path / "prog.pulses.json"
+        path.write_text(json.dumps(_ONE_QUBIT_PROGRAM))
+        code, out, err = run_cli(capsys, "simulate-pulses", "--pulses", str(path), "--ions", ions)
+        assert_one_error_line(code, out, err)
+        assert "1..6" in err
+
+    def test_non_integer_seed_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("QECC_SEED", "abc")
+        code, out, err = run_cli(capsys, "noise", "--scheme", "phase3", "--t", "0")
+        assert_one_error_line(code, out, err)
+        assert "QECC_SEED" in err

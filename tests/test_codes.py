@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qeclab.circuits import Circuit, GateOp, apply_circuit, invert_circuit
+from qeclab.circuits import Circuit, GateOp, apply_circuit, circuit_to_unitary, invert_circuit
 from qeclab.codes import (
+    CORRECTION_MATRICES,
     CodeSpec,
     ErrorOp,
     FIVE_QUBIT_ONE_TERMS,
@@ -16,6 +17,8 @@ from qeclab.codes import (
     encoder_alignment_error,
     five_qubit_code,
     five_qubit_codewords,
+    five_qubit_encoder,
+    recovery_operators,
     single_qubit_error_classes,
     three_qubit_phase_code,
     two_qubit_zeno_code,
@@ -217,6 +220,66 @@ class TestDecodeAndCorrect:
         with pytest.raises(ValueError, match="qubits"):
             decode_and_correct(code, None, random_pure_state(2, rng))
 
+    @pytest.mark.parametrize("factory", [five_qubit_code, three_qubit_phase_code, two_qubit_zeno_code])
+    def test_one_uniform_per_call(self, factory, rng):
+        """Seeded streams depend on exactly one draw per decode."""
+        code = factory()
+        table = None if code.detection_only else build_syndrome_table(code)
+        state = random_pure_state(code.n_physical, rng)      # every syndrome has weight
+        used, reference = np.random.default_rng(11), np.random.default_rng(11)
+        decode_and_correct(code, table, state, rng=used)
+        reference.random()
+        assert used.random() == reference.random()
+
+    def test_incomplete_table_raises_only_on_its_missing_syndrome(self, rng):
+        code = three_qubit_phase_code()
+        full = build_syndrome_table(code)
+        partial = SyndromeTable(full.ancilla_qubits,
+                                {s: c for s, c in full.corrections.items() if s != "11"})
+        psi = random_pure_state(1, rng)
+        raised = 0
+        for error in code.error_classes:
+            corrupted = apply_error(encode(code, psi), error)
+            _, syndrome = decode_and_correct(code, full, corrupted, rng=0)
+            if syndrome == "11":
+                raised += 1
+                with pytest.raises(KeyError, match="11"):
+                    decode_and_correct(code, partial, corrupted, rng=0)
+            else:
+                recovered, _ = decode_and_correct(code, partial, corrupted, rng=0)
+                assert fidelity(recovered, psi) >= 1 - 1e-10
+        assert raised == 1
+
+
+def _recovery_reference(code, table):
+    """Block s = correction(s) @ selector(s) @ decode, one outcome at a time."""
+    n = code.n_physical
+    decode = circuit_to_unitary(invert_circuit(code.encoder))
+    blocks = []
+    for s in range(2 ** (n - 1)):
+        selector = np.zeros((2, 2**n), dtype=complex)
+        selector[0, s] = selector[1, (1 << (n - 1)) + s] = 1.0
+        corr = np.eye(2) if table is None else CORRECTION_MATRICES[table.lookup(format(s, f"0{n - 1}b"))]
+        blocks.append(corr @ selector @ decode)
+    return np.stack(blocks)
+
+
+class TestRecoveryOperators:
+    @pytest.mark.parametrize("factory", [five_qubit_code, three_qubit_phase_code, two_qubit_zeno_code])
+    def test_matches_correction_selector_decode_product(self, factory):
+        code = factory()
+        tables = [None] if code.detection_only else [None, build_syndrome_table(code)]
+        for table in tables:
+            recovery = recovery_operators(code, table)
+            assert recovery.shape == (2 ** (code.n_physical - 1), 2, 2**code.n_physical)
+            assert np.abs(recovery - _recovery_reference(code, table)).max() < 1e-12
+
+    def test_code_without_encoder_rejected(self):
+        code = five_qubit_code()
+        bare = CodeSpec("bare", 5, code.logical_zero, code.logical_one)
+        with pytest.raises(ValueError, match="no encoder"):
+            recovery_operators(bare)
+
 
 class TestKnillLaflamme:
     def test_five_qubit_code_passes_all_single_errors(self):
@@ -314,6 +377,10 @@ class TestCodeSpecValidation:
         psi = random_pure_state(2, rng)
         with pytest.raises(ValueError, match="orthogonal"):
             CodeSpec("bad", 2, psi, psi)
+
+    def test_default_encoder_is_the_shipped_one(self):
+        assert five_qubit_code().encoder == five_qubit_encoder()
+        assert five_qubit_code(encoder=None).encoder == five_qubit_encoder()
 
     def test_to_dict_contains_encoder(self):
         doc = five_qubit_code().to_dict()

@@ -291,6 +291,24 @@ class TestPulseJson:
             pulses_from_json([{"kind": "WPhon", "ion": 0}, {"ion": 1}])
 
 
+    @pytest.mark.parametrize("docs", [
+        [{"kind": "OneQubit", "ion": 0, "matrix": [[["a", 0], [0, 0]], [[0, 0], [1, 0]]]}],
+        [{"kind": "OneQubit", "ion": 0, "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}],
+        [{"kind": "OneQubit", "ion": 0, "matrix": 3}],
+        [{"kind": "WPhon", "ion": 1.7}],
+        [{"kind": "WPhon", "ion": True}],
+        [{"kind": "WPhon", "ion": 0, "dag": "yes"}],
+    ])
+    def test_mistyped_entry_reports_position(self, docs):
+        with pytest.raises(ValueError, match="position 0"):
+            pulses_from_json(docs)
+
+    @pytest.mark.parametrize("n_ions", [0, -1, 7])
+    def test_ion_count_outside_one_to_six_rejected(self, n_ions):
+        with pytest.raises(ValueError, match="1..6"):
+            simulate_pulse_sequence(PulseSequence(()), n_ions)
+
+
 class TestTrapState:
     def test_qubit_subspace_index(self):
         assert qubit_basis_trap_index([0, 0]) == 0

@@ -162,6 +162,24 @@ class TestMeasurement:
         with pytest.raises(ValueError, match="zero probability"):
             collapse_to_outcome(PureState.from_bits("00"), [0], [1])
 
+    def test_one_uniform_per_measurement(self, rng):
+        state = random_pure_state(3, rng)
+        used, reference = np.random.default_rng(3), np.random.default_rng(3)
+        measure_qubits(state, [1, 2], rng=used)
+        reference.random()
+        assert used.random() == reference.random()
+
+    def test_sampled_branch_is_one_of_the_branches(self, rng):
+        state = random_pure_state(3, rng)
+        bits, collapsed, p = measure_qubits(state, [2, 0], rng=rng)
+        forced, p_forced = collapse_to_outcome(state, [2, 0], bits)
+        assert p == p_forced
+        np.testing.assert_array_equal(collapsed.amplitudes, forced.amplitudes)
+
+    def test_outcome_length_must_match(self):
+        with pytest.raises(ValueError, match="does not match"):
+            collapse_to_outcome(PureState.from_bits("00"), [0], [0, 0])
+
     def test_forced_outcome(self):
         state = PureState(1, np.array([0.6, 0.8]))
         collapsed, p = collapse_to_outcome(state, [0], [1])
