@@ -27,6 +27,10 @@ from .states import (
     controlled_phase_signs,
 )
 
+# Largest register with a dense path (unitaries, pulse simulation); the
+# circuit parser rejects larger ones, so every command agrees on what is valid.
+MAX_QUBITS = 6
+
 SINGLE_QUBIT_KINDS = ("U", "Udag", "V", "Vdag", "W", "Wdag", "X", "Z")
 KINDS = SINGLE_QUBIT_KINDS + ("CNOT", "CPHASE")
 
@@ -142,8 +146,8 @@ def apply_circuit(circuit: Circuit, state: PureState) -> PureState:
 
 def circuit_to_unitary(circuit: Circuit) -> np.ndarray:
     """Full ``2**n x 2**n`` matrix: the product of op matrices in application order."""
-    if circuit.n_qubits > 6:
-        raise ValueError("dense unitary construction is limited to 6 qubits")
+    if circuit.n_qubits > MAX_QUBITS:
+        raise ValueError(f"dense unitary construction is limited to {MAX_QUBITS} qubits")
     return apply_circuit_array(circuit, np.eye(2**circuit.n_qubits, dtype=complex))
 
 
@@ -192,6 +196,8 @@ def circuit_from_dict(doc: dict) -> Circuit:
         raise CircuitFormatError("circuit document needs top-level 'n' and 'ops'")
     if not _is_int(doc["n"]) or doc["n"] < 1:
         raise CircuitFormatError(f"'n' must be a positive integer, got {doc['n']!r}")
+    if doc["n"] > MAX_QUBITS:
+        raise CircuitFormatError(f"'n' is {doc['n']}; registers are limited to {MAX_QUBITS} qubits")
     if not isinstance(doc["ops"], list):
         raise CircuitFormatError(f"'ops' must be a list, got {doc['ops']!r}")
     return Circuit(doc["n"], tuple(_op_from_dict(op_doc, i) for i, op_doc in enumerate(doc["ops"])))

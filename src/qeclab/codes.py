@@ -353,16 +353,25 @@ def _syndrome(outcome: int, n: int) -> str:
     return format(outcome, f"0{n - 1}b")
 
 
+@lru_cache(maxsize=64)
+def _decoder_blocks(encoder: Circuit) -> np.ndarray:
+    """Read-only uncorrected decoder stack of one encoder, built once."""
+    n = encoder.n_qubits
+    decode = circuit_to_unitary(invert_circuit(encoder))
+    # row d * K + s of the decoded space holds data bit d and ancilla outcome s
+    blocks = decode.reshape(2, 2 ** (n - 1), 2**n).transpose(1, 0, 2)
+    blocks.flags.writeable = False
+    return blocks
+
+
 def recovery_operators(code: CodeSpec, table: Optional[SyndromeTable] = None) -> np.ndarray:
     """(K, 2, 2**n) stack, K = 2**(n-1): block s runs the encoder backwards,
     keeps the two data-qubit rows where the ancillas read s, and applies the
-    table's correction for s (none when ``table`` is None)."""
+    table's correction for s (none, and read-only, when ``table`` is None)."""
     if code.encoder is None:
         raise ValueError(f"code {code.name} has no encoder circuit")
     n = code.n_physical
-    decode = circuit_to_unitary(invert_circuit(code.encoder))
-    # row d * K + s of the decoded space holds data bit d and ancilla outcome s
-    blocks = decode.reshape(2, 2 ** (n - 1), 2**n).transpose(1, 0, 2)
+    blocks = _decoder_blocks(code.encoder)
     if table is None:
         return blocks
     corrections = np.stack([CORRECTION_MATRICES[table.lookup(_syndrome(s, n))]

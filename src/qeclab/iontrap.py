@@ -33,15 +33,16 @@ from .circuits import (
     Circuit,
     GateOp,
     GATE_MATRICES,
+    MAX_QUBITS,
     SINGLE_QUBIT_KINDS,
     circuit_to_unitary,
 )
-from .states import U, UDAG, is_unitary
+from .states import U, UDAG, basis_bits, is_unitary
 
 LEVELS = 3          # g, e, e'
 G, E, EPRIME = 0, 1, 2
 PHONON_DIM = 2
-MAX_IONS = 6        # the dense circuit paths' cap; the simulated block has 2 * 6**n entries
+MAX_IONS = MAX_QUBITS   # the simulated block has 2 * 6**n entries
 
 PULSE_KINDS = ("WPhon", "WPhonDag", "VPulse", "VPhon", "VPhonDag", "OneQubit")
 _DAGGER = {"WPhon": "WPhonDag", "WPhonDag": "WPhon",
@@ -100,24 +101,8 @@ def trap_dim(n_ions: int) -> int:
     return PHONON_DIM * LEVELS**n_ions
 
 
-@lru_cache(maxsize=None)
-def _trap_index_tables(n_ions: int):
-    """Per-basis-index arrays: ion level digits (big-endian) and phonon bit."""
-    dim = trap_dim(n_ions)
-    idx = np.arange(dim)
-    phonon = idx % PHONON_DIM
-    level_code = idx // PHONON_DIM
-    levels = np.zeros((dim, n_ions), dtype=np.int8)
-    for q in range(n_ions):
-        levels[:, q] = (level_code // LEVELS ** (n_ions - 1 - q)) % LEVELS
-    levels.flags.writeable = False
-    phonon.flags.writeable = False
-    return levels, phonon
-
-
 def qubit_basis_trap_index(bits: Sequence[int]) -> int:
     """Trap-space index of a qubit-subspace basis state (phonon 0)."""
-    n = len(bits)
     code = 0
     for b in bits:
         code = code * LEVELS + int(b)
@@ -145,43 +130,39 @@ class TrapState:
         return cls(len(bits), amps)
 
 
-def _pulse_apply_array(amps: np.ndarray, pulse: Pulse, n_ions: int) -> np.ndarray:
-    """Apply a pulse to an array whose leading axis is the trap basis index."""
-    levels, phonon = _trap_index_tables(n_ions)
+def _pulse_apply_array(amps: np.ndarray, pulse: Pulse, n_ions: int) -> None:
+    """Apply a pulse in place to a C-contiguous array whose leading axis is
+    the trap basis index (trailing axes, a block of columns, are carried)."""
     ion = pulse.ion
     if not 0 <= ion < n_ions:
         raise ValueError(f"ion index {ion} out of range for {n_ions} ions")
-    out = amps.copy()
-    lv = levels[:, ion]
-    step = LEVELS ** (n_ions - 1 - ion) * PHONON_DIM
-
-    if pulse.kind in ("WPhon", "WPhonDag"):
-        factor = -1j if pulse.kind == "WPhon" else 1j
-        src_g1 = np.nonzero((lv == G) & (phonon == 1))[0]
-        dst_e0 = src_g1 + step - 1          # g,1 -> e,0
-        out[dst_e0] = factor * amps[src_g1]
-        out[src_g1] = factor * amps[dst_e0]
-    elif pulse.kind == "VPulse":
-        mask = (lv == G) & (phonon == 1)
-        out[mask] = -amps[mask]
-    elif pulse.kind in ("VPhon", "VPhonDag"):
-        factor = -1j if pulse.kind == "VPhon" else 1j
-        src_g1 = np.nonzero((lv == G) & (phonon == 1))[0]
-        dst_ep0 = src_g1 + 2 * step - 1     # g,1 -> e',0
-        out[dst_ep0] = factor * amps[src_g1]
-        out[src_g1] = factor * amps[dst_ep0]
-    else:  # OneQubit
-        rot = pulse.matrix
-        idx_g = np.nonzero(lv == G)[0]
-        idx_e = idx_g + step
-        a_g, a_e = amps[idx_g], amps[idx_e]
-        out[idx_g] = rot[0, 0] * a_g + rot[0, 1] * a_e
-        out[idx_e] = rot[1, 0] * a_g + rot[1, 1] * a_e
-    return out
+    # axis 1 is the ion's level, axis 3 the phonon bit
+    v = amps.reshape(LEVELS**ion, LEVELS, LEVELS ** (n_ions - 1 - ion), PHONON_DIM, -1)
+    g1 = v[:, G, :, 1]
+    if pulse.kind == "VPulse":
+        parts = g1.view(np.float64)     # the same sign flips, in NumPy's faster real loop
+        np.negative(parts, out=parts)
+    elif pulse.kind == "OneQubit":
+        # r00 a_g + r01 a_e and r10 a_g + r11 a_e; the matrix entry stays the
+        # first factor of every product, so the rounding never depends on order
+        rot, a_g, a_e = pulse.matrix, v[:, G], v[:, E]
+        from_e, from_g = rot[0, 1] * a_e, rot[1, 0] * a_g
+        np.multiply(rot[0, 0], a_g, out=a_g)
+        a_g += from_e
+        np.multiply(rot[1, 1], a_e, out=a_e)
+        a_e += from_g
+    else:  # |g,1> <-> |e,0> (WPhon) or |e',0> (VPhon), times -i (+i daggered)
+        factor = 1j if pulse.kind.endswith("Dag") else -1j
+        x0 = v[:, E if pulse.kind.startswith("W") else EPRIME, :, 0]
+        swapped = factor * g1
+        np.multiply(factor, x0, out=g1)
+        x0[...] = swapped
 
 
 def apply_pulse(state: TrapState, pulse: Pulse) -> TrapState:
-    return TrapState(state.n_ions, _pulse_apply_array(state.amplitudes, pulse, state.n_ions))
+    amps = state.amplitudes.copy()
+    _pulse_apply_array(amps, pulse, state.n_ions)
+    return TrapState(state.n_ions, amps)
 
 
 def compile_cphase(controls: Sequence[int], targets: Sequence[int]) -> PulseSequence:
@@ -209,7 +190,10 @@ def _one_qubit_pulse(kind: str, ion: int) -> Pulse:
     return Pulse("OneQubit", ion, GATE_MATRICES[kind], label=kind)
 
 
+@lru_cache(maxsize=4096)
 def compile_op(op: GateOp) -> PulseSequence:
+    """The op's pulses. Cached per op: the pulses are immutable, and an
+    identical op would otherwise rebuild and re-check the same matrices."""
     if op.kind in SINGLE_QUBIT_KINDS:
         return PulseSequence((_one_qubit_pulse(op.kind, op.targets[0]),))
     if op.kind == "CNOT":
@@ -261,22 +245,18 @@ def simulate_pulse_sequence(seq: PulseSequence, n_ions: int) -> PulseSimResult:
         raise ValueError(f"n_ions must be in 1..{MAX_IONS}, got {n_ions}")
     dim = trap_dim(n_ions)
     nq = 2**n_ions
+    sub_idx = np.array([qubit_basis_trap_index(bits) for bits in basis_bits(n_ions)])
     cols = np.zeros((dim, nq), dtype=complex)
-    sub_idx = np.zeros(nq, dtype=np.int64)
-    for j in range(nq):
-        bits = [(j >> (n_ions - 1 - q)) & 1 for q in range(n_ions)]
-        sub_idx[j] = qubit_basis_trap_index(bits)
-        cols[sub_idx[j], j] = 1.0
+    cols[sub_idx, np.arange(nq)] = 1.0
     for pulse in seq.pulses:
-        cols = _pulse_apply_array(cols, pulse, n_ions)
+        _pulse_apply_array(cols, pulse, n_ions)
 
     unitary = cols[sub_idx, :]
-    levels, phonon = _trap_index_tables(n_ions)
     outside = np.ones(dim, dtype=bool)
     outside[sub_idx] = False
     leakage = float(np.sqrt(np.max(np.sum(np.abs(cols[outside, :]) ** 2, axis=0), initial=0.0)))
-    excited = phonon == 1
-    phonon_residual = float(np.sqrt(np.max(np.sum(np.abs(cols[excited, :]) ** 2, axis=0), initial=0.0)))
+    excited = cols.reshape(-1, PHONON_DIM, nq)[:, 1, :]
+    phonon_residual = float(np.sqrt(np.max(np.sum(np.abs(excited) ** 2, axis=0), initial=0.0)))
     return PulseSimResult(unitary, leakage, phonon_residual)
 
 

@@ -87,7 +87,7 @@ def dephase_channel(rho: DensityMatrix, qubit: int, t: float) -> DensityMatrix:
         raise ValueError("exposure time must be nonnegative")
     if not 0 <= qubit < rho.n_qubits:
         raise ValueError(f"qubit index {qubit} out of range")
-    return DensityMatrix(rho.n_qubits, _dephase(rho.matrix, rho.n_qubits, t, (qubit,)))
+    return DensityMatrix._trusted(rho.n_qubits, _dephase(rho.matrix, rho.n_qubits, t, (qubit,)))
 
 
 # --- stochastic trajectories ---------------------------------------------------
@@ -204,13 +204,13 @@ def run_scheme(scheme: Scheme, psi: PureState, t: float, mode: str = "exact",
     if t < 0:
         raise ValueError("exposure time must be nonnegative")
     if mode == "exact":
-        return DensityMatrix(1, _run_exact(scheme, psi, t))
+        return DensityMatrix._trusted(1, _run_exact(scheme, psi, t))
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
     states = _run_trajectories(scheme, psi, t, shots, seed)
     rho = np.einsum("si,sj->ij", states, states.conj()) / states.shape[0]
     rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(1, rho)
+    return DensityMatrix._trusted(1, rho)
 
 
 def coherence(rho: DensityMatrix, rho0: DensityMatrix) -> float:

@@ -113,7 +113,7 @@ class PureState:
         return 2**self.n_qubits
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix._trusted(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -139,6 +139,16 @@ class DensityMatrix:
         if eigs.min() < PSD_EIG_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def _trusted(cls, n_qubits: int, matrix: np.ndarray) -> "DensityMatrix":
+        """Wrap a matrix that is a density matrix by construction (a pure
+        state's projector, a channel's output, a partial trace), skipping the
+        checks, the eigendecomposition above all, that outside input gets."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "n_qubits", n_qubits)
+        object.__setattr__(rho, "matrix", _freeze(matrix))
+        return rho
 
     @classmethod
     def from_pure(cls, state: PureState) -> "DensityMatrix":
@@ -277,7 +287,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     out = [q for q in keep] + [n + q for q in keep]
     k = len(keep)
     reduced = np.einsum(tensor, subs, out).reshape(2**k, 2**k)
-    return DensityMatrix(k, reduced)
+    return DensityMatrix._trusted(k, reduced)
 
 
 def fidelity(a: PureState, b: PureState) -> float:

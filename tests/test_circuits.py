@@ -148,6 +148,7 @@ class TestSerialization:
         ({"n": 2, "ops": [{"kind": "X", "targets": [0]}, {"kind": "X", "targets": [1.7]}]}, "at op 1"),
         ({"n": 2, "ops": [{"kind": "X", "targets": [True]}]}, "at op 0"),
         ({"n": 2, "ops": [{"kind": "X", "targets": 1}]}, "at op 0"),
+        ({"n": 7, "ops": []}, "limited to 6 qubits"),
     ])
     def test_non_integer_fields_rejected(self, doc, match):
         with pytest.raises(CircuitFormatError, match=match):

@@ -320,6 +320,15 @@ class TestBadInputs:
         path.write_text(json.dumps(doc))
         assert_one_error_line(*run_cli(capsys, "compile", "--circuit", str(path), "--report", "full"))
 
+    @pytest.mark.parametrize("report", ["count", "full"])
+    def test_register_above_the_dense_cap(self, capsys, tmp_path, report):
+        """Both report modes reject an 8-qubit circuit (count-only used to accept it)."""
+        path = tmp_path / "big.qc.json"
+        path.write_text(json.dumps({"n": 8, "ops": [{"kind": "X", "targets": [7]}]}))
+        code, out, err = run_cli(capsys, "compile", "--circuit", str(path), "--report", report)
+        assert_one_error_line(code, out, err)
+        assert "limited to 6 qubits" in err
+
     @pytest.mark.parametrize("doc", [
         [{"kind": "OneQubit", "ion": 0, "matrix": [[["a", 0], [0, 0]], [[0, 0], [1, 0]]]}],
         [{"kind": "WPhon", "ion": 0.5}],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qeclab.circuits import Circuit, GateOp, apply_circuit, circuit_to_unitary, invert_circuit
+from qeclab import codes
 from qeclab.codes import (
     CORRECTION_MATRICES,
     CodeSpec,
@@ -249,6 +250,27 @@ class TestDecodeAndCorrect:
                 recovered, _ = decode_and_correct(code, partial, corrupted, rng=0)
                 assert fidelity(recovered, psi) >= 1 - 1e-10
         assert raised == 1
+
+    def test_decoder_is_built_once_per_encoder(self, rng, monkeypatch):
+        """Repeated decodes reuse one dense decoder; an X X tail gives an
+        encoder no other test has decoded, so its first use builds it."""
+        x0 = GateOp("X", (0,))
+        code = five_qubit_code(Circuit(5, five_qubit_encoder().ops + (x0, x0)))
+        built = []
+
+        def counting(circuit):
+            built.append(circuit)
+            return circuit_to_unitary(circuit)
+
+        monkeypatch.setattr(codes, "circuit_to_unitary", counting)
+        table = build_syndrome_table(code)
+        for _ in range(20):
+            psi = random_pure_state(1, rng)
+            state = apply_error(encode(code, psi), ErrorOp("Y", 3))
+            recovered, syndrome = decode_and_correct(code, table, state, rng=rng)
+            assert syndrome != "0000" and fidelity(recovered, psi) >= 1 - 1e-10
+        assert len(built) == 1
+        assert not recovery_operators(code).flags.writeable
 
 
 def _recovery_reference(code, table):

@@ -1,8 +1,10 @@
-"""The cached op kernels and the one-Gram Knill-Laflamme check, cross-checked
-against slow references built from dense Kronecker products and a loop of
-inner products."""
+"""The cached op kernels, the one-Gram Knill-Laflamme check and the in-place
+pulse kernel, cross-checked against slow references: dense Kronecker
+products, a loop of inner products, and the mask/gather pulse kernel the
+in-place one replaced."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qeclab.circuits import Circuit, GateOp, SINGLE_QUBIT_KINDS, GATE_MATRICES, _apply_op_array
@@ -12,6 +14,18 @@ from qeclab.codes import (
     circuit_codewords,
     five_qubit_encoder,
     single_qubit_error_classes,
+)
+from qeclab.iontrap import (
+    PULSE_KINDS,
+    Pulse,
+    PulseSequence,
+    TrapState,
+    _pulse_apply_array,
+    apply_pulse,
+    compile_circuit,
+    qubit_basis_trap_index,
+    simulate_pulse_sequence,
+    trap_dim,
 )
 from qeclab.search import random_circuit, random_op
 from qeclab.states import I2, X, Y, Z, PureState
@@ -119,3 +133,141 @@ def test_reference_loop_tells_a_correcting_code_from_a_broken_one():
     assert not check_knill_laflamme(bad, errors).ok
     assert loop_knill_laflamme(good.logical_zero.amplitudes, good.logical_one.amplitudes,
                                errors, 5)[0]
+
+
+# --- the pulse kernel ------------------------------------------------------------
+
+G, E = 0, 1
+
+
+def trap_index_tables(n: int):
+    """Per trap basis index: the level of each ion (big-endian) and the phonon bit."""
+    idx = np.arange(trap_dim(n))
+    levels = np.stack([(idx // 2 // 3 ** (n - 1 - q)) % 3 for q in range(n)], axis=1)
+    return levels, idx % 2
+
+
+def reference_pulse(amps: np.ndarray, pulse: Pulse, n: int) -> np.ndarray:
+    """The mask/gather kernel: boolean masks over the basis, fancy-index
+    gathers and scatters, and a fresh copy of the block per pulse."""
+    levels, phonon = trap_index_tables(n)
+    lv = levels[:, pulse.ion]
+    step = 3 ** (n - 1 - pulse.ion) * 2
+    out = amps.copy()
+    src_g1 = np.nonzero((lv == G) & (phonon == 1))[0]
+    if pulse.kind == "VPulse":
+        mask = (lv == G) & (phonon == 1)
+        out[mask] = -amps[mask]
+    elif pulse.kind == "OneQubit":
+        rot = pulse.matrix
+        idx_g = np.nonzero(lv == G)[0]
+        idx_e = idx_g + step
+        a_g, a_e = amps[idx_g], amps[idx_e]
+        out[idx_g] = rot[0, 0] * a_g + rot[0, 1] * a_e
+        out[idx_e] = rot[1, 0] * a_g + rot[1, 1] * a_e
+    else:
+        factor = -1j if pulse.kind in ("WPhon", "VPhon") else 1j
+        dst = src_g1 + (step if pulse.kind.startswith("W") else 2 * step) - 1
+        out[dst] = factor * amps[src_g1]
+        out[src_g1] = factor * amps[dst]
+    return out
+
+
+def reference_simulation(seq: PulseSequence, n: int):
+    """(unitary, leakage, phonon residual) from the mask/gather kernel."""
+    dim, nq = trap_dim(n), 2**n
+    _, phonon = trap_index_tables(n)
+    sub_idx = np.array([qubit_basis_trap_index([(j >> (n - 1 - q)) & 1 for q in range(n)])
+                        for j in range(nq)])
+    cols = np.zeros((dim, nq), dtype=complex)
+    cols[sub_idx, np.arange(nq)] = 1.0
+    for pulse in seq.pulses:
+        cols = reference_pulse(cols, pulse, n)
+    outside = np.ones(dim, dtype=bool)
+    outside[sub_idx] = False
+
+    def worst(rows):
+        return float(np.sqrt(np.max(np.sum(np.abs(cols[rows, :]) ** 2, axis=0), initial=0.0)))
+
+    return cols[sub_idx, :], worst(outside), worst(phonon == 1)
+
+
+def random_pulse(n: int, rng: np.random.Generator) -> Pulse:
+    kind = PULSE_KINDS[rng.integers(len(PULSE_KINDS))]
+    ion = int(rng.integers(n))
+    if kind != "OneQubit":
+        return Pulse(kind, ion)
+    if rng.random() < 0.5:
+        return Pulse(kind, ion, GATE_MATRICES[SINGLE_QUBIT_KINDS[rng.integers(8)]])
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return Pulse(kind, ion, q)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit for bit, signs of zero included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=seeds, columns=st.integers(0, 3), length=st.integers(1, 12))
+def test_in_place_pulse_kernel_matches_mask_gather_kernel(n, seed, columns, length):
+    """Random pulses of every kind on a random block (a vector when columns == 0)."""
+    rng = np.random.default_rng(seed)
+    shape = (trap_dim(n),) if columns == 0 else (trap_dim(n), columns)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    expected = amps.copy()
+    for _ in range(length):
+        pulse = random_pulse(n, rng)
+        _pulse_apply_array(amps, pulse, n)
+        expected = reference_pulse(expected, pulse, n)
+        assert same_bits(amps, expected), pulse
+
+
+@st.composite
+def pulse_programs(draw):
+    """Compiled random circuits (no leakage) and random pulse lists (mostly leaking)."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(seeds))
+    if n > 1 and draw(st.booleans()):
+        return compile_circuit(random_circuit(n, draw(st.integers(0, 10)), rng)), n
+    return PulseSequence(tuple(random_pulse(n, rng) for _ in range(draw(st.integers(0, 10))))), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(pulse_programs())
+def test_simulation_matches_mask_gather_reference(program):
+    seq, n = program
+    sim = simulate_pulse_sequence(seq, n)
+    unitary, leakage, phonon_residual = reference_simulation(seq, n)
+    assert same_bits(sim.unitary, unitary)
+    assert sim.leakage == leakage
+    assert sim.phonon_residual == phonon_residual
+
+
+@pytest.mark.parametrize("kind", ["WPhon", "VPhon", "WPhonDag", "VPhonDag"])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_lone_phonon_pulse_leaks_as_the_reference_says(kind, n):
+    """Alone, a WPhon moves every column with its ion in e onto the phonon and
+    a VPhon finds both its rows empty; behind a WPhon, each moves amplitude."""
+    for seq in (PulseSequence((Pulse(kind, n - 1),)),
+                PulseSequence((Pulse("WPhon", 0), Pulse(kind, n - 1)))):
+        sim = simulate_pulse_sequence(seq, n)
+        unitary, leakage, phonon_residual = reference_simulation(seq, n)
+        assert same_bits(sim.unitary, unitary)
+        assert (sim.leakage, sim.phonon_residual) == (leakage, phonon_residual)
+    assert simulate_pulse_sequence(PulseSequence((Pulse("WPhon", 0),)), n).leakage == 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), seed=seeds)
+def test_apply_pulse_leaves_its_input_untouched(n, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=trap_dim(n)) + 1j * rng.normal(size=trap_dim(n))
+    state = TrapState(n, raw / np.linalg.norm(raw))
+    before = state.amplitudes.copy()
+    for _ in range(6):
+        pulse = random_pulse(n, rng)
+        after = apply_pulse(state, pulse)
+        assert same_bits(state.amplitudes, before)
+        assert same_bits(after.amplitudes, reference_pulse(before, pulse, n))
+        state, before = after, after.amplitudes.copy()

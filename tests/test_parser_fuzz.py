@@ -5,7 +5,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from qeclab.circuits import Circuit, CircuitFormatError, parse_circuit
+from qeclab.circuits import MAX_QUBITS, Circuit, CircuitFormatError, parse_circuit
 from qeclab.iontrap import PULSE_KINDS, PulseSequence, pulses_from_json
 
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 8)
@@ -33,7 +33,7 @@ def test_circuit_parser_returns_a_circuit_or_a_format_error(doc):
     except CircuitFormatError:
         return
     assert isinstance(circuit, Circuit)
-    assert type(circuit.n_qubits) is int and circuit.n_qubits >= 1
+    assert type(circuit.n_qubits) is int and 1 <= circuit.n_qubits <= MAX_QUBITS
     assert all(type(q) is int for op in circuit.ops for q in op.qubits())
 
 

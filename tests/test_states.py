@@ -250,3 +250,22 @@ class TestInvariantChecks:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(1, np.array([[1.5, 0], [0, -0.5]]))
+
+    def test_negative_eigenvalue_off_the_diagonal_rejected(self):
+        """Hermitian, unit trace, positive diagonal, eigenvalues 1.5 and -0.5:
+        only the eigenvalue check catches it."""
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(1, np.array([[0.5, 1.0], [1.0, 0.5]]))
+
+    def test_internal_constructions_pass_the_public_checks(self, rng):
+        """Projectors, partial traces and dephased states skip the checks, so
+        each must be a valid density matrix by construction."""
+        from qeclab.noise import dephase_channel
+
+        for n in (1, 2, 3):
+            rho = random_pure_state(n, rng).density()
+            made = [rho, partial_trace(rho, [0]), dephase_channel(rho, n - 1, 0.7)]
+            for out in made:
+                checked = DensityMatrix(out.n_qubits, out.matrix)
+                assert np.array_equal(checked.matrix, out.matrix)
+                assert not out.matrix.flags.writeable
