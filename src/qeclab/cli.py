@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,7 +184,8 @@ def cmd_compile(args) -> int:
         doc["phonon_residual"] = check.phonon_residual
         doc["pulses"] = pulses_to_json(seq)
     if args.out is not None:
-        _write_text(args.out, json.dumps(pulses_to_json(seq), indent=2))
+        pulses = doc["pulses"] if "pulses" in doc else pulses_to_json(seq)
+        _write_text(args.out, json.dumps(pulses, separators=(",", ":")))
         doc["pulse_file"] = args.out
     _emit(doc)
     return EXIT_OK
@@ -274,6 +276,7 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qeclab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -283,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", choices=sorted(_CODES), required=True)
     p.add_argument("--encoder", help="alternative encoder circuit (.qc.json)")
     p.add_argument("--trials", type=int, default=5, help="random inputs per error class")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify_code)
 
     p = sub.add_parser("compile", help="lower a circuit to laser pulses")
@@ -306,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", help="custom amplitude for |0>, e.g. 0.6")
     p.add_argument("--beta", help="custom amplitude for |1>, e.g. 0.8j")
     p.add_argument("--shots", type=int, help="add a Monte-Carlo column with this many trajectories")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("figure5", help="write the coherence-curve CSV")
@@ -314,14 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=60)
     p.add_argument("--out", required=True)
     p.add_argument("--shots", type=int)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_figure5)
 
     p = sub.add_parser("search", help="randomized search for cheap encoders")
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--max-ops", type=int, default=40)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--start", help="'reference' or a circuit file to seed the climb")
     p.add_argument("--alphabet", help="comma-separated gate kinds")
     p.add_argument("--mode", choices=("auto", "exact", "kl"), default="auto")
@@ -332,8 +335,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        seed = _default_seed()          # read on every call, and checked for every command
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        if getattr(args, "seed", 0) is None:
+            args.seed = seed
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone (``| head``); the final flush at exit goes to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except _IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ from .circuits import (
     SINGLE_QUBIT_KINDS,
     circuit_to_unitary,
 )
-from .states import U, UDAG, basis_bits, is_unitary
+from .states import U, UDAG, is_unitary
 
 LEVELS = 3          # g, e, e'
 G, E, EPRIME = 0, 1, 2
@@ -130,18 +131,19 @@ class TrapState:
         return cls(len(bits), amps)
 
 
-def _pulse_apply_array(amps: np.ndarray, pulse: Pulse, n_ions: int) -> None:
-    """Apply a pulse in place to a C-contiguous array whose leading axis is
-    the trap basis index (trailing axes, a block of columns, are carried)."""
-    ion = pulse.ion
+def _pulse_apply(block: np.ndarray, pulse: Pulse, region: tuple) -> None:
+    """Apply a pulse in place to a C-contiguous block whose leading axes span
+    ``region``, a corner of the trap basis: 2 (g, e) or 3 (and e') levels per
+    ion, then 1 or 2 phonon states. Trailing axes (columns) are carried."""
+    ion, n_ions = pulse.ion, len(region) - 1
     if not 0 <= ion < n_ions:
         raise ValueError(f"ion index {ion} out of range for {n_ions} ions")
-    # axis 1 is the ion's level, axis 3 the phonon bit
-    v = amps.reshape(LEVELS**ion, LEVELS, LEVELS ** (n_ions - 1 - ion), PHONON_DIM, -1)
-    g1 = v[:, G, :, 1]
+    # axis 1 is the ion's level, axis 3 the phonon
+    v = block.reshape(prod(region[:ion]), region[ion], prod(region[ion + 1:-1]), region[-1], -1)
     if pulse.kind == "VPulse":
-        parts = g1.view(np.float64)     # the same sign flips, in NumPy's faster real loop
-        np.negative(parts, out=parts)
+        if region[-1] == PHONON_DIM:        # with phonon 0 only, nothing to flip
+            parts = v[:, G, :, 1].view(np.float64)  # the same sign flips, in NumPy's faster real loop
+            np.negative(parts, out=parts)
     elif pulse.kind == "OneQubit":
         # r00 a_g + r01 a_e and r10 a_g + r11 a_e; the matrix entry stays the
         # first factor of every product, so the rounding never depends on order
@@ -153,10 +155,16 @@ def _pulse_apply_array(amps: np.ndarray, pulse: Pulse, n_ions: int) -> None:
         a_e += from_g
     else:  # |g,1> <-> |e,0> (WPhon) or |e',0> (VPhon), times -i (+i daggered)
         factor = 1j if pulse.kind.endswith("Dag") else -1j
-        x0 = v[:, E if pulse.kind.startswith("W") else EPRIME, :, 0]
+        g1, x0 = v[:, G, :, 1], v[:, E if pulse.kind.startswith("W") else EPRIME, :, 0]
         swapped = factor * g1
         np.multiply(factor, x0, out=g1)
         x0[...] = swapped
+
+
+def _pulse_apply_array(amps: np.ndarray, pulse: Pulse, n_ions: int) -> None:
+    """Apply a pulse in place to a C-contiguous array whose leading axis is
+    the trap basis index (trailing axes, a block of columns, are carried)."""
+    _pulse_apply(amps, pulse, (LEVELS,) * n_ions + (PHONON_DIM,))
 
 
 def apply_pulse(state: TrapState, pulse: Pulse) -> TrapState:
@@ -235,6 +243,11 @@ class PulseSimResult:
     phonon_residual: float    # worst-case amplitude left in phonon |1>
 
 
+def _worst_norm(power: np.ndarray) -> float:
+    """Largest column norm, from |amplitude|**2 with the columns on the last axis."""
+    return float(np.sqrt(np.max(np.sum(power.reshape(-1, power.shape[-1]), axis=0), initial=0.0)))
+
+
 def simulate_pulse_sequence(seq: PulseSequence, n_ions: int) -> PulseSimResult:
     """Run the sequence on every qubit-subspace basis state (phonon in |0>).
 
@@ -243,21 +256,24 @@ def simulate_pulse_sequence(seq: PulseSequence, n_ions: int) -> PulseSimResult:
     """
     if not 1 <= n_ions <= MAX_IONS:
         raise ValueError(f"n_ions must be in 1..{MAX_IONS}, got {n_ions}")
-    dim = trap_dim(n_ions)
+    # The pulses run on the corner of the trap basis the program reaches:
+    # phonon 1 if it has a phonon pulse, e' of the ions it VPhons. Each pulse
+    # maps that corner into itself, and the rest of the space stays empty.
+    eprime = {p.ion for p in seq.pulses if p.kind.startswith("VPhon")}
+    phonon = bool(eprime) or any(p.kind.startswith("WPhon") for p in seq.pulses)
+    region = tuple(LEVELS if k in eprime else 2 for k in range(n_ions)) + (1 + phonon,)
     nq = 2**n_ions
-    sub_idx = np.array([qubit_basis_trap_index(bits) for bits in basis_bits(n_ions)])
-    cols = np.zeros((dim, nq), dtype=complex)
-    cols[sub_idx, np.arange(nq)] = 1.0
+    block = np.zeros(region + (nq,), dtype=complex)
+    qubit = (slice(0, 2),) * n_ions + (0,)
+    block[qubit] = np.eye(nq).reshape((2,) * n_ions + (nq,))
     for pulse in seq.pulses:
-        _pulse_apply_array(cols, pulse, n_ions)
-
-    unitary = cols[sub_idx, :]
-    outside = np.ones(dim, dtype=bool)
-    outside[sub_idx] = False
-    leakage = float(np.sqrt(np.max(np.sum(np.abs(cols[outside, :]) ** 2, axis=0), initial=0.0)))
-    excited = cols.reshape(-1, PHONON_DIM, nq)[:, 1, :]
-    phonon_residual = float(np.sqrt(np.max(np.sum(np.abs(excited) ** 2, axis=0), initial=0.0)))
-    return PulseSimResult(unitary, leakage, phonon_residual)
+        _pulse_apply(block, pulse, region)
+    # The block's rows are in trap-basis order, so its column sums add the
+    # same nonzero terms, in the same order, as sums over the whole space.
+    power = np.abs(block) ** 2
+    phonon_residual = _worst_norm(power[..., 1:, :])
+    power[qubit] = 0.0
+    return PulseSimResult(block[qubit].reshape(nq, nq), _worst_norm(power), phonon_residual)
 
 
 @dataclass(frozen=True)

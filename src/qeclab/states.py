@@ -44,8 +44,7 @@ def is_unitary(matrix: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
-    dim = matrix.shape[0]
-    return bool(np.allclose(matrix.conj().T @ matrix, np.eye(dim), atol=atol))
+    return bool(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max(initial=0.0) <= atol)
 
 
 def require_unitary(matrix: np.ndarray, what: str = "gate") -> np.ndarray:
@@ -88,14 +87,6 @@ class PureState:
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state norm {norm} is not 1")
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_amplitudes(cls, amplitudes: Sequence[complex]) -> "PureState":
-        amps = np.asarray(amplitudes, dtype=complex)
-        n = int(round(np.log2(amps.size)))
-        if 2**n != amps.size:
-            raise ValueError(f"length {amps.size} is not a power of two")
-        return cls(n, amps)
 
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "PureState":
@@ -149,10 +140,6 @@ class DensityMatrix:
         object.__setattr__(rho, "n_qubits", n_qubits)
         object.__setattr__(rho, "matrix", _freeze(matrix))
         return rho
-
-    @classmethod
-    def from_pure(cls, state: PureState) -> "DensityMatrix":
-        return state.density()
 
     @property
     def dim(self) -> int:

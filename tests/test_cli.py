@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qeclab
 from qeclab.circuits import Circuit, GateOp, serialize_circuit
-from qeclab.cli import main
+from qeclab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +120,16 @@ class TestCompile:
         code, out, _ = run_cli(capsys, "compile", "--circuit", path)
         assert json.loads(out)["total_pulses"] == 0
 
+    def test_pulse_file_is_compact_and_holds_the_reported_pulses(self, capsys, tmp_path):
+        path = write_circuit(tmp_path, Circuit(3, (GateOp("U", (0,)), GateOp("CPHASE", (0, 1), (2,)))))
+        ppath = tmp_path / "prog.pulses.json"
+        code, out, _ = run_cli(capsys, "compile", "--circuit", path, "--report", "full",
+                               "--out", str(ppath))
+        assert code == 0
+        text = ppath.read_text()
+        assert "\n" not in text and ", " not in text
+        assert json.loads(text) == json.loads(out)["pulses"]
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.qc.json"
         path.write_text('{"n": 1, "ops": [{"kind": "RX", "targets": [0]}]}')
@@ -192,6 +207,15 @@ class TestNoise:
         _, out2, _ = run_cli(capsys, "noise", "--scheme", "zeno2", "--t", "1",
                              "--shots", "200", "--seed", "123")
         assert out1 == out2
+
+    def test_seed_variable_is_read_on_every_call(self, capsys, monkeypatch):
+        argv = ("noise", "--scheme", "zeno2", "--t", "1", "--shots", "200")
+        outs = []
+        for seed in ("5", "6", "5"):
+            monkeypatch.setenv("QECC_SEED", seed)
+            outs.append(run_cli(capsys, *argv)[1])
+        assert outs[0] == outs[2] != outs[1]
+        assert build_parser() is build_parser()
 
     def test_basis_state_rejected(self, capsys):
         code, _, err = run_cli(capsys, "noise", "--scheme", "phase3", "--t", "1",
@@ -354,3 +378,39 @@ class TestBadInputs:
         code, out, err = run_cli(capsys, "noise", "--scheme", "phase3", "--t", "0")
         assert_one_error_line(code, out, err)
         assert "QECC_SEED" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-code", "--code", "zeno2"),
+        ("compile", "--circuit", "missing.qc.json"),
+        ("simulate-pulses", "--pulses", "missing.pulses.json", "--ions", "1"),
+        ("figure5", "--steps", "2", "--out", "fig5.csv"),
+        ("search", "--budget", "10", "--restarts", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_non_integer_seed_variable_fails_every_command(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("QECC_SEED", "abc")
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, out, err)
+        assert "QECC_SEED" in err
+
+    def test_matrix_unitary_only_to_a_relative_tolerance(self, capsys, tmp_path):
+        """Off by 4e-6 passes a 1e-5 relative test, not the documented 1e-12."""
+        doc = [{"kind": "OneQubit", "ion": 0, "dag": False,
+                "matrix": [[[1.000004, 0], [0, 0]], [[0, 0], [1, 0]]]}]
+        path = tmp_path / "prog.pulses.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate-pulses", "--pulses", str(path), "--ions", "1")
+        assert_one_error_line(code, out, err)
+        assert "unitary" in err
+
+
+def test_closed_stdout_exits_3_quietly():
+    """``qeclab verify-code ... | head -1``: the reader is gone before the
+    report is written, which ends in exit 3 with nothing on stderr."""
+    src = str(Path(qeclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-m", "qeclab.cli", "verify-code", "--code", "five-qubit"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 3
+    assert err == b""

@@ -1,7 +1,7 @@
 """The cached op kernels, the one-Gram Knill-Laflamme check and the in-place
-pulse kernel, cross-checked against slow references: dense Kronecker
-products, a loop of inner products, and the mask/gather pulse kernel the
-in-place one replaced."""
+pulse kernel with its reachable region, cross-checked against slow
+references: dense Kronecker products, a loop of inner products, and the
+mask/gather pulse kernel, on the whole block, that the in-place one replaced."""
 
 import numpy as np
 import pytest
@@ -242,6 +242,70 @@ def test_simulation_matches_mask_gather_reference(program):
     assert same_bits(sim.unitary, unitary)
     assert sim.leakage == leakage
     assert sim.phonon_residual == phonon_residual
+
+
+# --- the reachable region ----------------------------------------------------------
+# The simulator runs each program on the region it reaches: phonon 1 only when
+# it has a WPhon/VPhon pulse or a dagger of one, e' only of the ions it VPhons.
+# Each family below stresses one edge of that rule; the tails draw their kinds
+# from a random subset, so lone daggers (a WPhonDag as the only phonon pulse,
+# a VPhonDag as an ion's only VPhon) come up often.
+
+
+def random_pulses(n: int, rng: np.random.Generator, kinds, count: int) -> list:
+    pulses = []
+    while len(pulses) < count:
+        pulse = random_pulse(n, rng)
+        if pulse.kind in kinds:
+            pulses.append(pulse)
+    return pulses
+
+
+def random_tail(draw, n: int, rng: np.random.Generator, max_size: int = 8) -> list:
+    kinds = draw(st.sets(st.sampled_from(PULSE_KINDS), min_size=1))
+    return random_pulses(n, rng, kinds, draw(st.integers(0, max_size)))
+
+
+@st.composite
+def region_programs(draw, family: str):
+    n = 1 if family == "one ion" else draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(seeds))
+    if family == "late VPhon":         # many one-qubit pulses, then the first VPhon(Dag)
+        pulses = random_pulses(n, rng, ("OneQubit",), draw(st.integers(5, 20)))
+        pulses.append(Pulse(draw(st.sampled_from(("VPhon", "VPhonDag"))), int(rng.integers(n))))
+    elif family == "early VPulse":     # a VPulse before any phonon pulse
+        pulses = random_pulses(n, rng, ("OneQubit",), draw(st.integers(0, 4)))
+        pulses.insert(draw(st.integers(0, len(pulses))), Pulse("VPulse", int(rng.integers(n))))
+    elif family == "every ion":        # a VPhon or VPhonDag on each ion, in random places
+        pulses = random_tail(draw, n, rng)
+        for ion in range(n):
+            pulses.insert(draw(st.integers(0, len(pulses))),
+                          Pulse(draw(st.sampled_from(("VPhon", "VPhonDag"))), ion))
+        return PulseSequence(tuple(pulses)), n
+    else:
+        pulses = []
+    return PulseSequence(tuple(pulses + random_tail(draw, n, rng, max_size=15))), n
+
+
+@pytest.mark.parametrize("family", ["late VPhon", "early VPulse", "one ion", "every ion"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_region_simulation_matches_mask_gather_reference(family, data):
+    seq, n = data.draw(region_programs(family))
+    sim = simulate_pulse_sequence(seq, n)
+    unitary, leakage, phonon_residual = reference_simulation(seq, n)
+    assert same_bits(sim.unitary, unitary)
+    assert (sim.leakage, sim.phonon_residual) == (leakage, phonon_residual)
+
+
+def test_region_is_fixed_for_the_whole_program():
+    """After the VPulse the whole-space kernel holds -0 on |g,1>, and the WPhon
+    moves it into the qubit row |e,0> as +0 (from +0 it would be -0 there).
+    A region that grew only at the WPhon would print the other sign."""
+    seq = PulseSequence((Pulse("VPulse", 0), Pulse("WPhon", 0)))
+    unitary = reference_simulation(seq, 1)[0]
+    assert not np.signbit(unitary[1].imag).any()
+    assert same_bits(simulate_pulse_sequence(seq, 1).unitary, unitary)
 
 
 @pytest.mark.parametrize("kind", ["WPhon", "VPhon", "WPhonDag", "VPhonDag"])

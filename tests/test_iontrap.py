@@ -84,6 +84,10 @@ class TestPulsePrimitives:
         out = apply_pulse(single_ion_state(2, 0), pulse)
         assert abs(out.amplitudes[4] - 1) < 1e-15
 
+    def test_one_qubit_matrix_must_be_unitary_to_1e_12(self):
+        with pytest.raises(ValueError, match="unitary"):
+            Pulse("OneQubit", 0, np.diag([1 + 4e-6, 1]))
+
 
 class TestCphaseCompilation:
     def test_cost_law(self):

@@ -55,6 +55,12 @@ class TestGateConstants:
         for gate in (I2, X, Y, Z, U, UDAG, V, VDAG, W, WDAG):
             assert is_unitary(gate)
 
+    def test_unitarity_has_no_relative_tolerance(self):
+        assert not is_unitary(np.diag([1 + 4e-6, 1]))
+        assert not is_unitary(np.diag([1 + 1e-11, 1]))
+        assert is_unitary(np.diag([1 + 1e-13, 1]))
+        assert not is_unitary(np.array([[np.nan, 0], [0, 1]]))
+
     def test_w_is_v_times_udag(self):
         np.testing.assert_allclose(W, V @ UDAG, atol=1e-15)
 
