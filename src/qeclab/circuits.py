@@ -96,6 +96,14 @@ class Circuit:
                         f"qubit index {q} out of range at op {i} ({op.kind})"
                     )
 
+    @classmethod
+    def _trusted(cls, n_qubits: int, ops: tuple) -> "Circuit":
+        """Wrap a tuple of ops already range-checked for ``n_qubits``."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "n_qubits", n_qubits)
+        object.__setattr__(circuit, "ops", ops)
+        return circuit
+
     def __len__(self) -> int:
         return len(self.ops)
 

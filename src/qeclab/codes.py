@@ -151,7 +151,7 @@ def apply_error(state: PureState, error: ErrorOp) -> PureState:
     if error.kind == "I":
         return state
     index, phase = _error_gather(state.n_qubits, error.kind, error.qubit)
-    return PureState(state.n_qubits, phase * state.amplitudes[index])
+    return PureState._trusted(state.n_qubits, phase * state.amplitudes[index])
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ restarts could execute in any order.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, GateOp, SINGLE_QUBIT_KINDS
+from .circuits import Circuit, GateOp, SINGLE_QUBIT_KINDS, _apply_op_array
 from .codes import (
     CodeSpec,
     check_knill_laflamme,
@@ -48,16 +49,18 @@ class ValidityResult:
 _FIVE_QUBIT_ERRORS = single_qubit_error_classes(5)
 
 
-def is_valid_perfect_code(circuit: Circuit, mode: str = "auto") -> ValidityResult:
+def is_valid_perfect_code(circuit: Circuit, mode: str = "auto", *,
+                          block: Optional[np.ndarray] = None) -> ValidityResult:
     """Does the circuit encode a code correcting every single-qubit error?
 
     ``mode="exact"`` also demands the generated codewords match the reference
     five-qubit codewords up to one common global phase; ``"kl"`` accepts any
     distance-3 code; ``"auto"`` reports the strongest property that holds.
+    ``block``, when given, must be the circuit's ``codeword_block``.
     """
     if circuit.n_qubits != 5:
         raise ValueError("the perfect-code check applies to 5-qubit circuits")
-    block = codeword_block(circuit)
+    block = codeword_block(circuit) if block is None else block
     overlap = abs(np.vdot(block[:, 0], block[:, 1]))
     if overlap > 1e-10:
         return ValidityResult(False, None, float(overlap))
@@ -69,7 +72,7 @@ def is_valid_perfect_code(circuit: Circuit, mode: str = "auto") -> ValidityResul
             return ValidityResult(True, "exact", 0.0)
         return ValidityResult(False, None, mismatch)
 
-    candidate = CodeSpec("candidate", 5, PureState(5, block[:, 0]), PureState(5, block[:, 1]))
+    candidate = CodeSpec("candidate", 5, *(PureState._trusted(5, w) for w in block.T))
     kl = check_knill_laflamme(candidate, _FIVE_QUBIT_ERRORS)
     if not kl.ok:
         return ValidityResult(False, None, kl.worst_violation)
@@ -111,6 +114,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if self.max_ops < 1:
+            raise ValueError(f"max_ops must be >= 1, got {self.max_ops}")
         if not 1 <= self.restarts <= self.budget:
             raise ValueError(f"restarts must be between 1 and the budget ({self.budget}), "
                              f"got {self.restarts}")
@@ -146,12 +151,16 @@ class SearchResult:
     history: tuple
     seed: int
     iterations: int
+    accepted: int = 0                  # proposals that became the current circuit
+    valid_proposals: int = 0
 
     def to_dict(self) -> dict:
         doc = {
             "seed": self.seed,
             "iterations": self.iterations,
             "found_valid": self.best is not None,
+            "accept_rate": self.accepted / self.iterations,
+            "valid_fraction": self.valid_proposals / self.iterations,
         }
         if self.best is not None:
             doc["best_cost"] = self.best.cost
@@ -204,9 +213,12 @@ def mutate(circuit: Circuit, cfg: SearchConfig, rng: np.random.Generator) -> Cir
     elif move == "swap" and len(ops) >= 2:
         i, j = rng.choice(len(ops), size=2, replace=False)
         ops[i], ops[j] = ops[j], ops[i]
-    else:
+    elif len(ops) < cfg.max_ops:
         ops.append(random_op(cfg.n_qubits, cfg.alphabet, rng))
-    return Circuit(cfg.n_qubits, tuple(ops))
+    else:                          # at or over the cap: shrink rather than grow
+        ops.pop(int(rng.integers(len(ops))))
+    build = Circuit._trusted if circuit.n_qubits == cfg.n_qubits else Circuit  # ops in range
+    return build(cfg.n_qubits, tuple(ops))
 
 
 def _evaluate(circuit: Circuit, validator: Callable[[Circuit], ValidityResult]) -> Candidate:
@@ -216,8 +228,7 @@ def _evaluate(circuit: Circuit, validator: Callable[[Circuit], ValidityResult]) 
 
 def _score(cand: Candidate):
     lex = json.dumps([[op.kind, list(op.controls), list(op.targets)] for op in cand.circuit.ops])
-    penalty = float(cand.cost) if cand.valid else 1e6 + cand.violation
-    return (0 if cand.valid else 1, penalty, len(cand.circuit.ops), lex)
+    return _accept_key(cand) + (lex,)
 
 
 def _accept_key(cand: Candidate):
@@ -235,43 +246,56 @@ def search(cfg: SearchConfig,
     When the budget runs out without a valid candidate the result carries the
     least-violating circuit as a diagnostic instead.
     """
-    if validator is None:
-        validator = lambda c: is_valid_perfect_code(c, cfg.validity_mode)
+    check = validator or (lambda c: is_valid_perfect_code(c, cfg.validity_mode))
+
+    def evaluate(circuit: Circuit, parent_ops: tuple = (), parent_blocks: Optional[list] = None):
+        """The candidate and, for the built-in check, its codeword blocks after each op
+        prefix: the parent's up to the first op that is not the parent's very object."""
+        if validator is not None:
+            return _evaluate(circuit, validator), None
+        ops, k = circuit.ops, 0
+        while k < len(ops) and k < len(parent_ops) and ops[k] is parent_ops[k]:
+            k += 1
+        blocks = (parent_blocks or [codeword_block(Circuit(circuit.n_qubits))])[:k + 1]
+        for op in ops[k:]:
+            blocks.append(_apply_op_array(blocks[-1], op, circuit.n_qubits))
+        return _evaluate(circuit, lambda c: is_valid_perfect_code(
+            c, cfg.validity_mode, block=blocks[-1])), blocks
 
     best_valid: Optional[Candidate] = None
     best_invalid: Optional[Candidate] = None
     history = []
-    iterations = 0
+    iterations = accepted = valid_proposals = 0
     per_restart = cfg.budget // cfg.restarts
 
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,)))
-        if cfg.start is not None:
-            current = _evaluate(cfg.start, validator)
-        else:
-            n_ops = int(rng.integers(1, cfg.max_ops + 1))
-            current = _evaluate(random_circuit(cfg.n_qubits, n_ops, rng, cfg.alphabet), validator)
+        start = cfg.start if cfg.start is not None else random_circuit(
+            cfg.n_qubits, int(rng.integers(1, cfg.max_ops + 1)), rng, cfg.alphabet)
+        current, blocks = evaluate(start)
 
         for it in range(per_restart):
             iterations += 1
-            proposal = _evaluate(mutate(current.circuit, cfg, rng), validator)
+            proposal, proposal_blocks = evaluate(mutate(current.circuit, cfg, rng),
+                                                 current.circuit.ops, blocks)
+            valid_proposals += proposal.valid
             if _accept_key(proposal) <= _accept_key(current):
-                current = proposal
+                current, blocks = proposal, proposal_blocks
+                accepted += 1
             if current.valid and (best_valid is None or current.cost < best_valid.cost):
                 best_valid = current
-                history.append(HistoryEntry(restart, it, current.cost, True,
-                                            best_valid.cost))
+                history.append(HistoryEntry(restart, it, current.cost, True, best_valid.cost))
             elif not current.valid and best_valid is None and (
                     best_invalid is None or current.violation < best_invalid.violation):
                 best_invalid = current
                 history.append(HistoryEntry(restart, it, current.cost, False, None))
 
     if best_valid is not None:
-        recheck = validator(best_valid.circuit)
-        if not recheck.valid:
+        if not check(best_valid.circuit).valid:   # with no block: recomputed from scratch
             raise AssertionError("search bookkeeping reported an invalid circuit as valid")
         best_invalid = None
-    return SearchResult(best_valid, best_invalid, tuple(history), cfg.seed, iterations)
+    return SearchResult(best_valid, best_invalid, tuple(history), cfg.seed, iterations,
+                        accepted, valid_proposals)
 
 
 def exhaustive_search(cfg: SearchConfig,
@@ -291,22 +315,19 @@ def exhaustive_search(cfg: SearchConfig,
     for kind in cfg.alphabet:
         if kind in SINGLE_QUBIT_KINDS:
             all_ops += [GateOp(kind, (q,)) for q in range(n)]
-        elif kind == "CNOT":
-            all_ops += [GateOp("CNOT", (t,), (c,)) for c in range(n) for t in range(n) if c != t]
-        else:
-            all_ops += [GateOp("CPHASE", (t,), (c,)) for c in range(n) for t in range(n) if c != t]
-
-    import itertools
+        else:  # CNOT or CPHASE with one control and one target
+            all_ops += [GateOp(kind, (t,), (c,)) for c in range(n) for t in range(n) if c != t]
 
     best_valid = None
-    count = 0
+    count = n_valid = 0
     for length in range(cfg.max_ops + 1):
         for combo in itertools.product(all_ops, repeat=length):
             count += 1
             cand = _evaluate(Circuit(n, combo), validator)
+            n_valid += cand.valid
             if cand.valid and (best_valid is None or _score(cand) < _score(best_valid)):
                 best_valid = cand
     history = ()
     if best_valid is not None:
         history = (HistoryEntry(0, count, best_valid.cost, True, best_valid.cost),)
-    return SearchResult(best_valid, None, history, cfg.seed, count)
+    return SearchResult(best_valid, None, history, cfg.seed, count, valid_proposals=n_valid)

@@ -89,6 +89,16 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
+    def _trusted(cls, n_qubits: int, amplitudes: np.ndarray) -> "PureState":
+        """Wrap a complex vector normalized by construction (a unitary image of
+        a state) without the copy and the norm check; it is made read-only."""
+        amplitudes.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "n_qubits", n_qubits)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
+
+    @classmethod
     def basis(cls, n_qubits: int, index: int) -> "PureState":
         amps = np.zeros(2**n_qubits, dtype=complex)
         amps[index] = 1.0

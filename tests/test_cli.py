@@ -273,6 +273,7 @@ class TestSearchCommand:
         doc = json.loads(out)
         assert doc["found_valid"] is True
         assert doc["best_cost"] <= 59
+        assert 0 <= doc["accept_rate"] <= 1 and 0 <= doc["valid_fraction"] <= 1
         from qeclab.circuits import parse_circuit
         from qeclab.search import is_valid_perfect_code
 
@@ -299,6 +300,20 @@ class TestSearchCommand:
         code, _, err = run_cli(capsys, "search", "--budget", "3", "--restarts", "0")
         assert code == 2
         assert err.startswith("error: restarts must be")
+
+    @pytest.mark.parametrize("max_ops", ["0", "-3"])
+    def test_nonpositive_max_ops_is_rejected(self, capsys, max_ops):
+        code, out, err = run_cli(capsys, "search", "--budget", "3", "--max-ops", max_ops)
+        assert_one_error_line(code, out, err)
+        assert "max" in err
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_start_on_another_register_is_rejected(self, capsys, tmp_path, n):
+        start = write_circuit(tmp_path, Circuit(n, (GateOp("CNOT", (n - 1,), (0,)),)))
+        code, out, err = run_cli(capsys, "search", "--budget", "5", "--restarts", "1",
+                                 "--start", start)
+        assert_one_error_line(code, out, err)
+        assert "5-qubit" in err
 
 
 class TestShotValidation:

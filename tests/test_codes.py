@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qeclab.circuits import Circuit, GateOp, apply_circuit, circuit_to_unitary, invert_circuit
 from qeclab import codes
@@ -24,7 +25,7 @@ from qeclab.codes import (
     three_qubit_phase_code,
     two_qubit_zeno_code,
 )
-from qeclab.states import PureState, fidelity
+from qeclab.states import X, Y, Z, PureState, fidelity
 
 from conftest import random_pure_state
 
@@ -122,6 +123,57 @@ class TestApplyError:
             ErrorOp("Q", 0)
         with pytest.raises(ValueError):
             apply_error(PureState.from_bits("0"), ErrorOp("X", 3))
+
+
+_PAULIS = {"I": np.eye(2), "X": X, "Y": Y, "Z": Z}
+
+
+class TestTrustedImages:
+    """``apply_error`` wraps its image without the public constructor's copy
+    and norm check; the image must still be a proper, frozen state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.sampled_from("XYZ"), st.data())
+    def test_image_is_read_only_normalized_and_the_dense_pauli_product(self, n, kind, data):
+        qubit = data.draw(st.integers(0, n - 1))
+        psi = random_pure_state(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        out = apply_error(psi, ErrorOp(kind, qubit))
+        dense = np.array([[1.0]])
+        for q in range(n):
+            dense = np.kron(dense, _PAULIS[kind if q == qubit else "I"])
+        assert not out.amplitudes.flags.writeable
+        assert not np.shares_memory(out.amplitudes, psi.amplitudes)
+        assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
+        assert np.abs(out.amplitudes - dense @ psi.amplitudes).max() < 1e-15
+        with pytest.raises(ValueError):
+            out.amplitudes[0] = 0
+
+    def test_public_constructor_still_checks(self):
+        image = apply_error(PureState.from_bits("01"), ErrorOp("X", 0))
+        np.testing.assert_array_equal(PureState(2, image.amplitudes).amplitudes, image.amplitudes)
+        with pytest.raises(ValueError, match="length"):
+            PureState(2, image.amplitudes[:3])
+        with pytest.raises(ValueError, match="norm"):
+            PureState(2, 2 * image.amplitudes)
+
+    @pytest.mark.parametrize("name", ["five-qubit", "phase3", "zeno2"])
+    def test_verify_code_report_unchanged_by_checked_images(self, capsys, monkeypatch, name):
+        """The report is byte-identical to one whose Pauli images all pass
+        the public constructor's checks."""
+        from qeclab import cli
+
+        argv = ["verify-code", "--code", name, "--seed", "7"]
+        assert cli.main(argv) == 0
+        trusted = capsys.readouterr().out
+
+        def checked(state, error):
+            image = apply_error(state, error)
+            return PureState(image.n_qubits, image.amplitudes)
+
+        monkeypatch.setattr(codes, "apply_error", checked)
+        monkeypatch.setattr(cli, "apply_error", checked)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == trusted
 
 
 class TestSyndromeTable:

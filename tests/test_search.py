@@ -1,8 +1,12 @@
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qeclab.circuits import Circuit, GateOp, apply_circuit
-from qeclab.codes import check_knill_laflamme, CodeSpec, single_qubit_error_classes
+from qeclab.codes import check_knill_laflamme, codeword_block, CodeSpec, single_qubit_error_classes
 from qeclab.search import (
     Candidate,
     SearchConfig,
@@ -17,6 +21,8 @@ from qeclab.search import (
 )
 from qeclab.codes import five_qubit_code
 from qeclab.states import PureState, fidelity
+
+search_module = importlib.import_module("qeclab.search")   # the package exports search() itself
 
 
 def kl_recheck(circuit: Circuit) -> bool:
@@ -123,6 +129,47 @@ class TestSearch:
         with pytest.raises(ValueError):
             SearchConfig(alphabet=("U", "RX"))
 
+    @pytest.mark.parametrize("max_ops", [0, -3])
+    def test_max_ops_must_be_positive(self, max_ops):
+        with pytest.raises(ValueError, match="max_ops"):
+            SearchConfig(max_ops=max_ops)
+
+    def test_report_rates(self):
+        """accept_rate and valid_fraction are shares of the iterations, the
+        same for a seed on every run."""
+        cfg = SearchConfig(start=five_qubit_code().encoder, budget=80, restarts=1, seed=6)
+        result, _, calls = _audited_search(cfg)
+        doc = result.to_dict()
+        assert doc == search(cfg).to_dict()
+        assert 0 < doc["accept_rate"] < 1
+        assert doc["accept_rate"] == result.accepted / result.iterations
+        # calls: the start, one per proposal, then the final recheck
+        assert len(calls) == result.iterations + 2
+        assert doc["valid_fraction"] == sum(c[3].valid for c in calls[1:-1]) / result.iterations
+
+
+class TestMutate:
+    def test_insert_at_the_cap_does_not_grow(self):
+        cfg = SearchConfig(max_ops=3, budget=1, restarts=1)
+        circ = random_circuit(5, 3, np.random.default_rng(1))
+        rng = np.random.default_rng(2)
+        assert max(len(mutate(circ, cfg, rng).ops) for _ in range(200)) == 3
+
+    def test_circuit_over_the_cap_never_grows(self):
+        cfg = SearchConfig(max_ops=3, budget=1, restarts=1)
+        circ = random_circuit(5, 6, np.random.default_rng(1))
+        rng = np.random.default_rng(3)
+        lengths = [len(mutate(circ, cfg, rng).ops) for _ in range(200)]
+        assert max(lengths) == 6 and min(lengths) == 5
+
+    def test_keeps_unchanged_ops_as_the_same_objects(self, rng):
+        """The search reuses prefix blocks by op identity."""
+        cfg = SearchConfig(budget=1, restarts=1)
+        start = five_qubit_code().encoder
+        for _ in range(50):
+            ops = mutate(start, cfg, rng).ops
+            assert sum(any(op is old for old in start.ops) for op in ops) >= len(ops) - 1
+
 
 class TestToyProblem:
     """Sanity-check randomized search against exhaustive enumeration on a
@@ -218,3 +265,93 @@ def test_seeded_search_results_are_unchanged(seed):
     cost, ops = SEEDED_SEARCH_RESULTS[seed]
     assert result.best.cost == cost
     assert " ".join(_op_token(op) for op in result.best.circuit.ops) == ops
+
+
+def _audited_search(cfg: SearchConfig):
+    """Run the search recording every candidate it scores and every validity
+    call it makes, as (circuit, mode, block, result)."""
+    candidates, calls = [], []
+    real_check, real_candidate = search_module.is_valid_perfect_code, search_module.Candidate
+
+    def check(circuit, mode="auto", *, block=None):
+        res = real_check(circuit, mode, block=block)
+        calls.append((circuit, mode, block, res))
+        return res
+
+    def candidate(*args):
+        candidates.append(real_candidate(*args))
+        return candidates[-1]
+
+    with mock.patch.object(search_module, "is_valid_perfect_code", check), \
+            mock.patch.object(search_module, "Candidate", candidate):
+        result = search(cfg)
+    return result, candidates, calls
+
+
+def _assert_matches_uncached(cfg: SearchConfig):
+    result, candidates, calls = _audited_search(cfg)
+    assert len(candidates) == result.iterations + cfg.restarts
+    for circuit, mode, block, res in calls:
+        if block is not None:
+            assert block.tobytes() == codeword_block(circuit).tobytes()
+    for cand in candidates:
+        fresh = is_valid_perfect_code(cand.circuit, cfg.validity_mode)
+        assert cand.valid == fresh.valid
+        assert cand.mode == fresh.mode
+        assert cand.violation == fresh.violation
+        assert cand.cost == pulse_cost(cand.circuit)
+    return result
+
+
+class TestPrefixCache:
+    """Proposals are scored from the current circuit's cached prefix blocks;
+    every block and verdict must equal a from-scratch evaluation."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), start=st.none() | st.just(-1) | st.integers(1, 12),
+           mode=st.sampled_from(["auto", "kl", "exact"]), budget=st.integers(4, 40),
+           restarts=st.integers(1, 2), max_ops=st.integers(1, 40))
+    def test_cached_evaluation_matches_uncached(self, seed, start, mode, budget, restarts, max_ops):
+        if start == -1:
+            start = five_qubit_code().encoder
+        elif start is not None:
+            start = random_circuit(5, start, np.random.default_rng(seed))
+        _assert_matches_uncached(SearchConfig(start=start, budget=budget, restarts=restarts,
+                                              seed=seed, max_ops=max_ops, validity_mode=mode))
+
+    def test_long_climb_accepts_and_rejects(self):
+        result = _assert_matches_uncached(SearchConfig(start=five_qubit_code().encoder, budget=300,
+                                                       restarts=1, seed=0))
+        assert 0 < result.accepted < result.iterations
+        assert result.valid_proposals > 0
+
+    def test_custom_validator_sees_every_circuit(self):
+        seen = []
+
+        def validator(circuit):
+            seen.append(circuit)
+            return is_valid_perfect_code(circuit)
+
+        cfg = SearchConfig(start=five_qubit_code().encoder, budget=20, restarts=1, seed=4)
+        result = search(cfg, validator=validator)
+        assert len(seen) == result.iterations + 2
+        assert result.to_dict() == search(cfg).to_dict()
+
+
+# `search --start reference --budget 500 --restarts 2 --mode auto --seed 0`:
+# (restart, iteration, cost, valid, best valid cost) per trace entry.
+SEED0_COST_TRACE = [
+    (0, 0, 58, True, 58), (0, 6, 57, True, 57), (0, 12, 56, True, 56), (0, 33, 55, True, 55),
+    (0, 43, 54, True, 54), (0, 62, 53, True, 53), (0, 100, 52, True, 52), (0, 106, 51, True, 51),
+    (0, 132, 50, True, 50), (0, 205, 49, True, 49), (1, 190, 48, True, 48), (1, 200, 47, True, 47),
+    (1, 214, 46, True, 46),
+]
+
+
+def test_seed0_cost_trace_and_rates_are_unchanged():
+    cfg = SearchConfig(start=five_qubit_code().encoder, budget=500, restarts=2,
+                       seed=0, validity_mode="auto")
+    doc = search(cfg).to_dict()
+    keys = ("restart", "iteration", "cost", "valid", "best_valid_cost")
+    assert [tuple(h[k] for k in keys) for h in doc["cost_trace"]] == SEED0_COST_TRACE
+    assert (doc["accept_rate"], doc["valid_fraction"]) == (0.112, 0.246)
