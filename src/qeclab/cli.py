@@ -215,6 +215,8 @@ def _psi_from_args(args) -> PureState:
     if args.alpha is None or args.beta is None:
         raise ValueError("--psi custom needs --alpha and --beta")
     amps = np.array([complex(args.alpha), complex(args.beta)])
+    if not np.isfinite(amps).all():
+        raise ValueError("custom amplitudes must be finite")
     norm = np.linalg.norm(amps)
     if norm < 1e-12:
         raise ValueError("custom state has zero norm")
@@ -232,8 +234,6 @@ def cmd_noise(args) -> int:
     scheme = Scheme(args.scheme, args.n)
     samples = []
     for t in args.t:
-        if t < 0:
-            raise ValueError("time must be nonnegative")
         c_exact = scheme_coherence(scheme, psi, t)
         c_mc = stderr = None
         if args.shots is not None:

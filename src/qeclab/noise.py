@@ -59,10 +59,14 @@ class Scheme:
 
 # --- the exact channel --------------------------------------------------------
 
+def _check_time(t: float) -> None:
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"exposure time must be finite and nonnegative (got {t})")
+
+
 def dephasing_kraus(t: float):
     """Kraus pair {sqrt(p) I, sqrt(1-p) Z} with p = (1 + exp(-t))/2."""
-    if t < 0:
-        raise ValueError("exposure time must be nonnegative")
+    _check_time(t)
     p = 0.5 * (1.0 + math.exp(-t))
     return np.sqrt(p) * I2, np.sqrt(1.0 - p) * Z
 
@@ -83,8 +87,7 @@ def _dephase(mat: np.ndarray, n_qubits: int, t: float, qubits: tuple) -> np.ndar
 
 def dephase_channel(rho: DensityMatrix, qubit: int, t: float) -> DensityMatrix:
     """Exact Gaussian-averaged dephasing of one qubit for time t."""
-    if t < 0:
-        raise ValueError("exposure time must be nonnegative")
+    _check_time(t)
     if not 0 <= qubit < rho.n_qubits:
         raise ValueError(f"qubit index {qubit} out of range")
     return DensityMatrix._trusted(rho.n_qubits, _dephase(rho.matrix, rho.n_qubits, t, (qubit,)))
@@ -107,12 +110,21 @@ def block_rng(seed, block: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def _phase_width(t: float, slices: int = 1) -> float:
+    """Standard deviation sqrt(2t / slices) of the phase one qubit accumulates
+    in each of ``slices`` equal parts of exposure time t."""
+    _check_time(t)
+    sigma = math.sqrt(2.0 * t / slices)
+    if sigma == math.inf:
+        raise ValueError(f"exposure time {t} is too long: its phase width overflows")
+    return sigma
+
+
 def sample_trajectory_phases(n_qubits: int, t: float, seed=None) -> np.ndarray:
     """One draw of the accumulated phases: Gaussian, mean 0, variance 2t each."""
-    if t < 0:
-        raise ValueError("exposure time must be nonnegative")
+    sigma = _phase_width(t)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.normal(0.0, math.sqrt(2.0 * t), size=n_qubits)
+    return rng.normal(0.0, sigma, size=n_qubits)
 
 
 # --- scheme execution -----------------------------------------------------------
@@ -156,7 +168,11 @@ def _run_trajectories(scheme: Scheme, psi: PureState, t: float, shots: int, seed
 
     Each block of ``MC_BLOCK`` trajectories draws its phases, shape
     (block, repetitions, n), then its Born-sampling uniforms, shape
-    (block, repetitions), from ``block_rng(seed, block)``.
+    (block, repetitions), from ``block_rng(seed, block)``. Inside a block the
+    trajectories run along the last axis, so every array operation walks
+    rows of ``block`` values, and qubit q's phase e^{i phi_q} multiplies the
+    half of the code block where that qubit reads 1 (qubit 0 is the most
+    significant bit).
     """
     if shots is None:
         raise ValueError("monte-carlo mode needs a shot count")
@@ -165,10 +181,9 @@ def _run_trajectories(scheme: Scheme, psi: PureState, t: float, shots: int, seed
     model = _model(scheme.kind)
     n = model.n_physical
     n_reps = scheme.repetitions
-    sigma = math.sqrt(2.0 * t / n_reps)
+    sigma = _phase_width(t, n_reps)
     n_outcomes = model.recovery.shape[0]
-    recovery = model.recovery.reshape(2 * n_outcomes, 2**n).T   # (2**n, 2K)
-    bits = basis_bits(n).T.astype(float)                        # (n, 2**n)
+    recovery = model.recovery.reshape(2 * n_outcomes, 2**n)     # row 2s + a: outcome s, amplitude a
 
     out = np.empty((shots, 2), dtype=complex)
     for block, start in enumerate(range(0, shots, MC_BLOCK)):
@@ -176,19 +191,32 @@ def _run_trajectories(scheme: Scheme, psi: PureState, t: float, shots: int, seed
         rng = block_rng(seed, block)
         phases = rng.normal(0.0, sigma, size=(size, n_reps, n))
         draws = rng.uniform(size=(size, n_reps))
-        rows = np.arange(size)
-        states = np.broadcast_to(psi.amplitudes, (size, 2))
+        cols = np.arange(size)
+        kick = np.empty((n, size), dtype=complex)
+        states = np.broadcast_to(psi.amplitudes[:, None], (2, size))
         for rep in range(n_reps):
-            full = states @ model.isometry.T                    # (size, 2**n)
-            full *= np.exp(1j * (phases[:, rep, :] @ bits))
-            amps = (full @ recovery).reshape(size, n_outcomes, 2)
+            full = model.isometry @ states                      # (2**n, size)
+            np.cos(phases[:, rep].T, out=kick.real)
+            np.sin(phases[:, rep].T, out=kick.imag)
+            for q in range(n):
+                full.reshape(2**q, 2, -1, size)[:, 1] *= kick[q]
+            amps = recovery @ full                              # (2K, size)
             # Born sampling of the ancilla outcome, then collapse
-            probs = (amps.real**2 + amps.imag**2).sum(axis=2)   # (size, K)
-            cum = np.cumsum(probs, axis=1)
-            chosen = (cum > draws[:, rep, None] * cum[:, -1:]).argmax(axis=1)
-            branch = amps[rows, chosen]                         # (size, 2)
-            states = branch / np.linalg.norm(branch, axis=1, keepdims=True)
-        out[start:start + size] = states
+            sq = amps.real * amps.real                          # x**2 is slower on these strided views
+            sq += amps.imag * amps.imag
+            probs = sq[0::2] + sq[1::2]                         # (K, size)
+            cum = probs.copy()
+            for s in range(1, n_outcomes):
+                cum[s] += cum[s - 1]
+            threshold = draws[:, rep] * cum[-1]
+            chosen = np.zeros(size, dtype=np.intp)
+            for s in range(n_outcomes - 1):
+                chosen += cum[s] <= threshold                   # first s with cum[s] > threshold
+            pick = chosen * size + cols                         # (chosen, col) in probs
+            first = pick + chosen * size                        # (chosen, 0, col) in amps
+            branch = amps.reshape(-1).take(np.stack((first, first + size)))
+            states = branch / np.sqrt(probs.reshape(-1).take(pick))
+        out[start:start + size] = states.T
     return out
 
 
@@ -201,8 +229,7 @@ def run_scheme(scheme: Scheme, psi: PureState, t: float, mode: str = "exact",
     """
     if psi.n_qubits != 1:
         raise ValueError("schemes protect a single qubit")
-    if t < 0:
-        raise ValueError("exposure time must be nonnegative")
+    _check_time(t)
     if mode == "exact":
         return DensityMatrix._trusted(1, _run_exact(scheme, psi, t))
     if mode != "mc":

@@ -84,7 +84,7 @@ class PureState:
                 f"amplitude vector has length {amps.shape}, expected {2**self.n_qubits}"
             )
         norm = abs(np.vdot(amps, amps)) ** 0.5
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:                  # NaN fails too
             raise ValueError(f"state norm {norm} is not 1")
         object.__setattr__(self, "amplitudes", amps)
 

@@ -407,6 +407,28 @@ class TestBadInputs:
         assert_one_error_line(code, out, err)
         assert "QECC_SEED" in err
 
+    @pytest.mark.parametrize("alpha,beta", [("nan", "1"), ("inf", "1"), ("1", "1+infj"), ("nanj", "0.5")])
+    def test_non_finite_custom_amplitude(self, capsys, alpha, beta):
+        code, out, err = run_cli(capsys, "noise", "--scheme", "phase3", "--t", "1",
+                                 "--psi", "custom", "--alpha", alpha, "--beta", beta)
+        assert_one_error_line(code, out, err)
+        assert "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("noise", "--scheme", "phase3", "--t", "nan"),
+        ("noise", "--scheme", "phase3", "--t", "1", "inf", "--shots", "100"),
+        ("noise", "--scheme", "uncoded", "--t", "1e308", "--shots", "10"),
+        ("figure5", "--tmax", "nan", "--steps", "2"),
+        ("figure5", "--tmax", "1e308", "--steps", "2", "--shots", "10"),
+    ], ids=["noise-nan", "noise-inf-mc", "noise-width-overflow", "figure5-nan", "figure5-width-overflow"])
+    def test_non_finite_exposure_time(self, capsys, tmp_path, argv):
+        if argv[0] == "figure5":
+            argv = argv + ("--out", str(tmp_path / "fig5.csv"))
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, out, err)
+        assert "exposure time" in err
+        assert not (tmp_path / "fig5.csv").exists()
+
     def test_matrix_unitary_only_to_a_relative_tolerance(self, capsys, tmp_path):
         """Off by 4e-6 passes a 1e-5 relative test, not the documented 1e-12."""
         doc = [{"kind": "OneQubit", "ion": 0, "dag": False,

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qeclab.circuits import circuit_to_unitary, invert_circuit
 from qeclab.codes import (
@@ -17,6 +18,7 @@ from qeclab.noise import (
     IPLUS,
     MC_BLOCK,
     PLUS,
+    SCHEME_KINDS,
     Scheme,
     _run_trajectories,
     block_rng,
@@ -92,6 +94,17 @@ class TestDephaseChannel:
     def test_negative_time_rejected(self, rng):
         with pytest.raises(ValueError):
             dephase_channel(random_pure_state(1, rng).density(), 0, -0.1)
+
+    @pytest.mark.parametrize("t", [-0.1, math.nan, math.inf])
+    def test_every_entry_point_rejects_a_negative_or_non_finite_time(self, rng, t):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            dephase_channel(random_pure_state(1, rng).density(), 0, t)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            dephasing_kraus(t)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sample_trajectory_phases(2, t, seed=1)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            mc_coherence(Scheme("phase3"), IPLUS, t, 100, seed=1)
 
 
 class TestTrajectoryPhases:
@@ -272,6 +285,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="shots"):
             run_scheme(Scheme("phase3"), IPLUS, 1.0, mode="mc", shots=1, seed=1)
 
+    def test_mc_rejects_a_phase_width_that_overflows(self):
+        """t = 1e308 is finite, but the variance 2t is not."""
+        with pytest.raises(ValueError, match="phase width"):
+            mc_coherence(Scheme("uncoded"), IPLUS, 1e308, 10, seed=1)
+        with pytest.raises(ValueError, match="phase width"):
+            sample_trajectory_phases(1, 1e308, seed=1)
+
     def test_first_block_does_not_depend_on_shot_count(self):
         scheme = Scheme("phase3", 3)
         a = _run_trajectories(scheme, IPLUS, 0.7, MC_BLOCK, seed=4)
@@ -286,6 +306,20 @@ class TestMonteCarlo:
         shots, t, seed = MC_BLOCK + 300, 1.3, 8
         expected = _decode_and_correct_trajectories(Scheme(kind, reps), IPLUS, t, shots, seed)
         got = _run_trajectories(Scheme(kind, reps), IPLUS, t, shots, seed)
+        assert np.abs(got - expected).max() < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(SCHEME_KINDS), reps=st.integers(1, 12),
+           psi_seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 5.0),
+           shots=st.sampled_from([2, 3, MC_BLOCK - 1, MC_BLOCK]) | st.integers(MC_BLOCK + 1, MC_BLOCK + 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kernel_matches_the_reference_loop(self, kind, reps, psi_seed, t, shots, seed):
+        """Same draws through the reference loop, for random inputs, times and
+        shot counts on both sides of a block boundary."""
+        psi = random_pure_state(1, np.random.default_rng(psi_seed))
+        expected = _decode_and_correct_trajectories(Scheme(kind, reps), psi, t, shots, seed)
+        got = _run_trajectories(Scheme(kind, reps), psi, t, shots, seed)
+        assert got.shape == (shots, 2)
         assert np.abs(got - expected).max() < 1e-12
 
     def test_stderr_matches_the_spread_of_replicates(self):

@@ -245,6 +245,12 @@ class TestInvariantChecks:
         with pytest.raises(ValueError, match="norm"):
             PureState(1, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("amps", [[np.nan, 1.0], [1.0, np.inf], [np.nan, np.nan]])
+    def test_non_finite_amplitudes_rejected(self, amps):
+        """A NaN norm fails the norm check too (``nan > 1e-9`` is False)."""
+        with pytest.raises(ValueError, match="norm"):
+            PureState(1, np.array(amps, dtype=complex))
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="length"):
             PureState(2, np.array([1.0, 0.0]))
