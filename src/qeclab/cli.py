@@ -23,8 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import codes as codes_mod
-from .circuits import CircuitFormatError, circuit_to_dict, parse_circuit, serialize_circuit
+from .circuits import CircuitFormatError, parse_circuit, serialize_circuit
 from .codes import (
     build_syndrome_table,
     check_knill_laflamme,

@@ -174,8 +174,9 @@ class CodeSpec:
     def __post_init__(self):
         if self.logical_zero.n_qubits != self.n_physical or self.logical_one.n_qubits != self.n_physical:
             raise ValueError("codeword size does not match n_physical")
-        if abs(np.linalg.norm(self.logical_zero.amplitudes) - 1) > 1e-12:
-            raise ValueError("logical zero is not normalized")
+        for name, word in (("zero", self.logical_zero), ("one", self.logical_one)):
+            if abs(np.linalg.norm(word.amplitudes) - 1) > 1e-12:
+                raise ValueError(f"logical {name} is not normalized")
         if abs(np.vdot(self.logical_zero.amplitudes, self.logical_one.amplitudes)) > 1e-12:
             raise ValueError("codewords are not orthogonal")
         if self.encoder is not None:
@@ -453,12 +454,13 @@ class KnillLaflammeResult:
         return self.ok
 
 
-def check_knill_laflamme(code: CodeSpec, errors: Sequence[ErrorOp], atol: float = 1e-10) -> KnillLaflammeResult:
+def check_knill_laflamme(code: CodeSpec, errors: Sequence[ErrorOp]) -> KnillLaflammeResult:
     """Test whether the codewords can correct the given error set.
 
     The criterion: <i_L| Ea+ Eb |j_L> must vanish for i != j and be
-    independent of i on the diagonal. Returns the error-overlap witness
-    matrix c_ab (the shared diagonal value) and the worst violation found.
+    independent of i on the diagonal, to within 1e-10. Returns the
+    error-overlap witness matrix c_ab (the shared diagonal value) and the
+    worst violation found.
 
     All overlaps come from one Gram matrix of the stacked images Ea|j_L>.
     """
@@ -473,4 +475,4 @@ def check_knill_laflamme(code: CodeSpec, errors: Sequence[ErrorOp], atol: float 
     worst = float(max(np.abs(gram[:, 0, :, 1]).max(initial=0.0),
                       np.abs(gram[:, 1, :, 0]).max(initial=0.0),
                       np.abs(g00 - g11).max(initial=0.0)))
-    return KnillLaflammeResult(worst < atol, (g00 + g11) / 2.0, worst)
+    return KnillLaflammeResult(worst < 1e-10, (g00 + g11) / 2.0, worst)

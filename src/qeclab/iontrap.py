@@ -287,10 +287,10 @@ class CompilationReport:
         return self.ok
 
 
-def verify_compilation(circuit: Circuit, seq: PulseSequence,
-                       atol: float = 1e-10, leak_atol: float = 1e-12) -> CompilationReport:
+def verify_compilation(circuit: Circuit, seq: PulseSequence) -> CompilationReport:
     """Check that the pulse program implements the circuit on the qubit
-    subspace up to a global phase, with no leakage or phonon residue."""
+    subspace up to a global phase (deviation below 1e-10), with no leakage or
+    phonon residue (each below 1e-12)."""
     target = circuit_to_unitary(circuit)
     sim = simulate_pulse_sequence(seq, circuit.n_qubits)
     tr = np.trace(target.conj().T @ sim.unitary)
@@ -299,7 +299,7 @@ def verify_compilation(circuit: Circuit, seq: PulseSequence,
     else:
         phase = tr / abs(tr)
         deviation = float(np.abs(sim.unitary - phase * target).max())
-    ok = deviation < atol and sim.leakage < leak_atol and sim.phonon_residual < leak_atol
+    ok = deviation < 1e-10 and sim.leakage < 1e-12 and sim.phonon_residual < 1e-12
     return CompilationReport(ok, deviation, sim.leakage, sim.phonon_residual)
 
 

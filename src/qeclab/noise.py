@@ -44,6 +44,12 @@ SCHEME_KINDS = ("uncoded", "zeno2", "phase3")
 PLUS = PureState(1, np.array([1, 1], dtype=complex) / np.sqrt(2))
 IPLUS = PureState(1, np.array([1, 1j], dtype=complex) / np.sqrt(2))
 
+# Bounds on the memory one call may ask for: a block's phases take
+# 8 * repetitions * n bytes per trajectory (about 100 MB at the cap), and the
+# MC route holds about 70 bytes per shot (about 700 MB at the cap).
+MAX_REPETITIONS = 1000
+MAX_SHOTS = 10**7
+
 
 @dataclass(frozen=True)
 class Scheme:
@@ -53,8 +59,8 @@ class Scheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme {self.kind!r}; pick one of {SCHEME_KINDS}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        if not 1 <= self.repetitions <= MAX_REPETITIONS:
+            raise ValueError(f"repetitions must be in 1..{MAX_REPETITIONS} (got {self.repetitions})")
 
 
 # --- the exact channel --------------------------------------------------------
@@ -101,13 +107,13 @@ MC_BLOCK = 4096
 
 
 def block_rng(seed, block: int) -> np.random.Generator:
-    """Generator for one block of trajectories, independent of all others."""
-    if isinstance(seed, np.random.SeedSequence):
-        ss = np.random.SeedSequence(entropy=seed.entropy,
-                                    spawn_key=tuple(seed.spawn_key) + (block,))
-    else:
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
-    return np.random.default_rng(ss)
+    """Generator for one block of trajectories, independent of all others:
+    the seed's ``SeedSequence`` (an int or None becomes ``SeedSequence(seed)``)
+    with ``block`` appended to its spawn key."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed.entropy, spawn_key=(*seed.spawn_key, block)))
 
 
 def _phase_width(t: float, slices: int = 1) -> float:
@@ -129,37 +135,28 @@ def sample_trajectory_phases(n_qubits: int, t: float, seed=None) -> np.ndarray:
 
 # --- scheme execution -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class _SchemeModel:
-    n_physical: int
-    isometry: np.ndarray          # (2**n, 2), columns are codewords
-    recovery: np.ndarray          # (K, 2, 2**n): decode, read ancilla outcome s, correct
-
-
-def _build_model(kind: str) -> _SchemeModel:
+@lru_cache(maxsize=None)
+def _model(kind: str) -> tuple:
+    """(n physical qubits, (2**n, 2) isometry whose columns are the codewords,
+    (K, 2, 2**n) recovery stack: decode, read ancilla outcome s, correct)."""
     if kind == "uncoded":
         eye = np.eye(2, dtype=complex)
-        return _SchemeModel(1, eye, eye[None].copy())
+        return 1, eye, eye[None].copy()
     code = two_qubit_zeno_code() if kind == "zeno2" else three_qubit_phase_code()
     table = None if code.detection_only else build_syndrome_table(code)
-    return _SchemeModel(code.n_physical, code.isometry(), recovery_operators(code, table))
-
-
-@lru_cache(maxsize=None)
-def _model(kind: str) -> _SchemeModel:
-    return _build_model(kind)
+    return code.n_physical, code.isometry(), recovery_operators(code, table)
 
 
 def _run_exact(scheme: Scheme, psi: PureState, t: float) -> np.ndarray:
-    model = _model(scheme.kind)
+    n, isometry, recovery = _model(scheme.kind)
     n_reps = scheme.repetitions
     step = t / n_reps
-    qubits = tuple(range(model.n_physical))
+    qubits = tuple(range(n))
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
     for _ in range(n_reps):
-        full = model.isometry @ rho @ model.isometry.conj().T
-        full = _dephase(full, model.n_physical, step, qubits)
-        rho = sum(A @ full @ A.conj().T for A in model.recovery)
+        full = isometry @ rho @ isometry.conj().T
+        full = _dephase(full, n, step, qubits)
+        rho = sum(A @ full @ A.conj().T for A in recovery)
     return rho
 
 
@@ -178,12 +175,13 @@ def _run_trajectories(scheme: Scheme, psi: PureState, t: float, shots: int, seed
         raise ValueError("monte-carlo mode needs a shot count")
     if shots < 2:
         raise ValueError(f"shots must be >= 2 (got {shots}); one trajectory has no error bar")
-    model = _model(scheme.kind)
-    n = model.n_physical
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be <= {MAX_SHOTS} (got {shots})")
+    n, isometry, recovery = _model(scheme.kind)
     n_reps = scheme.repetitions
     sigma = _phase_width(t, n_reps)
-    n_outcomes = model.recovery.shape[0]
-    recovery = model.recovery.reshape(2 * n_outcomes, 2**n)     # row 2s + a: outcome s, amplitude a
+    n_outcomes = recovery.shape[0]
+    recovery = recovery.reshape(2 * n_outcomes, 2**n)           # row 2s + a: outcome s, amplitude a
 
     out = np.empty((shots, 2), dtype=complex)
     for block, start in enumerate(range(0, shots, MC_BLOCK)):
@@ -195,7 +193,7 @@ def _run_trajectories(scheme: Scheme, psi: PureState, t: float, shots: int, seed
         kick = np.empty((n, size), dtype=complex)
         states = np.broadcast_to(psi.amplitudes[:, None], (2, size))
         for rep in range(n_reps):
-            full = model.isometry @ states                      # (2**n, size)
+            full = isometry @ states                            # (2**n, size)
             np.cos(phases[:, rep].T, out=kick.real)
             np.sin(phases[:, rep].T, out=kick.imag)
             for q in range(n):
@@ -240,14 +238,19 @@ def run_scheme(scheme: Scheme, psi: PureState, t: float, mode: str = "exact",
     return DensityMatrix._trusted(1, rho)
 
 
-def coherence(rho: DensityMatrix, rho0: DensityMatrix) -> float:
-    """C = |<1|rho|0> / <1|rho_0|0>|; undefined for basis-state inputs."""
+def _off_diagonal(rho0: DensityMatrix) -> complex:
+    """<1|rho_0|0>, the reference of the coherence; a basis state has none."""
     z0 = rho0.matrix[1, 0]
     if abs(z0) < 1e-12:
         raise ValueError(
             "initial state has no off-diagonal element; pick a superposition input"
         )
-    return float(abs(rho.matrix[1, 0] / z0))
+    return z0
+
+
+def coherence(rho: DensityMatrix, rho0: DensityMatrix) -> float:
+    """C = |<1|rho|0> / <1|rho_0|0>|; undefined for basis-state inputs."""
+    return float(abs(rho.matrix[1, 0] / _off_diagonal(rho0)))
 
 
 def scheme_coherence(scheme: Scheme, psi: PureState, t: float) -> float:
@@ -262,11 +265,7 @@ def mc_coherence(scheme: Scheme, psi: PureState, t: float, shots: int, seed=None
     elements z is the delta method's: the spread of z projected on the
     direction of the mean, over sqrt(shots).
     """
-    z0 = psi.density().matrix[1, 0]
-    if abs(z0) < 1e-12:
-        raise ValueError(
-            "initial state has no off-diagonal element; pick a superposition input"
-        )
+    z0 = _off_diagonal(psi.density())
     states = _run_trajectories(scheme, psi, t, shots, seed)
     z = states[:, 1] * states[:, 0].conj()
     mean = z.mean()
@@ -278,11 +277,10 @@ def mc_coherence(scheme: Scheme, psi: PureState, t: float, shots: int, seed=None
     return float(abs(mean) / abs(z0)), float(se_abs / abs(z0))
 
 
-def n_shot_coherence(scheme: Scheme, t: float, n: int, psi: PureState = IPLUS) -> float:
-    """Exact coherence of n evenly spaced repetitions within total time t."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return scheme_coherence(Scheme(scheme.kind, n), psi, t)
+def n_shot_coherence(scheme: Scheme, t: float, n: int) -> float:
+    """Exact coherence of n evenly spaced repetitions within total time t,
+    from the input IPLUS."""
+    return scheme_coherence(Scheme(scheme.kind, n), IPLUS, t)
 
 
 # --- closed forms (used as cross-checks against the simulated routes) -----------
@@ -332,9 +330,9 @@ class CoherenceCurve:
     samples: tuple
 
 
-def figure5_data(t_max: float, steps: int, schemes: Sequence[tuple] = DEFAULT_CURVES,
-                 shots: Optional[int] = None, seed=0, psi: PureState = IPLUS):
-    """Coherence curves on a uniform grid of ``steps + 1`` points in [0, t_max].
+def figure5_data(t_max: float, steps: int, shots: Optional[int] = None, seed=0):
+    """Coherence curves of ``DEFAULT_CURVES`` from the input IPLUS, on a
+    uniform grid of ``steps + 1`` points in [0, t_max].
 
     With ``shots`` set, each grid point also carries a Monte-Carlo estimate
     and standard error; point (curve, t) gets its own deterministic seed.
@@ -343,15 +341,15 @@ def figure5_data(t_max: float, steps: int, schemes: Sequence[tuple] = DEFAULT_CU
         raise ValueError("need at least 2 steps")
     grid = np.linspace(0.0, t_max, steps + 1)
     curves = []
-    for curve_idx, (kind, reps) in enumerate(schemes):
+    for curve_idx, (kind, reps) in enumerate(DEFAULT_CURVES):
         scheme = Scheme(kind, reps)
         samples = []
         for t_idx, t in enumerate(grid):
-            c_exact = scheme_coherence(scheme, psi, float(t))
+            c_exact = scheme_coherence(scheme, IPLUS, float(t))
             c_mc = stderr = None
             if shots is not None:
                 point_seed = np.random.SeedSequence(entropy=seed, spawn_key=(curve_idx, t_idx))
-                c_mc, stderr = mc_coherence(scheme, psi, float(t), shots, seed=point_seed)
+                c_mc, stderr = mc_coherence(scheme, IPLUS, float(t), shots, seed=point_seed)
             samples.append(CurveSample(float(t), c_exact, c_mc, stderr))
         curves.append(CoherenceCurve(kind, reps, tuple(samples)))
     return curves

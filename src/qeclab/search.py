@@ -221,8 +221,7 @@ def mutate(circuit: Circuit, cfg: SearchConfig, rng: np.random.Generator) -> Cir
     return build(cfg.n_qubits, tuple(ops))
 
 
-def _evaluate(circuit: Circuit, validator: Callable[[Circuit], ValidityResult]) -> Candidate:
-    res = validator(circuit)
+def _candidate(circuit: Circuit, res: ValidityResult) -> Candidate:
     return Candidate(circuit, pulse_cost(circuit), res.valid, res.mode, res.violation)
 
 
@@ -246,21 +245,22 @@ def search(cfg: SearchConfig,
     When the budget runs out without a valid candidate the result carries the
     least-violating circuit as a diagnostic instead.
     """
-    check = validator or (lambda c: is_valid_perfect_code(c, cfg.validity_mode))
+    def check(circuit: Circuit, block: Optional[np.ndarray] = None) -> ValidityResult:
+        """The custom validator, or the built-in check (from ``block`` when given)."""
+        if validator is not None:
+            return validator(circuit)
+        return is_valid_perfect_code(circuit, cfg.validity_mode, block=block)
 
     def evaluate(circuit: Circuit, parent_ops: tuple = (), parent_blocks: Optional[list] = None):
-        """The candidate and, for the built-in check, its codeword blocks after each op
-        prefix: the parent's up to the first op that is not the parent's very object."""
-        if validator is not None:
-            return _evaluate(circuit, validator), None
+        """The candidate and its codeword blocks after each op prefix: the
+        parent's up to the first op that is not the parent's very object."""
         ops, k = circuit.ops, 0
         while k < len(ops) and k < len(parent_ops) and ops[k] is parent_ops[k]:
             k += 1
         blocks = (parent_blocks or [codeword_block(Circuit(circuit.n_qubits))])[:k + 1]
         for op in ops[k:]:
             blocks.append(_apply_op_array(blocks[-1], op, circuit.n_qubits))
-        return _evaluate(circuit, lambda c: is_valid_perfect_code(
-            c, cfg.validity_mode, block=blocks[-1])), blocks
+        return _candidate(circuit, check(circuit, blocks[-1])), blocks
 
     best_valid: Optional[Candidate] = None
     best_invalid: Optional[Candidate] = None
@@ -323,7 +323,8 @@ def exhaustive_search(cfg: SearchConfig,
     for length in range(cfg.max_ops + 1):
         for combo in itertools.product(all_ops, repeat=length):
             count += 1
-            cand = _evaluate(Circuit(n, combo), validator)
+            circuit = Circuit(n, combo)
+            cand = _candidate(circuit, validator(circuit))
             n_valid += cand.valid
             if cand.valid and (best_valid is None or _score(cand) < _score(best_valid)):
                 best_valid = cand

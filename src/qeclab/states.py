@@ -17,10 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-NORM_ATOL = 1e-12
 UNITARY_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-12
-TRACE_ATOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -40,18 +38,12 @@ W = V @ UDAG
 WDAG = W.conj().T
 
 
-def is_unitary(matrix: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
+def is_unitary(matrix: np.ndarray) -> bool:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
-    return bool(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max(initial=0.0) <= atol)
-
-
-def require_unitary(matrix: np.ndarray, what: str = "gate") -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=complex)
-    if not is_unitary(matrix):
-        raise ValueError(f"{what} is not unitary within {UNITARY_ATOL}")
-    return matrix
+    deviation = np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max(initial=0.0)
+    return bool(deviation <= UNITARY_ATOL)
 
 
 @lru_cache(maxsize=None)
@@ -174,7 +166,8 @@ def apply_gate(state: PureState, gate: np.ndarray, qubits: Sequence[int]) -> Pur
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (2**k, 2**k):
         raise ValueError(f"gate shape {gate.shape} does not match {k} qubit(s)")
-    require_unitary(gate)
+    if not is_unitary(gate):
+        raise ValueError(f"gate is not unitary within {UNITARY_ATOL}")
     tensor = np.moveaxis(state.amplitudes.reshape((2,) * n), qubits, range(k))
     moved_shape = tensor.shape
     tensor = (gate @ tensor.reshape(2**k, -1)).reshape(moved_shape)

@@ -320,6 +320,7 @@ class TestShotValidation:
     @pytest.mark.parametrize("argv", [
         ("noise", "--scheme", "phase3", "--t", "1", "--shots", "1"),
         ("figure5", "--steps", "2", "--shots", "1"),
+        ("noise", "--scheme", "phase3", "--t", "1", "--shots", "10000001"),
     ])
     def test_one_shot_is_a_validation_error(self, capsys, tmp_path, argv):
         if argv[0] == "figure5":
@@ -387,6 +388,12 @@ class TestBadInputs:
         code, out, err = run_cli(capsys, "simulate-pulses", "--pulses", str(path), "--ions", ions)
         assert_one_error_line(code, out, err)
         assert "1..6" in err
+
+    @pytest.mark.parametrize("n", ["0", "1001"])
+    def test_repetitions_out_of_range(self, capsys, n):
+        code, out, err = run_cli(capsys, "noise", "--scheme", "phase3", "--t", "1", "--n", n)
+        assert_one_error_line(code, out, err)
+        assert "1..1000" in err
 
     def test_non_integer_seed_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("QECC_SEED", "abc")

@@ -452,6 +452,15 @@ class TestCodeSpecValidation:
         with pytest.raises(ValueError, match="orthogonal"):
             CodeSpec("bad", 2, psi, psi)
 
+    @pytest.mark.parametrize("word", ["zero", "one"])
+    def test_codeword_norm_off_by_5e_10_rejected(self, word):
+        """PureState accepts a norm within 1e-9; each codeword must be within 1e-12."""
+        code = three_qubit_phase_code()
+        words = {"zero": code.logical_zero, "one": code.logical_one}
+        words[word] = PureState(3, words[word].amplitudes * (1 + 5e-10))
+        with pytest.raises(ValueError, match=f"logical {word} is not normalized"):
+            CodeSpec("bad", 3, words["zero"], words["one"])
+
     def test_default_encoder_is_the_shipped_one(self):
         assert five_qubit_code().encoder == five_qubit_encoder()
         assert five_qubit_code(encoder=None).encoder == five_qubit_encoder()

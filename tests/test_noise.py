@@ -142,6 +142,18 @@ class TestTrajectoryPhases:
         np.testing.assert_array_equal(c, block_rng(point, 17).normal(size=4))
         assert not np.array_equal(a[0], c)
 
+    @pytest.mark.parametrize("seed", [0, 3, 2026])
+    def test_block_rng_reads_an_int_seed_as_its_seed_sequence(self, seed):
+        for block in (0, 1, 17):
+            np.testing.assert_array_equal(
+                block_rng(seed, block).normal(size=8),
+                block_rng(np.random.SeedSequence(seed), block).normal(size=8))
+
+    def test_block_rng_appends_the_block_to_the_spawn_key(self):
+        point = np.random.SeedSequence(entropy=5, spawn_key=(1, 2))
+        expected = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(1, 2, 3)))
+        np.testing.assert_array_equal(block_rng(point, 3).normal(size=8), expected.normal(size=8))
+
 
 class TestRunSchemeExact:
     def test_any_scheme_at_zero_time_is_identity(self, rng):
