@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -61,6 +62,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 
+MAX_TRIALS = 1000
+
 _CODES = {
     "five-qubit": five_qubit_code,
     "phase3": three_qubit_phase_code,
@@ -96,11 +99,70 @@ class _IOFailure(Exception):
     pass
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_pieces(value, out: list, indent: str) -> None:
+    """Append the text ``json.dumps(value, indent=2, sort_keys=True)`` gives
+    ``value`` at nesting ``indent`` (a newline and its spaces) to ``out``.
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder; this
+    one pass spells every scalar the way it does, in under half the time:
+    ``repr`` of exact floats and ints, NaN and Infinity, ASCII escapes,
+    sorted keys."""
+    kind = type(value)
+    if kind is float:
+        text = repr(value)
+        out.append(_NON_FINITE.get(text, text))
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _json_pieces(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_pieces(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    elif kind is int:
+        out.append(repr(value))
+    else:   # tuples, subclasses, NumPy scalars, non-string keys: json's own spelling (or TypeError)
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", indent))
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, the same bytes."""
+    out = []
+    _json_pieces(doc, out, "\n")
+    return "".join(out)
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_dumps(doc))
 
 
 def cmd_verify_code(args) -> int:
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ValueError(f"--trials must be in 1..{MAX_TRIALS} (got {args.trials})")
     factory = _CODES[args.code]
     if args.encoder is not None:
         if args.code != "five-qubit":
@@ -201,7 +263,8 @@ def cmd_simulate_pulses(args) -> int:
         "phonon_residual": result.phonon_residual,
     }
     if args.unitary:
-        doc["unitary"] = [[[float(v.real), float(v.imag)] for v in row] for row in result.unitary]
+        u = result.unitary
+        doc["unitary"] = np.stack((u.real, u.imag), axis=-1).tolist()
     _emit(doc)
     return EXIT_OK
 

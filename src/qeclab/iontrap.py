@@ -131,17 +131,20 @@ class TrapState:
         return cls(len(bits), amps)
 
 
-def _pulse_apply(block: np.ndarray, pulse: Pulse, region: tuple) -> None:
-    """Apply a pulse in place to a C-contiguous block whose leading axes span
-    ``region``, a corner of the trap basis: 2 (g, e) or 3 (and e') levels per
-    ion, then 1 or 2 phonon states. Trailing axes (columns) are carried."""
-    ion, n_ions = pulse.ion, len(region) - 1
+def _check_ion(ion: int, n_ions: int) -> None:
     if not 0 <= ion < n_ions:
         raise ValueError(f"ion index {ion} out of range for {n_ions} ions")
+
+
+def _pulse_apply(block: np.ndarray, pulse: Pulse, shape: tuple, axis: int) -> None:
+    """Apply a pulse in place to a C-contiguous block whose leading axes are
+    ``shape``: the ions of a corner of the trap basis, 2 (g, e) or 3 (and e')
+    levels each, in any order, then 1 or 2 phonon states. ``axis`` is the
+    pulsed ion's. Trailing axes (columns) are carried."""
     # axis 1 is the ion's level, axis 3 the phonon
-    v = block.reshape(prod(region[:ion]), region[ion], prod(region[ion + 1:-1]), region[-1], -1)
+    v = block.reshape(prod(shape[:axis]), shape[axis], prod(shape[axis + 1:-1]), shape[-1], -1)
     if pulse.kind == "VPulse":
-        if region[-1] == PHONON_DIM:        # with phonon 0 only, nothing to flip
+        if shape[-1] == PHONON_DIM:         # with phonon 0 only, nothing to flip
             parts = v[:, G, :, 1].view(np.float64)  # the same sign flips, in NumPy's faster real loop
             np.negative(parts, out=parts)
     elif pulse.kind == "OneQubit":
@@ -164,7 +167,8 @@ def _pulse_apply(block: np.ndarray, pulse: Pulse, region: tuple) -> None:
 def _pulse_apply_array(amps: np.ndarray, pulse: Pulse, n_ions: int) -> None:
     """Apply a pulse in place to a C-contiguous array whose leading axis is
     the trap basis index (trailing axes, a block of columns, are carried)."""
-    _pulse_apply(amps, pulse, (LEVELS,) * n_ions + (PHONON_DIM,))
+    _check_ion(pulse.ion, n_ions)
+    _pulse_apply(amps, pulse, (LEVELS,) * n_ions + (PHONON_DIM,), pulse.ion)
 
 
 def apply_pulse(state: TrapState, pulse: Pulse) -> TrapState:
@@ -248,6 +252,16 @@ def _worst_norm(power: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(power.reshape(-1, power.shape[-1]), axis=0), initial=0.0)))
 
 
+def _reorder(block: np.ndarray, out: np.ndarray, order: tuple, new: tuple) -> np.ndarray:
+    """Copy ``block``, its ion axes in memory order ``order``, into the memory
+    of ``out`` with them in order ``new``; the phonon and columns stay last."""
+    n = len(order)
+    moved = block.transpose([order.index(k) for k in new] + [n, n + 1])
+    out = out.reshape(moved.shape)
+    np.copyto(out, moved)
+    return out
+
+
 def simulate_pulse_sequence(seq: PulseSequence, n_ions: int) -> PulseSimResult:
     """Run the sequence on every qubit-subspace basis state (phonon in |0>).
 
@@ -266,8 +280,21 @@ def simulate_pulse_sequence(seq: PulseSequence, n_ions: int) -> PulseSimResult:
     block = np.zeros(region + (nq,), dtype=complex)
     qubit = (slice(0, 2),) * n_ions + (0,)
     block[qubit] = np.eye(nq).reshape((2,) * n_ions + (nq,))
+    # A OneQubit pulse runs with its ion's axis leading, where the ion's two
+    # level slices are contiguous; on a late ion in trap order they are short
+    # strided runs, at two to ten times the cost. The axes move, by one copy into
+    # the spare block, only when a OneQubit pulse needs another ion first.
+    # Every element still goes through the same arithmetic.
+    order = tuple(range(n_ions))        # the ion axes in memory order
+    spare = np.empty_like(block)
     for pulse in seq.pulses:
-        _pulse_apply(block, pulse, region)
+        _check_ion(pulse.ion, n_ions)
+        if pulse.kind == "OneQubit" and order[0] != pulse.ion:
+            new = (pulse.ion,) + tuple(k for k in range(n_ions) if k != pulse.ion)
+            block, spare, order = _reorder(block, spare, order, new), block, new
+        _pulse_apply(block, pulse, block.shape[:-1], order.index(pulse.ion))
+    if order[0] != 0:
+        block = _reorder(block, spare, order, tuple(range(n_ions)))
     # The block's rows are in trap-basis order, so its column sums add the
     # same nonzero terms, in the same order, as sums over the whole space.
     power = np.abs(block) ** 2
@@ -328,9 +355,13 @@ def _json_number(value) -> float:
 
 
 def pulses_from_json(docs: Sequence[dict]) -> PulseSequence:
+    """Parse a pulse program, reporting the first malformed entry by position.
+    Each distinct ``OneQubit`` entry (ion, dag, matrix, label) is built, and
+    its matrix checked, once per call; a repeat shares that ``Pulse``."""
     if not isinstance(docs, list):
         raise ValueError("a pulse program is a list of pulse entries")
     pulses = []
+    one_qubit = {}
     for i, doc in enumerate(docs):
         try:
             kind = doc["kind"]
@@ -347,9 +378,16 @@ def pulses_from_json(docs: Sequence[dict]) -> PulseSequence:
                                 for row in doc["matrix"]])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed matrix at position {i}: {exc}") from None
-            if dag:
-                mat = mat.conj().T
-            pulses.append(Pulse("OneQubit", ion, mat, label=doc.get("label")))
+            label = doc.get("label")
+            if label is not None and type(label) is not str:
+                raise ValueError(f"pulse entry at position {i} has a 'label' that is not a string")
+            # the bytes tell 0.0 from -0.0, which compare equal
+            key = (ion, dag, mat.shape, mat.tobytes(), label)
+            pulse = one_qubit.get(key)
+            if pulse is None:
+                pulse = Pulse("OneQubit", ion, mat.conj().T if dag else mat, label=label)
+                one_qubit[key] = pulse
+            pulses.append(pulse)
         else:
             full = kind + "Dag" if dag and kind != "VPulse" else kind
             if full not in PULSE_KINDS:

@@ -49,6 +49,7 @@ IPLUS = PureState(1, np.array([1, 1j], dtype=complex) / np.sqrt(2))
 # MC route holds about 70 bytes per shot (about 700 MB at the cap).
 MAX_REPETITIONS = 1000
 MAX_SHOTS = 10**7
+MAX_STEPS = 10_000      # figure5_data runs 4 * (steps + 1) exact points first
 
 
 @dataclass(frozen=True)
@@ -339,6 +340,8 @@ def figure5_data(t_max: float, steps: int, shots: Optional[int] = None, seed=0):
     """
     if steps < 2:
         raise ValueError("need at least 2 steps")
+    if steps > MAX_STEPS:
+        raise ValueError(f"steps must be <= {MAX_STEPS} (got {steps})")
     grid = np.linspace(0.0, t_max, steps + 1)
     curves = []
     for curve_idx, (kind, reps) in enumerate(DEFAULT_CURVES):

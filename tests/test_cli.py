@@ -5,11 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qeclab
-from qeclab.circuits import Circuit, GateOp, serialize_circuit
-from qeclab.cli import build_parser, main
+from qeclab.circuits import GATE_MATRICES, Circuit, GateOp, serialize_circuit
+from qeclab.cli import _dumps, build_parser, main
+from qeclab.iontrap import Pulse, PulseSequence, pulses_from_json, pulses_to_json, simulate_pulse_sequence
+from qeclab.noise import MAX_STEPS
 
 
 def run_cli(capsys, *argv):
@@ -458,3 +462,72 @@ def test_closed_stdout_exits_3_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 3
     assert err == b""
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(qeclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "qeclab", "noise", "--scheme", "phase3", "--t", "0"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "t,scheme,n,C_exact,C_mc,mc_stderr\n0,phase3,1,1,,\n"
+
+
+class TestUpperBounds:
+    """Counts that set how much work or memory a command asks for are bounded."""
+
+    @pytest.mark.parametrize("trials", ["0", "-2", "1001"])
+    def test_trials_out_of_range(self, capsys, trials):
+        """Zero trials used to print "valid": true without running one."""
+        code, out, err = run_cli(capsys, "verify-code", "--code", "five-qubit", "--trials", trials)
+        assert_one_error_line(code, out, err)
+        assert "1..1000" in err
+
+    def test_steps_one_past_the_bound(self, capsys, tmp_path):
+        out_path = tmp_path / "fig5.csv"
+        code, out, err = run_cli(capsys, "figure5", "--steps", str(MAX_STEPS + 1), "--out", str(out_path))
+        assert_one_error_line(code, out, err)
+        assert str(MAX_STEPS) in err
+        assert not out_path.exists()
+
+
+def test_unitary_bytes_of_a_leaking_six_ion_program(capsys, tmp_path):
+    """Late-ion one-qubit pulses among phonon pulses: the report spells the
+    unitary, its signed zeros included, as ``json.dumps`` spelled each
+    ``[float(v.real), float(v.imag)]`` pair."""
+    gate = GATE_MATRICES
+    seq = PulseSequence((
+        Pulse("OneQubit", 5, gate["U"], "U"), Pulse("VPhonDag", 1), Pulse("WPhonDag", 5),
+        Pulse("OneQubit", 3, gate["X"], "X"), Pulse("WPhonDag", 1), Pulse("VPhon", 4),
+        Pulse("VPhon", 5), Pulse("WPhon", 2), Pulse("OneQubit", 4, gate["Vdag"], "Vdag"),
+    ))
+    path = tmp_path / "leak.pulses.json"
+    path.write_text(json.dumps(pulses_to_json(seq)))
+    code, out, _ = run_cli(capsys, "simulate-pulses", "--pulses", str(path), "--ions", "6", "--unitary")
+    sim = simulate_pulse_sequence(pulses_from_json(json.loads(path.read_text())), 6)
+    expected = {
+        "n_ions": 6, "n_pulses": 9, "leakage": sim.leakage, "phonon_residual": sim.phonon_residual,
+        "unitary": [[[float(v.real), float(v.imag)] for v in row] for row in sim.unitary],
+    }
+    assert code == 0
+    assert sim.leakage > 0.5
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert "-0.0" in out
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 2**70, float("-inf")])
+                | st.floats().map(np.float64) | st.text()
+                | st.text(alphabet=st.characters(max_codepoint=0x2f)))
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCS)
+def test_report_text_matches_json_dumps(doc):
+    """The reports' emitter prints exactly what ``json.dumps`` printed."""
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)

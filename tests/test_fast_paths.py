@@ -335,3 +335,44 @@ def test_apply_pulse_leaves_its_input_untouched(n, seed):
         assert same_bits(state.amplitudes, before)
         assert same_bits(after.amplitudes, reference_pulse(before, pulse, n))
         state, before = after, after.amplitudes.copy()
+
+
+# --- the ion-first layout ------------------------------------------------------------
+# The simulator runs a OneQubit pulse with its ion's axis leading and moves the
+# axes only when the next OneQubit pulse is on another ion; the other pulses run
+# in whatever order is current, and trap order comes back before the column sums.
+
+
+@st.composite
+def late_ion_programs(draw):
+    """Runs of OneQubit pulses on late ions, switching between them, with pulses
+    of every kind on any ion in between; the last run stays on a late ion, so
+    the program ends in a moved layout."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(seeds))
+    pulses = []
+    for _ in range(draw(st.integers(1, 5))):
+        ion = draw(st.integers(1, n - 1))
+        for p in random_pulses(n, rng, ("OneQubit",), draw(st.integers(1, 3))):
+            pulses.append(Pulse("OneQubit", ion, p.matrix))
+        pulses += random_tail(draw, n, rng, max_size=4)
+    pulses.append(Pulse("OneQubit", n - 1, random_pulses(n, rng, ("OneQubit",), 1)[0].matrix))
+    return PulseSequence(tuple(pulses)), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(late_ion_programs())
+def test_late_ion_layout_matches_mask_gather_reference(program):
+    seq, n = program
+    sim = simulate_pulse_sequence(seq, n)
+    unitary, leakage, phonon_residual = reference_simulation(seq, n)
+    assert same_bits(sim.unitary, unitary)
+    assert (sim.leakage, sim.phonon_residual) == (leakage, phonon_residual)
+
+
+@pytest.mark.parametrize("kind", ["OneQubit", "WPhon"])
+def test_ion_out_of_range_is_reported_in_a_moved_layout(kind):
+    bad = Pulse(kind, 3, GATE_MATRICES["U"] if kind == "OneQubit" else None)
+    seq = PulseSequence((Pulse("OneQubit", 2, GATE_MATRICES["U"]), bad))
+    with pytest.raises(ValueError, match="ion index 3 out of range for 3 ions"):
+        simulate_pulse_sequence(seq, 3)

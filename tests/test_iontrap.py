@@ -23,7 +23,7 @@ from qeclab.iontrap import (
     verify_compilation,
 )
 from qeclab.search import pulse_cost, random_circuit
-from qeclab.states import U
+from qeclab.states import U, is_unitary
 
 
 def single_ion_state(level: int, phonon: int) -> TrapState:
@@ -306,6 +306,47 @@ class TestPulseJson:
     def test_mistyped_entry_reports_position(self, docs):
         with pytest.raises(ValueError, match="position 0"):
             pulses_from_json(docs)
+
+    def test_repeated_malformed_entry_fails_at_its_first_position(self):
+        bad = {"kind": "OneQubit", "ion": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}
+        good = pulses_to_json(PulseSequence((Pulse("OneQubit", 0, U, label="U"),)))[0]
+        with pytest.raises(ValueError, match="malformed matrix at position 1"):
+            pulses_from_json([good, bad, good, bad])
+
+    @pytest.mark.parametrize("later", [
+        [[[2, 0], [0, 0]], [[0, 0], [1, 0]]],                   # not unitary
+        [[[1, 0], [0, 0], [0, 0], [1, 0]]],                      # the same bytes, shape (1, 4)
+    ], ids=["non-unitary", "reshaped"])
+    def test_matrix_after_a_valid_one_is_still_checked(self, later):
+        valid = {"kind": "OneQubit", "ion": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        with pytest.raises(ValueError, match="2x2 unitary"):
+            pulses_from_json([valid, valid, {**valid, "matrix": later}, {**valid, "matrix": later}])
+
+    def test_each_distinct_one_qubit_entry_is_checked_once(self, monkeypatch):
+        import qeclab.iontrap as iontrap
+
+        calls = []
+
+        def counting(mat):
+            calls.append(mat)
+            return is_unitary(mat)
+
+        monkeypatch.setattr(iontrap, "is_unitary", counting)
+        identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        signed = [[[1.0, 0.0], [-0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        entry = {"kind": "OneQubit", "ion": 0, "dag": False, "matrix": identity}
+        distinct = [entry, {**entry, "ion": 1}, {**entry, "dag": True}, {**entry, "label": "I"},
+                    {**entry, "matrix": signed}]
+        seq = pulses_from_json(distinct + [{"kind": "WPhon", "ion": 0}] + distinct[::-1] + distinct)
+        assert len(calls) == len(distinct)
+        assert len(seq) == 3 * len(distinct) + 1
+        assert seq.pulses[0] is seq.pulses[-5] and seq.pulses[0] is not seq.pulses[4]
+        assert np.signbit(seq.pulses[4].matrix[0, 1].real) and not np.signbit(seq.pulses[0].matrix[0, 1].real)
+
+    def test_non_string_label_reports_position(self):
+        entry = {"kind": "OneQubit", "ion": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        with pytest.raises(ValueError, match="position 1"):
+            pulses_from_json([entry, {**entry, "label": ["U"]}])
 
     @pytest.mark.parametrize("n_ions", [0, -1, 7])
     def test_ion_count_outside_one_to_six_rejected(self, n_ions):
