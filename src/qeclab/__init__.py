@@ -6,18 +6,7 @@ pulses with an exact pulse-level verifier, and an exact/Monte-Carlo study of
 error-correction schemes under phase-diffusion noise.
 """
 
-from .states import (
-    DensityMatrix,
-    PureState,
-    apply_cnot,
-    apply_controlled_phase,
-    apply_gate,
-    fidelity,
-    measure_qubits,
-    measurement_branches,
-    partial_trace,
-    phase_aligned_distance,
-)
+from .states import DensityMatrix, PureState, fidelity, phase_aligned_distance
 from .circuits import (
     Circuit,
     CircuitFormatError,

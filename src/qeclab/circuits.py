@@ -16,16 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .states import (
-    U, UDAG, V, VDAG, W, WDAG, X, Z,
-    PureState,
-    cnot_permutation,
-    controlled_phase_signs,
-)
+from .states import U, UDAG, V, VDAG, W, WDAG, X, Z, PureState, basis_bits
 
 # Largest register with a dense path (unitaries, pulse simulation); the
 # circuit parser rejects larger ones, so every command agrees on what is valid.
@@ -111,15 +105,23 @@ class Circuit:
 @lru_cache(maxsize=4096)
 def _op_kernel(n: int, kind: str, targets: tuple, controls: tuple):
     """Read-only kernel of one op on n qubits: the 2x2 matrix of a one-qubit
-    gate, the index permutation of a CNOT, or the sign vector of a CPHASE.
-    On registers of up to 6 qubits there are fewer distinct ops than the
-    cache holds."""
+    gate, the index permutation of a CNOT (flip the target bit where the
+    control is set), or the sign vector of a CPHASE ((-1)**(targets set)
+    where every control is set). The op passed ``GateOp`` and ``Circuit``
+    validation. On registers of up to 6 qubits there are fewer distinct ops
+    than the cache holds."""
     if kind in SINGLE_QUBIT_KINDS:
         kernel = GATE_MATRICES[kind].copy()
     elif kind == "CNOT":
-        kernel = cnot_permutation(n, controls[0], targets[0])
+        idx = np.arange(2**n)
+        cmask = 1 << (n - 1 - controls[0])
+        tmask = 1 << (n - 1 - targets[0])
+        kernel = np.where(idx & cmask, idx ^ tmask, idx)
     else:
-        kernel = controlled_phase_signs(n, controls, targets)
+        bits = basis_bits(n)
+        all_controls = bits[:, list(controls)].all(axis=1)
+        target_count = bits[:, list(targets)].sum(axis=1)
+        kernel = np.where(all_controls, (-1.0) ** target_count, 1.0).astype(complex)
     kernel.flags.writeable = False
     return kernel
 

@@ -74,9 +74,12 @@ _CODES = {
 def _default_seed() -> int:
     raw = os.environ.get("QECC_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise ValueError(f"QECC_SEED must be an integer, got {raw!r}") from None
+        seed = None
+    if seed is None or seed < 0:
+        raise ValueError(f"QECC_SEED must be a nonnegative integer, got {raw!r}")
+    return seed
 
 
 def _read_text(path: str) -> str:
@@ -276,11 +279,16 @@ def _psi_from_args(args) -> PureState:
         return IPLUS
     if args.alpha is None or args.beta is None:
         raise ValueError("--psi custom needs --alpha and --beta")
-    amps = np.array([complex(args.alpha), complex(args.beta)])
-    if not np.isfinite(amps).all():
+    parts = np.array([complex(args.alpha), complex(args.beta)]).view(float)   # re, im, re, im
+    if not np.isfinite(parts).all():
         raise ValueError("custom amplitudes must be finite")
+    # Scale by the power of two just above the largest part: exact, so the
+    # normalised state is bit for bit the unscaled one, and the norm of
+    # amplitudes near 1e308 no longer overflows.
+    exponent = np.frexp(np.abs(parts).max())[1]
+    amps = np.ldexp(parts, -exponent).view(complex)
     norm = np.linalg.norm(amps)
-    if norm < 1e-12:
+    if np.ldexp(norm, min(exponent, 0)) < 1e-12:      # the true norm wherever it is below 1/2
         raise ValueError("custom state has zero norm")
     psi = PureState(1, amps / norm)
     if abs(psi.amplitudes[0]) < 1e-9 or abs(psi.amplitudes[1]) < 1e-9:
@@ -319,7 +327,7 @@ def cmd_search(args) -> int:
         start = five_qubit_code().encoder
     elif args.start is not None:
         start = parse_circuit(_read_text(args.start))
-    alphabet = tuple(args.alphabet.split(",")) if args.alphabet else SearchConfig().alphabet
+    alphabet = tuple(args.alphabet.split(",")) if args.alphabet is not None else SearchConfig().alphabet
     cfg = SearchConfig(
         alphabet=alphabet,
         max_ops=args.max_ops,
@@ -401,6 +409,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) is None:
             args.seed = seed
+        elif getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
         code = args.func(args)
         sys.stdout.flush()
         return code

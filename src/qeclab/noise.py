@@ -338,6 +338,7 @@ def figure5_data(t_max: float, steps: int, shots: Optional[int] = None, seed=0):
     With ``shots`` set, each grid point also carries a Monte-Carlo estimate
     and standard error; point (curve, t) gets its own deterministic seed.
     """
+    _check_time(t_max)
     if steps < 2:
         raise ValueError("need at least 2 steps")
     if steps > MAX_STEPS:

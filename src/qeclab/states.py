@@ -1,4 +1,7 @@
-"""Dense pure-state and density-matrix simulation for small qubit registers.
+"""Pure states, density matrices and gate constants for small qubit registers.
+
+This module holds values only: gates act on amplitudes in ``circuits``, and
+the one measurement is the decoder in ``codes``.
 
 Conventions shared by the whole package:
 
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -108,9 +110,6 @@ class PureState:
     def density(self) -> "DensityMatrix":
         return DensityMatrix._trusted(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -136,8 +135,8 @@ class DensityMatrix:
     @classmethod
     def _trusted(cls, n_qubits: int, matrix: np.ndarray) -> "DensityMatrix":
         """Wrap a matrix that is a density matrix by construction (a pure
-        state's projector, a channel's output, a partial trace), skipping the
-        checks, the eigendecomposition above all, that outside input gets."""
+        state's projector, a channel's output), skipping the checks, the
+        eigendecomposition above all, that outside input gets."""
         rho = object.__new__(cls)
         object.__setattr__(rho, "n_qubits", n_qubits)
         object.__setattr__(rho, "matrix", _freeze(matrix))
@@ -146,138 +145,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
-
-
-def _check_qubits(qubits: Sequence[int], n_qubits: int) -> tuple:
-    qubits = tuple(int(q) for q in qubits)
-    for q in qubits:
-        if not 0 <= q < n_qubits:
-            raise ValueError(f"qubit index {q} out of range for {n_qubits} qubits")
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"duplicate qubit indices in {qubits}")
-    return qubits
-
-
-def apply_gate(state: PureState, gate: np.ndarray, qubits: Sequence[int]) -> PureState:
-    """Apply a ``2**k x 2**k`` unitary on the given k qubits (identity elsewhere)."""
-    n = state.n_qubits
-    qubits = _check_qubits(qubits, n)
-    k = len(qubits)
-    gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (2**k, 2**k):
-        raise ValueError(f"gate shape {gate.shape} does not match {k} qubit(s)")
-    if not is_unitary(gate):
-        raise ValueError(f"gate is not unitary within {UNITARY_ATOL}")
-    tensor = np.moveaxis(state.amplitudes.reshape((2,) * n), qubits, range(k))
-    moved_shape = tensor.shape
-    tensor = (gate @ tensor.reshape(2**k, -1)).reshape(moved_shape)
-    return PureState(n, np.moveaxis(tensor, range(k), qubits).reshape(2**n))
-
-
-def controlled_phase_signs(n_qubits: int, controls: Sequence[int], targets: Sequence[int]) -> np.ndarray:
-    """Diagonal of the multi-control multi-target conditional sign flip.
-
-    A basis state picks up (-1)^(number of targets set) when every control is set.
-    """
-    controls = tuple(controls)
-    targets = tuple(targets)
-    if not controls or not targets:
-        raise ValueError("controls and targets must be nonempty")
-    if set(controls) & set(targets):
-        raise ValueError(f"controls {controls} and targets {targets} overlap")
-    _check_qubits(controls + targets, n_qubits)
-    bits = basis_bits(n_qubits)
-    all_controls = bits[:, list(controls)].all(axis=1)
-    target_count = bits[:, list(targets)].sum(axis=1)
-    signs = np.where(all_controls, (-1.0) ** target_count, 1.0)
-    return signs.astype(complex)
-
-
-def apply_controlled_phase(state: PureState, controls: Sequence[int], targets: Sequence[int]) -> PureState:
-    signs = controlled_phase_signs(state.n_qubits, controls, targets)
-    return PureState(state.n_qubits, state.amplitudes * signs)
-
-
-def cnot_permutation(n_qubits: int, control: int, target: int) -> np.ndarray:
-    if control == target:
-        raise ValueError("control and target must differ")
-    _check_qubits((control, target), n_qubits)
-    idx = np.arange(2**n_qubits)
-    cmask = 1 << (n_qubits - 1 - control)
-    tmask = 1 << (n_qubits - 1 - target)
-    return np.where(idx & cmask, idx ^ tmask, idx)
-
-
-def apply_cnot(state: PureState, control: int, target: int) -> PureState:
-    perm = cnot_permutation(state.n_qubits, control, target)
-    return PureState(state.n_qubits, state.amplitudes[perm])
-
-
-def measurement_branches(state: PureState, qubits: Sequence[int]):
-    """All measurement branches as (outcome bits, probability, collapsed state).
-
-    Branches with probability below 1e-15 are omitted; the remaining
-    probabilities sum to 1 up to rounding.
-    """
-    qubits = _check_qubits(qubits, state.n_qubits)
-    k = len(qubits)
-    # basis index -> integer outcome label for the listed qubits, in order
-    powers = 1 << np.arange(k - 1, -1, -1)
-    keys = basis_bits(state.n_qubits)[:, list(qubits)].astype(np.int64) @ powers
-    probs = np.bincount(keys, weights=state.probabilities(), minlength=2**k)
-    branches = []
-    for outcome in range(2**k):
-        p = float(probs[outcome])
-        if p < 1e-15:
-            continue
-        amps = np.where(keys == outcome, state.amplitudes, 0.0) / np.sqrt(p)
-        bits = tuple((outcome >> (k - 1 - pos)) & 1 for pos in range(k))
-        branches.append((bits, p, PureState(state.n_qubits, amps)))
-    return branches
-
-
-def measure_qubits(state: PureState, qubits: Sequence[int], rng=None):
-    """Born-rule measurement of the listed qubits, one uniform draw per call.
-
-    Returns (outcome bits, collapsed state, probability). ``rng`` may be a
-    seed or a numpy Generator; omit it for a fresh nondeterministic draw.
-    """
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    branches = measurement_branches(state, qubits)
-    probs = np.array([p for _, p, _ in branches])
-    bits, p, collapsed = branches[int(rng.choice(len(branches), p=probs / probs.sum()))]
-    return bits, collapsed, p
-
-
-def collapse_to_outcome(state: PureState, qubits: Sequence[int], outcome: Sequence[int]):
-    """Project onto a chosen measurement outcome; error if its probability is 0."""
-    branches = measurement_branches(state, qubits)
-    outcome = tuple(int(b) for b in outcome)
-    if len(outcome) != len(qubits):
-        raise ValueError(f"outcome {outcome} does not match {len(qubits)} measured qubits")
-    for bits, p, collapsed in branches:
-        if bits == outcome:
-            return collapsed, p
-    raise ValueError(f"measurement branch {outcome} has zero probability")
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on ``keep`` (sorted), tracing out the rest."""
-    keep = sorted(set(int(q) for q in keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    n = rho.n_qubits
-    _check_qubits(keep, n)
-    tensor = rho.matrix.reshape((2,) * (2 * n))
-    subs = []
-    for q in range(n):
-        subs.append(q if q in keep else 2 * n + q)
-    for q in range(n):
-        subs.append(n + q if q in keep else 2 * n + q)
-    out = [q for q in keep] + [n + q for q in keep]
-    k = len(keep)
-    reduced = np.einsum(tensor, subs, out).reshape(2**k, 2**k)
-    return DensityMatrix._trusted(k, reduced)
 
 
 def fidelity(a: PureState, b: PureState) -> float:

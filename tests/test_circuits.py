@@ -29,6 +29,8 @@ class TestGateOpValidation:
     def test_cphase_overlap(self):
         with pytest.raises(CircuitFormatError, match="overlap"):
             GateOp("CPHASE", (0,), (0,))
+        with pytest.raises(CircuitFormatError, match="overlap"):
+            GateOp("CPHASE", (1, 1), (0,))
 
     def test_unknown_kind(self):
         with pytest.raises(CircuitFormatError, match="unknown"):

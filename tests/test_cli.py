@@ -234,6 +234,14 @@ class TestNoise:
         value = float(out.strip().split("\n")[1].split(",")[3])
         assert abs(value - math.exp(-1)) < 1e-9
 
+    def test_custom_amplitudes_near_the_float_limit(self, capsys):
+        """Finite amplitudes whose squares overflow give the state of ``1, 1``
+        (their norm used to overflow to a state of norm 0)."""
+        argv = ("noise", "--scheme", "phase3", "--t", "1", "--psi", "custom")
+        expected = run_cli(capsys, *argv, "--alpha", "1", "--beta", "1")
+        assert run_cli(capsys, *argv, "--alpha", "1e308", "--beta", "1e308") == expected
+        assert expected[0] == 0 and expected[2] == ""
+
 
 class TestFigure5Command:
     def test_default_run_row_count(self, capsys, tmp_path):
@@ -413,10 +421,36 @@ class TestBadInputs:
         ("search", "--budget", "10", "--restarts", "1"),
     ], ids=lambda argv: argv[0])
     def test_non_integer_seed_variable_fails_every_command(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("QECC_SEED", "abc")
-        code, out, err = run_cli(capsys, *argv)
+        for raw in ("abc", "-1"):
+            monkeypatch.setenv("QECC_SEED", raw)
+            code, out, err = run_cli(capsys, *argv)
+            assert_one_error_line(code, out, err)
+            assert "QECC_SEED" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("noise", "--scheme", "phase3", "--t", "1", "--shots", "100"),
+        ("search", "--budget", "10", "--restarts", "1"),
+        ("verify-code", "--code", "zeno2"),
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_flag(self, capsys, argv):
+        """NumPy's own message named neither the flag nor the variable."""
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
         assert_one_error_line(code, out, err)
-        assert "QECC_SEED" in err
+        assert "--seed" in err
+
+    def test_empty_alphabet(self, capsys):
+        """An empty list of gate kinds used to run the default alphabet."""
+        code, out, err = run_cli(capsys, "search", "--budget", "10", "--restarts", "1", "--alphabet", "")
+        assert_one_error_line(code, out, err)
+        assert "alphabet" in err
+
+    def test_negative_tmax_is_named(self, capsys, tmp_path):
+        """The message gives the user's value, not a grid point, and no point runs."""
+        out_path = tmp_path / "fig5.csv"
+        code, out, err = run_cli(capsys, "figure5", "--tmax", "-1", "--steps", "2", "--out", str(out_path))
+        assert_one_error_line(code, out, err)
+        assert "(got -1.0)" in err
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("alpha,beta", [("nan", "1"), ("inf", "1"), ("1", "1+infj"), ("nanj", "0.5")])
     def test_non_finite_custom_amplitude(self, capsys, alpha, beta):

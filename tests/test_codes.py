@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qeclab.circuits import Circuit, GateOp, apply_circuit, circuit_to_unitary, invert_circuit
+from qeclab.circuits import Circuit, GateOp, circuit_to_unitary, invert_circuit
 from qeclab import codes
 from qeclab.codes import (
     CORRECTION_MATRICES,
@@ -200,15 +200,15 @@ class TestSyndromeTable:
                 assert fidelity(recovered, psi) >= 1 - 1e-10
 
     def test_syndrome_is_deterministic(self, rng):
+        """After any single-qubit error one ancilla reading carries all the weight."""
         code = five_qubit_code()
-        decoder = invert_circuit(code.encoder)
+        recovery = recovery_operators(code)
         for error in single_qubit_error_classes(5):
             psi = random_pure_state(1, rng)
-            decoded = apply_circuit(decoder, apply_error(encode(code, psi), error))
-            from qeclab.states import measurement_branches
-
-            branches = measurement_branches(decoded, (1, 2, 3, 4))
-            assert max(p for _, p, _ in branches) > 1 - 1e-10
+            branches = recovery @ apply_error(encode(code, psi), error).amplitudes   # (16, 2)
+            probs = (np.abs(branches) ** 2).sum(axis=1)
+            assert abs(probs.sum() - 1) < 1e-12
+            assert probs.max() > 1 - 1e-10
 
     def test_collision_consistency_exhaustive(self):
         """Two errors sharing a syndrome must share a correction."""
