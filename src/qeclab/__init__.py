@@ -36,8 +36,6 @@ from .codes import (
 from .iontrap import (
     Pulse,
     PulseSequence,
-    TrapState,
-    apply_pulse,
     compile_cphase,
     compile_circuit,
     simulate_pulse_sequence,
@@ -52,7 +50,6 @@ from .noise import (
     mc_coherence,
     n_shot_coherence,
     run_scheme,
-    sample_trajectory_phases,
     scheme_coherence,
 )
 from .search import Candidate, SearchConfig, is_valid_perfect_code, search

@@ -38,7 +38,7 @@ from .codes import (
 )
 from .iontrap import (
     compile_circuit,
-    per_gate_costs,
+    op_pulse_cost,
     pulses_from_json,
     pulses_to_json,
     simulate_pulse_sequence,
@@ -238,8 +238,8 @@ def cmd_compile(args) -> int:
     if args.report == "full":
         doc["per_gate"] = [
             {"kind": op.kind, "controls": list(op.controls),
-             "targets": list(op.targets), "pulses": cost}
-            for op, cost in per_gate_costs(circuit)
+             "targets": list(op.targets), "pulses": op_pulse_cost(op)}
+            for op in circuit.ops
         ]
         check = verify_compilation(circuit, seq)
         doc["verified"] = bool(check.ok)

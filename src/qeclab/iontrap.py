@@ -74,12 +74,7 @@ class Pulse:
             raise ValueError(f"{self.kind} pulse carries no matrix")
 
     def dagger(self) -> "Pulse":
-        if self.kind == "OneQubit":
-            label = None
-            if self.label is not None:
-                from .circuits import INVERSE_KIND
-                label = INVERSE_KIND.get(self.label)
-            return Pulse("OneQubit", self.ion, self.matrix.conj().T, label)
+        """The inverse of a phonon pulse (``compile_cphase``'s closing pass)."""
         return Pulse(_DAGGER[self.kind], self.ion)
 
 
@@ -96,39 +91,6 @@ class PulseSequence:
 
     def __len__(self) -> int:
         return len(self.pulses)
-
-
-def trap_dim(n_ions: int) -> int:
-    return PHONON_DIM * LEVELS**n_ions
-
-
-def qubit_basis_trap_index(bits: Sequence[int]) -> int:
-    """Trap-space index of a qubit-subspace basis state (phonon 0)."""
-    code = 0
-    for b in bits:
-        code = code * LEVELS + int(b)
-    return code * PHONON_DIM
-
-
-@dataclass(frozen=True)
-class TrapState:
-    n_ions: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (trap_dim(self.n_ions),):
-            raise ValueError(f"expected {trap_dim(self.n_ions)} amplitudes")
-        if abs(np.linalg.norm(amps) - 1) > 1e-9:
-            raise ValueError("trap state is not normalized")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_qubits(cls, bits: Sequence[int]) -> "TrapState":
-        amps = np.zeros(trap_dim(len(bits)), dtype=complex)
-        amps[qubit_basis_trap_index(bits)] = 1.0
-        return cls(len(bits), amps)
 
 
 def _check_ion(ion: int, n_ions: int) -> None:
@@ -162,19 +124,6 @@ def _pulse_apply(block: np.ndarray, pulse: Pulse, shape: tuple, axis: int) -> No
         swapped = factor * g1
         np.multiply(factor, x0, out=g1)
         x0[...] = swapped
-
-
-def _pulse_apply_array(amps: np.ndarray, pulse: Pulse, n_ions: int) -> None:
-    """Apply a pulse in place to a C-contiguous array whose leading axis is
-    the trap basis index (trailing axes, a block of columns, are carried)."""
-    _check_ion(pulse.ion, n_ions)
-    _pulse_apply(amps, pulse, (LEVELS,) * n_ions + (PHONON_DIM,), pulse.ion)
-
-
-def apply_pulse(state: TrapState, pulse: Pulse) -> TrapState:
-    amps = state.amplitudes.copy()
-    _pulse_apply_array(amps, pulse, state.n_ions)
-    return TrapState(state.n_ions, amps)
 
 
 def compile_cphase(controls: Sequence[int], targets: Sequence[int]) -> PulseSequence:
@@ -233,11 +182,6 @@ def op_pulse_cost(op: GateOp) -> int:
 def compile_circuit(circuit: Circuit) -> PulseSequence:
     """Lower a circuit to pulses, op by op (see ``op_pulse_cost`` for the counts)."""
     return PulseSequence(tuple(p for op in circuit.ops for p in compile_op(op).pulses))
-
-
-def per_gate_costs(circuit: Circuit) -> list:
-    """(op, pulse count) for each op, in circuit order."""
-    return [(op, op_pulse_cost(op)) for op in circuit.ops]
 
 
 @dataclass(frozen=True)
@@ -385,7 +329,10 @@ def pulses_from_json(docs: Sequence[dict]) -> PulseSequence:
             key = (ion, dag, mat.shape, mat.tobytes(), label)
             pulse = one_qubit.get(key)
             if pulse is None:
-                pulse = Pulse("OneQubit", ion, mat.conj().T if dag else mat, label=label)
+                try:
+                    pulse = Pulse("OneQubit", ion, mat.conj().T if dag else mat, label=label)
+                except ValueError as exc:
+                    raise ValueError(f"pulse entry at position {i}: {exc}") from None
                 one_qubit[key] = pulse
             pulses.append(pulse)
         else:

@@ -117,7 +117,7 @@ def block_rng(seed, block: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed.entropy, spawn_key=(*seed.spawn_key, block)))
 
 
-def _phase_width(t: float, slices: int = 1) -> float:
+def _phase_width(t: float, slices: int) -> float:
     """Standard deviation sqrt(2t / slices) of the phase one qubit accumulates
     in each of ``slices`` equal parts of exposure time t."""
     _check_time(t)
@@ -125,13 +125,6 @@ def _phase_width(t: float, slices: int = 1) -> float:
     if sigma == math.inf:
         raise ValueError(f"exposure time {t} is too long: its phase width overflows")
     return sigma
-
-
-def sample_trajectory_phases(n_qubits: int, t: float, seed=None) -> np.ndarray:
-    """One draw of the accumulated phases: Gaussian, mean 0, variance 2t each."""
-    sigma = _phase_width(t)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.normal(0.0, sigma, size=n_qubits)
 
 
 # --- scheme execution -----------------------------------------------------------

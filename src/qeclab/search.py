@@ -34,6 +34,7 @@ from .iontrap import op_pulse_cost
 from .states import PureState
 
 DEFAULT_ALPHABET = SINGLE_QUBIT_KINDS + ("CNOT", "CPHASE")
+MAX_OPS = 1000      # the climber keeps one codeword block, about 1.1 KB, per op prefix
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def is_valid_perfect_code(circuit: Circuit, mode: str = "auto", *,
             return ValidityResult(True, "exact", 0.0)
         return ValidityResult(False, None, mismatch)
 
-    candidate = CodeSpec("candidate", 5, *(PureState._trusted(5, w) for w in block.T))
+    candidate = CodeSpec._trusted("candidate", *(PureState._trusted(5, w) for w in block.T))
     kl = check_knill_laflamme(candidate, _FIVE_QUBIT_ERRORS)
     if not kl.ok:
         return ValidityResult(False, None, kl.worst_violation)
@@ -114,8 +115,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.max_ops < 1:
-            raise ValueError(f"max_ops must be >= 1, got {self.max_ops}")
+        if not 1 <= self.max_ops <= MAX_OPS:
+            raise ValueError(f"max_ops must be in 1..{MAX_OPS}, got {self.max_ops}")
         if not 1 <= self.restarts <= self.budget:
             raise ValueError(f"restarts must be between 1 and the budget ({self.budget}), "
                              f"got {self.restarts}")

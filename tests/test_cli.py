@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +67,18 @@ class TestVerifyCode:
         doc = json.loads(out)
         assert doc["valid"] is False
         assert doc["worst_violation"] > 0
+
+    def test_twenty_thousand_op_encoder_gets_its_report(self, capsys, tmp_path):
+        """The codeword norms drift past 1e-12 over 20,000 ops; the report
+        still comes, instead of the candidate code's normalization error."""
+        from qeclab.search import random_circuit
+
+        path = write_circuit(tmp_path, random_circuit(5, 20_000, np.random.default_rng(0)))
+        code, out, err = run_cli(capsys, "verify-code", "--code", "five-qubit", "--encoder", path)
+        assert (code, err) == (2, "")
+        doc = json.loads(out)
+        assert doc["valid"] is False and doc["kl_ok"] is False
+        assert doc["worst_violation"] > 0.1
 
     def test_trailing_rotation_dropped_is_still_kl_valid_but_not_exact(self, capsys, tmp_path):
         """Losing a final one-qubit rotation rotates the code locally: the
@@ -313,7 +326,7 @@ class TestSearchCommand:
         assert code == 2
         assert err.startswith("error: restarts must be")
 
-    @pytest.mark.parametrize("max_ops", ["0", "-3"])
+    @pytest.mark.parametrize("max_ops", ["0", "-3", "1001"])
     def test_nonpositive_max_ops_is_rejected(self, capsys, max_ops):
         code, out, err = run_cli(capsys, "search", "--budget", "3", "--max-ops", max_ops)
         assert_one_error_line(code, out, err)
@@ -482,7 +495,7 @@ class TestBadInputs:
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "simulate-pulses", "--pulses", str(path), "--ions", "1")
         assert_one_error_line(code, out, err)
-        assert "unitary" in err
+        assert "position 0" in err and "unitary" in err
 
 
 def test_closed_stdout_exits_3_quietly():
@@ -505,6 +518,18 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "t,scheme,n,C_exact,C_mc,mc_stderr\n0,phase3,1,1,,\n"
+
+
+def test_readme_commands_parse():
+    """Each ``qeclab ...`` line of the README's ``## Command line`` block is
+    accepted by the parser (none is run)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("qeclab ")]
+    assert commands
+    for argv in commands:
+        assert build_parser().parse_args(argv[1:]).command == argv[1], argv
 
 
 class TestUpperBounds:

@@ -233,11 +233,6 @@ class TestSyndromeTable:
                          encoder=zeno.encoder, error_classes=tuple(probe_errors)),
             )
 
-    def test_json_round_trip(self):
-        table = build_syndrome_table(five_qubit_code())
-        doc = table.to_dict()
-        assert SyndromeTable.from_dict(doc).corrections == table.corrections
-
 
 class TestDecodeAndCorrect:
     def test_decode_encode_identity(self, rng):
@@ -464,9 +459,3 @@ class TestCodeSpecValidation:
     def test_default_encoder_is_the_shipped_one(self):
         assert five_qubit_code().encoder == five_qubit_encoder()
         assert five_qubit_code(encoder=None).encoder == five_qubit_encoder()
-
-    def test_to_dict_contains_encoder(self):
-        doc = five_qubit_code().to_dict()
-        assert doc["n_physical"] == 5
-        assert len(doc["encoder"]["ops"]) == 37
-        assert len(doc["logical_zero"]) == 32

@@ -1,67 +1,75 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from qeclab.circuits import Circuit, GateOp, SINGLE_QUBIT_KINDS, circuit_to_unitary
+from qeclab.circuits import Circuit, GateOp, SINGLE_QUBIT_KINDS, circuit_to_unitary, serialize_circuit
+from qeclab.cli import main
 from qeclab.codes import five_qubit_code
 from qeclab.iontrap import (
+    LEVELS,
+    PHONON_DIM,
     Pulse,
     PulseSequence,
-    TrapState,
-    apply_pulse,
+    _pulse_apply,
     compile_cphase,
     compile_circuit,
     compile_op,
     op_pulse_cost,
-    per_gate_costs,
     pulses_from_json,
     pulses_to_json,
-    qubit_basis_trap_index,
     simulate_pulse_sequence,
-    trap_dim,
     verify_compilation,
 )
 from qeclab.search import pulse_cost, random_circuit
 from qeclab.states import U, is_unitary
 
 
-def single_ion_state(level: int, phonon: int) -> TrapState:
-    amps = np.zeros(trap_dim(1), dtype=complex)
-    amps[level * 2 + phonon] = 1.0
-    return TrapState(1, amps)
+def single_ion_state(level: int, phonon: int) -> np.ndarray:
+    """The one-ion trap basis state |level, phonon>, as a (3, 2) block."""
+    amps = np.zeros((LEVELS, PHONON_DIM), dtype=complex)
+    amps[level, phonon] = 1.0
+    return amps
+
+
+def run_pulse(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
+    """The simulator's kernel on a copy of a one-ion block."""
+    out = amps.copy()
+    _pulse_apply(out, pulse, out.shape, 0)
+    return out
 
 
 class TestPulsePrimitives:
     """Exact action tables of the three pulse types."""
 
     def test_wphon_g1(self):
-        out = apply_pulse(single_ion_state(0, 1), Pulse("WPhon", 0))
-        assert abs(out.amplitudes[2] + 1j) < 1e-15     # -i |e,0>
+        out = run_pulse(single_ion_state(0, 1), Pulse("WPhon", 0))
+        assert abs(out[1, 0] + 1j) < 1e-15     # -i |e,0>
 
     def test_wphon_e0(self):
-        out = apply_pulse(single_ion_state(1, 0), Pulse("WPhon", 0))
-        assert abs(out.amplitudes[1] + 1j) < 1e-15     # -i |g,1>
+        out = run_pulse(single_ion_state(1, 0), Pulse("WPhon", 0))
+        assert abs(out[0, 1] + 1j) < 1e-15     # -i |g,1>
 
     def test_wphon_fixed_points(self):
         for level, phonon in ((0, 0), (1, 1), (2, 0), (2, 1)):
-            out = apply_pulse(single_ion_state(level, phonon), Pulse("WPhon", 0))
-            assert abs(out.amplitudes[level * 2 + phonon] - 1) < 1e-15
+            out = run_pulse(single_ion_state(level, phonon), Pulse("WPhon", 0))
+            assert abs(out[level, phonon] - 1) < 1e-15
 
     def test_vpulse_sign(self):
-        out = apply_pulse(single_ion_state(0, 1), Pulse("VPulse", 0))
-        assert abs(out.amplitudes[1] + 1) < 1e-15      # -|g,1>
+        out = run_pulse(single_ion_state(0, 1), Pulse("VPulse", 0))
+        assert abs(out[0, 1] + 1) < 1e-15      # -|g,1>
         for level, phonon in ((0, 0), (1, 0), (1, 1)):
-            out = apply_pulse(single_ion_state(level, phonon), Pulse("VPulse", 0))
-            assert abs(out.amplitudes[level * 2 + phonon] - 1) < 1e-15
+            out = run_pulse(single_ion_state(level, phonon), Pulse("VPulse", 0))
+            assert abs(out[level, phonon] - 1) < 1e-15
 
     def test_vphon_g1(self):
-        out = apply_pulse(single_ion_state(0, 1), Pulse("VPhon", 0))
-        assert abs(out.amplitudes[4] + 1j) < 1e-15     # -i |e',0>
+        out = run_pulse(single_ion_state(0, 1), Pulse("VPhon", 0))
+        assert abs(out[2, 0] + 1j) < 1e-15     # -i |e',0>
 
     def test_vphon_unitary_completion(self):
-        out = apply_pulse(single_ion_state(2, 0), Pulse("VPhon", 0))
-        assert abs(out.amplitudes[1] + 1j) < 1e-15     # -i |g,1>
+        out = run_pulse(single_ion_state(2, 0), Pulse("VPhon", 0))
+        assert abs(out[0, 1] + 1j) < 1e-15     # -i |g,1>
 
     def test_daggers_invert(self):
         for kind in ("WPhon", "VPhon", "VPulse"):
@@ -69,20 +77,20 @@ class TestPulsePrimitives:
                 for phonon in range(2):
                     state = single_ion_state(level, phonon)
                     pulse = Pulse(kind, 0)
-                    back = apply_pulse(apply_pulse(state, pulse), pulse.dagger())
-                    np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-15)
+                    back = run_pulse(run_pulse(state, pulse), pulse.dagger())
+                    np.testing.assert_allclose(back, state, atol=1e-15)
 
     def test_one_qubit_acts_on_both_phonon_sectors(self):
         pulse = Pulse("OneQubit", 0, U, label="U")
         for phonon in range(2):
-            out = apply_pulse(single_ion_state(0, phonon), pulse)
-            assert abs(out.amplitudes[0 * 2 + phonon] - 1 / np.sqrt(2)) < 1e-15
-            assert abs(out.amplitudes[1 * 2 + phonon] - 1 / np.sqrt(2)) < 1e-15
+            out = run_pulse(single_ion_state(0, phonon), pulse)
+            assert abs(out[0, phonon] - 1 / np.sqrt(2)) < 1e-15
+            assert abs(out[1, phonon] - 1 / np.sqrt(2)) < 1e-15
 
     def test_one_qubit_leaves_eprime_alone(self):
         pulse = Pulse("OneQubit", 0, U, label="U")
-        out = apply_pulse(single_ion_state(2, 0), pulse)
-        assert abs(out.amplitudes[4] - 1) < 1e-15
+        out = run_pulse(single_ion_state(2, 0), pulse)
+        assert abs(out[2, 0] - 1) < 1e-15
 
     def test_one_qubit_matrix_must_be_unitary_to_1e_12(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -208,9 +216,15 @@ class TestCircuitCompilation:
     def test_empty_circuit_costs_zero(self):
         assert compile_circuit(Circuit(3)).cost == 0
 
-    def test_total_is_sum_of_per_gate_costs(self, rng):
+    def test_total_is_sum_of_per_gate_costs(self, rng, capsys, tmp_path):
+        """The per-gate counts of ``compile --report full`` add up to its total."""
         circ = random_circuit(4, 9, rng)
-        assert compile_circuit(circ).cost == sum(c for _, c in per_gate_costs(circ))
+        path = tmp_path / "circuit.qc.json"
+        path.write_text(serialize_circuit(circ))
+        assert main(["compile", "--circuit", str(path), "--report", "full"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["total_pulses"] == compile_circuit(circ).cost
+        assert doc["total_pulses"] == sum(gate["pulses"] for gate in doc["per_gate"])
 
     def test_search_cost_is_the_compiled_pulse_count(self, rng):
         circ = random_circuit(5, 30, rng)
@@ -319,7 +333,7 @@ class TestPulseJson:
     ], ids=["non-unitary", "reshaped"])
     def test_matrix_after_a_valid_one_is_still_checked(self, later):
         valid = {"kind": "OneQubit", "ion": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
-        with pytest.raises(ValueError, match="2x2 unitary"):
+        with pytest.raises(ValueError, match="position 2: OneQubit pulse matrix must be a 2x2 unitary"):
             pulses_from_json([valid, valid, {**valid, "matrix": later}, {**valid, "matrix": later}])
 
     def test_each_distinct_one_qubit_entry_is_checked_once(self, monkeypatch):
@@ -353,18 +367,3 @@ class TestPulseJson:
         with pytest.raises(ValueError, match="1..6"):
             simulate_pulse_sequence(PulseSequence(()), n_ions)
 
-
-class TestTrapState:
-    def test_qubit_subspace_index(self):
-        assert qubit_basis_trap_index([0, 0]) == 0
-        assert qubit_basis_trap_index([0, 1]) == 2
-        assert qubit_basis_trap_index([1, 0]) == 6
-        assert qubit_basis_trap_index([1, 1]) == 8
-
-    def test_norm_validation(self):
-        with pytest.raises(ValueError, match="normalized"):
-            TrapState(1, np.ones(6))
-
-    def test_pulse_needs_valid_ion(self):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_pulse(TrapState.from_qubits([0]), Pulse("WPhon", 1))

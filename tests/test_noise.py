@@ -32,7 +32,6 @@ from qeclab.noise import (
     phase3_mixture_coefficients,
     phase3_worst_coherence_closed_form,
     run_scheme,
-    sample_trajectory_phases,
     scheme_coherence,
     uncoded_coherence_closed_form,
     zeno2_coherence_closed_form,
@@ -102,33 +101,10 @@ class TestDephaseChannel:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             dephasing_kraus(t)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            sample_trajectory_phases(2, t, seed=1)
-        with pytest.raises(ValueError, match="finite and nonnegative"):
             mc_coherence(Scheme("phase3"), IPLUS, t, 100, seed=1)
 
 
 class TestTrajectoryPhases:
-    def test_zero_time_means_zero_phase(self):
-        phases = sample_trajectory_phases(4, 0.0, seed=1)
-        np.testing.assert_allclose(phases, 0.0)
-
-    def test_seed_determinism(self):
-        a = sample_trajectory_phases(3, 0.5, seed=9)
-        b = sample_trajectory_phases(3, 0.5, seed=9)
-        np.testing.assert_allclose(a, b)
-
-    def test_mean_of_exp_i_phi(self):
-        """Law of large numbers against the Gaussian characteristic function."""
-        rng = np.random.default_rng(5)
-        draws = np.array([sample_trajectory_phases(1, 1.0, seed=rng)[0] for _ in range(100_000)])
-        estimate = np.mean(np.exp(1j * draws))
-        assert abs(estimate - math.exp(-1.0)) < 3.0 / math.sqrt(100_000) + 0.003
-
-    def test_variance_is_two_t(self):
-        rng = np.random.default_rng(6)
-        draws = sample_trajectory_phases(200_000, 0.5, seed=rng)
-        assert abs(np.var(draws) - 1.0) < 0.02
-
     def test_block_rng_is_order_independent(self):
         """Block b's draws do not depend on which blocks were drawn before."""
         a = block_rng(3, 17).normal(size=(MC_BLOCK, 4))
@@ -301,8 +277,6 @@ class TestMonteCarlo:
         """t = 1e308 is finite, but the variance 2t is not."""
         with pytest.raises(ValueError, match="phase width"):
             mc_coherence(Scheme("uncoded"), IPLUS, 1e308, 10, seed=1)
-        with pytest.raises(ValueError, match="phase width"):
-            sample_trajectory_phases(1, 1e308, seed=1)
 
     def test_first_block_does_not_depend_on_shot_count(self):
         scheme = Scheme("phase3", 3)

@@ -44,6 +44,14 @@ class TestValidity:
         assert not result.valid
         assert result.violation > 0.5
 
+    def test_twenty_thousand_op_circuit_gets_a_verdict(self):
+        """Rounding drifts the codeword norms by about 8e-17 per op, to 1.6e-12
+        here: past the 1e-12 that CodeSpec demands of outside codewords."""
+        circ = random_circuit(5, 20_000, np.random.default_rng(0))
+        result = is_valid_perfect_code(circ)
+        assert isinstance(result, ValidityResult)
+        assert not result.valid and result.violation > 0.1
+
     def test_non_orthogonal_images_invalid(self):
         # a circuit that ignores the data qubit maps both inputs to overlapping states
         circ = Circuit(5, (GateOp("U", (1,)),))
@@ -129,7 +137,7 @@ class TestSearch:
         with pytest.raises(ValueError):
             SearchConfig(alphabet=("U", "RX"))
 
-    @pytest.mark.parametrize("max_ops", [0, -3])
+    @pytest.mark.parametrize("max_ops", [0, -3, 1001])
     def test_max_ops_must_be_positive(self, max_ops):
         with pytest.raises(ValueError, match="max_ops"):
             SearchConfig(max_ops=max_ops)
