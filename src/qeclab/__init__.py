@@ -44,7 +44,6 @@ from .iontrap import (
 from .noise import (
     CoherenceCurve,
     Scheme,
-    coherence,
     dephase_channel,
     figure5_data,
     mc_coherence,

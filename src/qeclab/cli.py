@@ -209,7 +209,7 @@ def cmd_verify_code(args) -> int:
         return EXIT_OK
 
     table = build_syndrome_table(code)
-    report["syndrome_table"] = table.to_dict()["corrections"]
+    report["syndrome_table"] = table.corrections
 
     rng = np.random.default_rng(args.seed)
     fidelities = {}

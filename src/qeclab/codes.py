@@ -197,10 +197,6 @@ class CodeSpec:
             object.__setattr__(code, key, value)
         return code
 
-    @property
-    def ancilla_qubits(self) -> tuple:
-        return tuple(range(1, self.n_physical))
-
     def isometry(self) -> np.ndarray:
         """(2**n, 2) matrix whose columns are the codewords."""
         return np.stack([self.logical_zero.amplitudes, self.logical_one.amplitudes], axis=1)
@@ -318,7 +314,6 @@ def two_qubit_zeno_code() -> CodeSpec:
 class SyndromeTable:
     """Map from ancilla measurement bits to the data-qubit correction name."""
 
-    ancilla_qubits: tuple
     corrections: dict = field(default_factory=dict)
 
     def lookup(self, syndrome: str) -> str:
@@ -328,12 +323,6 @@ class SyndromeTable:
                 f"what this code corrects"
             )
         return self.corrections[syndrome]
-
-    def to_dict(self) -> dict:
-        return {
-            "ancilla_qubits": list(self.ancilla_qubits),
-            "corrections": dict(sorted(self.corrections.items())),
-        }
 
 
 # generic probe whose images under I, X, Z, XZ are mutually distinguishable
@@ -370,21 +359,19 @@ def recovery_operators(code: CodeSpec, table: Optional[SyndromeTable] = None) ->
     return corrections @ blocks
 
 
-def build_syndrome_table(code: CodeSpec, errors: Optional[Sequence[ErrorOp]] = None) -> SyndromeTable:
+def build_syndrome_table(code: CodeSpec) -> SyndromeTable:
     """Brute-force table construction over the code's error classes.
 
     Each error is applied to an encoded probe state, the encoder is run
     backwards, and the (deterministic) ancilla bits are recorded together
     with the unique correction that restores the probe. A syndrome shared by
     two errors demanding different corrections raises, since that means the
-    circuit is not a valid encoder for the given error set.
+    circuit is not a valid encoder for the code's error classes.
     """
     recovery = recovery_operators(code)
-    if errors is None:
-        errors = code.error_classes
     encoded_probe = encode(code, _PROBE)
-    table = SyndromeTable(code.ancilla_qubits)
-    for error in errors:
+    table = SyndromeTable()
+    for error in code.error_classes:
         branches = recovery @ apply_error(encoded_probe, error).amplitudes      # (K, 2)
         probs = (np.abs(branches) ** 2).sum(axis=1)
         outcome = int(probs.argmax())

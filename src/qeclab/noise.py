@@ -18,8 +18,10 @@ A scheme with n repetitions encodes, exposes each physical qubit for t/n,
 decodes and corrects, and repeats n times. Coherence is measured as
 C = |<1|rho|0> / <1|rho_0|0>|. Both an exact density-matrix route and a
 seeded Monte-Carlo trajectory route are provided. Both read the same recovery
-operators. Trajectories are drawn in blocks of ``MC_BLOCK``, each keyed by
-(seed, block index), so results do not depend on execution order.
+operators and compute on arrays; ``run_scheme`` wraps the exact route's
+output in a checked ``DensityMatrix`` for the Python API. Trajectories are
+drawn in blocks of ``MC_BLOCK``, each keyed by (seed, block index), so results
+do not depend on execution order.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def dephase_channel(rho: DensityMatrix, qubit: int, t: float) -> DensityMatrix:
     _check_time(t)
     if not 0 <= qubit < rho.n_qubits:
         raise ValueError(f"qubit index {qubit} out of range")
-    return DensityMatrix._trusted(rho.n_qubits, _dephase(rho.matrix, rho.n_qubits, t, (qubit,)))
+    return DensityMatrix(rho.n_qubits, _dephase(rho.matrix, rho.n_qubits, t, (qubit,)))
 
 
 # --- stochastic trajectories ---------------------------------------------------
@@ -165,8 +167,6 @@ def _run_trajectories(scheme: Scheme, psi: PureState, t: float, shots: int, seed
     half of the code block where that qubit reads 1 (qubit 0 is the most
     significant bit).
     """
-    if shots is None:
-        raise ValueError("monte-carlo mode needs a shot count")
     if shots < 2:
         raise ValueError(f"shots must be >= 2 (got {shots}); one trajectory has no error bar")
     if shots > MAX_SHOTS:
@@ -212,29 +212,24 @@ def _run_trajectories(scheme: Scheme, psi: PureState, t: float, shots: int, seed
     return out
 
 
-def run_scheme(scheme: Scheme, psi: PureState, t: float, mode: str = "exact",
-               shots: Optional[int] = None, seed=None) -> DensityMatrix:
-    """Final reduced one-qubit density matrix after the full protection cycle.
-
-    ``mode`` is ``"exact"`` (deterministic channel propagation) or ``"mc"``
-    (average of ``shots`` seeded trajectories).
-    """
+def run_scheme(scheme: Scheme, psi: PureState, t: float) -> DensityMatrix:
+    """Final reduced one-qubit density matrix after the full protection cycle,
+    by exact channel propagation."""
     if psi.n_qubits != 1:
         raise ValueError("schemes protect a single qubit")
     _check_time(t)
-    if mode == "exact":
-        return DensityMatrix._trusted(1, _run_exact(scheme, psi, t))
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    states = _run_trajectories(scheme, psi, t, shots, seed)
-    rho = np.einsum("si,sj->ij", states, states.conj()) / states.shape[0]
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix._trusted(1, rho)
+    return DensityMatrix(1, _run_exact(scheme, psi, t))
 
 
-def _off_diagonal(rho0: DensityMatrix) -> complex:
-    """<1|rho_0|0>, the reference of the coherence; a basis state has none."""
-    z0 = rho0.matrix[1, 0]
+def _off_diagonal(psi: PureState) -> complex:
+    """<1|rho_0|0> of the input, the reference of the coherence; a basis state
+    has none. Spelled as an array multiply: that has the bits of
+    ``np.outer(a, a.conj())[1, 0]``, while ``a[1] * a[0].conj()`` rounds
+    differently."""
+    if psi.n_qubits != 1:
+        raise ValueError("schemes protect a single qubit")
+    a = psi.amplitudes
+    z0 = (a[1:] * a[:1].conj())[0]
     if abs(z0) < 1e-12:
         raise ValueError(
             "initial state has no off-diagonal element; pick a superposition input"
@@ -242,14 +237,11 @@ def _off_diagonal(rho0: DensityMatrix) -> complex:
     return z0
 
 
-def coherence(rho: DensityMatrix, rho0: DensityMatrix) -> float:
-    """C = |<1|rho|0> / <1|rho_0|0>|; undefined for basis-state inputs."""
-    return float(abs(rho.matrix[1, 0] / _off_diagonal(rho0)))
-
-
 def scheme_coherence(scheme: Scheme, psi: PureState, t: float) -> float:
-    """Exact-mode coherence of the scheme at time t."""
-    return coherence(run_scheme(scheme, psi, t), psi.density())
+    """Exact coherence C = |<1|rho|0> / <1|rho_0|0>| of the scheme at time t."""
+    z0 = _off_diagonal(psi)
+    _check_time(t)
+    return float(abs(_run_exact(scheme, psi, t)[1, 0] / z0))
 
 
 def mc_coherence(scheme: Scheme, psi: PureState, t: float, shots: int, seed=None):
@@ -259,7 +251,7 @@ def mc_coherence(scheme: Scheme, psi: PureState, t: float, shots: int, seed=None
     elements z is the delta method's: the spread of z projected on the
     direction of the mean, over sqrt(shots).
     """
-    z0 = _off_diagonal(psi.density())
+    z0 = _off_diagonal(psi)
     states = _run_trajectories(scheme, psi, t, shots, seed)
     z = states[:, 1] * states[:, 0].conj()
     mean = z.mean()

@@ -34,7 +34,8 @@ from .iontrap import op_pulse_cost
 from .states import PureState
 
 DEFAULT_ALPHABET = SINGLE_QUBIT_KINDS + ("CNOT", "CPHASE")
-MAX_OPS = 1000      # the climber keeps one codeword block, about 1.1 KB, per op prefix
+MAX_OPS = 1000      # bounds max_ops and the start circuit: the climber keeps one
+                    # codeword block, about 1.1 KB, per op prefix
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,8 @@ class SearchConfig:
             raise ValueError("budget must be >= 1")
         if not 1 <= self.max_ops <= MAX_OPS:
             raise ValueError(f"max_ops must be in 1..{MAX_OPS}, got {self.max_ops}")
+        if self.start is not None and len(self.start.ops) > MAX_OPS:
+            raise ValueError(f"start circuit has {len(self.start.ops)} ops; at most {MAX_OPS} are allowed")
         if not 1 <= self.restarts <= self.budget:
             raise ValueError(f"restarts must be between 1 and the budget ({self.budget}), "
                              f"got {self.restarts}")

@@ -108,7 +108,7 @@ class PureState:
         return 2**self.n_qubits
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix._trusted(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,6 @@ class DensityMatrix:
         if eigs.min() < PSD_EIG_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
         object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def _trusted(cls, n_qubits: int, matrix: np.ndarray) -> "DensityMatrix":
-        """Wrap a matrix that is a density matrix by construction (a pure
-        state's projector, a channel's output), skipping the checks, the
-        eigendecomposition above all, that outside input gets."""
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "n_qubits", n_qubits)
-        object.__setattr__(rho, "matrix", _freeze(matrix))
-        return rho
 
     @property
     def dim(self) -> int:

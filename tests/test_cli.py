@@ -218,6 +218,18 @@ class TestNoise:
                              "--shots", "300", "--seed", "6")
         assert out1 == out2
 
+    def test_mc_stream_golden_bytes(self, capsys):
+        """The seeded MC stream is pinned across versions, not only between reruns."""
+        code, out, err = run_cli(capsys, "noise", "--scheme", "phase3", "--n", "3",
+                                 "--t", "0", "0.5", "1", "--shots", "1000", "--seed", "7")
+        assert (code, err) == (0, "")
+        assert out == (
+            "t,scheme,n,C_exact,C_mc,mc_stderr\n"
+            "0,phase3,3,1,1,0\n"
+            "0.5,phase3,3,0.902709379704,0.891964271908,0.0106865162477\n"
+            "1,phase3,3,0.707008034678,0.71216101209,0.0174526591222\n"
+        )
+
     def test_qecc_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("QECC_SEED", "123")
         _, out1, _ = run_cli(capsys, "noise", "--scheme", "zeno2", "--t", "1", "--shots", "200")
@@ -284,6 +296,28 @@ class TestFigure5Command:
         run_cli(capsys, "figure5", "--out", p2, "--steps", "3", "--shots", "200", "--seed", "9")
         assert open(p1).read() == open(p2).read()
 
+    def test_mc_stream_golden_bytes(self, capsys, tmp_path):
+        """The per-point seeds and the MC stream are pinned across versions."""
+        out_path = tmp_path / "fig5.csv"
+        code, out, err = run_cli(capsys, "figure5", "--tmax", "3", "--steps", "2",
+                                 "--shots", "2000", "--seed", "0", "--out", str(out_path))
+        assert (code, out, err) == (0, f"wrote {out_path}: 12 rows\n", "")
+        assert out_path.read_text() == (
+            "t,scheme,n,C_exact,C_mc,mc_stderr\n"
+            "0,uncoded,1,1,1,0\n"
+            "1.5,uncoded,1,0.223130160148,0.23032219657,0.0151425954291\n"
+            "3,uncoded,1,0.0497870683679,0.0715560808941,0.0157726969646\n"
+            "0,zeno2,1,1,1,2.48315501962e-18\n"
+            "1.5,zeno2,1,0.223130160148,0.206143010776,0.0184731094326\n"
+            "3,zeno2,1,0.0497870683679,2.65228315689e-05,0.0192336589567\n"
+            "0,phase3,1,1,1,0\n"
+            "1.5,phase3,1,0.329140741954,0.3378433677,0.0191284449418\n"
+            "3,phase3,1,0.0746188976498,0.0707313813899,0.0204634917172\n"
+            "0,phase3,10,1,1,0\n"
+            "1.5,phase3,10,0.754692593335,0.734090555806,0.0111379298692\n"
+            "3,phase3,10,0.380700511856,0.367033456167,0.015346456111\n"
+        )
+
     def test_unwritable_path(self, capsys):
         code, _, err = run_cli(capsys, "figure5", "--out", "/nonexistent/dir/f.csv")
         assert code == 3
@@ -339,6 +373,25 @@ class TestSearchCommand:
                                  "--start", start)
         assert_one_error_line(code, out, err)
         assert "5-qubit" in err
+
+    def test_start_of_max_ops_is_accepted(self, capsys, tmp_path):
+        from qeclab.search import MAX_OPS, random_circuit
+
+        start = write_circuit(tmp_path, random_circuit(5, MAX_OPS, np.random.default_rng(0)))
+        code, out, err = run_cli(capsys, "search", "--budget", "2", "--restarts", "1",
+                                 "--start", start)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["iterations"] == 2
+
+    def test_start_past_max_ops_is_rejected(self, capsys, tmp_path):
+        """The climber keeps a codeword block per op prefix of the start circuit."""
+        from qeclab.search import MAX_OPS, random_circuit
+
+        start = write_circuit(tmp_path, random_circuit(5, MAX_OPS + 1, np.random.default_rng(0)))
+        code, out, err = run_cli(capsys, "search", "--budget", "2", "--restarts", "1",
+                                 "--start", start)
+        assert_one_error_line(code, out, err)
+        assert f"start circuit has {MAX_OPS + 1} ops; at most {MAX_OPS}" in err
 
 
 class TestShotValidation:

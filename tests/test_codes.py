@@ -216,7 +216,9 @@ class TestSyndromeTable:
         table = build_syndrome_table(code)
         seen = {}
         for error in single_qubit_error_classes(5):
-            rebuilt = build_syndrome_table(code, errors=[error])
+            rebuilt = build_syndrome_table(
+                CodeSpec("one-error", 5, code.logical_zero, code.logical_one,
+                         encoder=code.encoder, error_classes=(error,)))
             ((syndrome, correction),) = rebuilt.corrections.items()
             if syndrome in seen:
                 assert seen[syndrome] == correction
@@ -282,8 +284,7 @@ class TestDecodeAndCorrect:
     def test_incomplete_table_raises_only_on_its_missing_syndrome(self, rng):
         code = three_qubit_phase_code()
         full = build_syndrome_table(code)
-        partial = SyndromeTable(full.ancilla_qubits,
-                                {s: c for s, c in full.corrections.items() if s != "11"})
+        partial = SyndromeTable({s: c for s, c in full.corrections.items() if s != "11"})
         psi = random_pure_state(1, rng)
         raised = 0
         for error in code.error_classes:

@@ -22,7 +22,6 @@ from qeclab.noise import (
     Scheme,
     _run_trajectories,
     block_rng,
-    coherence,
     curves_to_csv,
     dephase_channel,
     dephasing_kraus,
@@ -36,7 +35,7 @@ from qeclab.noise import (
     uncoded_coherence_closed_form,
     zeno2_coherence_closed_form,
 )
-from qeclab.states import DensityMatrix, PureState, X, basis_bits
+from qeclab.states import PureState, X, basis_bits
 
 from conftest import random_pure_state
 
@@ -167,15 +166,27 @@ class TestRunSchemeExact:
         with pytest.raises(ValueError):
             run_scheme(Scheme("zeno2"), IPLUS, -1.0)
         with pytest.raises(ValueError):
-            run_scheme(Scheme("zeno2"), IPLUS, 1.0, mode="mc")  # missing shots
-        with pytest.raises(ValueError):
             Scheme("zeno5")
 
 
 class TestCoherence:
     def test_equal_states_give_one(self, rng):
-        rho = random_pure_state(1, rng).density()
-        assert abs(coherence(rho, rho) - 1) < 1e-12
+        """At t = 0 every scheme returns its input, on both routes."""
+        psi = random_pure_state(1, rng)
+        for kind in SCHEME_KINDS:
+            assert abs(scheme_coherence(Scheme(kind, 3), psi, 0.0) - 1) < 1e-12
+            c_mc, stderr = mc_coherence(Scheme(kind, 3), psi, 0.0, 10, seed=1)
+            assert abs(c_mc - 1) < 1e-12 and stderr < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(SCHEME_KINDS), reps=st.integers(1, 12),
+           t=st.floats(0.0, 5.0), psi_seed=st.integers(0, 2**32 - 1))
+    def test_exact_coherence_reads_the_density_matrices_bit_for_bit(self, kind, reps, t, psi_seed):
+        """The array route gives the very float the checked matrices give."""
+        psi = random_pure_state(1, np.random.default_rng(psi_seed))
+        rho = run_scheme(Scheme(kind, reps), psi, t)
+        expected = float(abs(rho.matrix[1, 0] / psi.density().matrix[1, 0]))
+        assert scheme_coherence(Scheme(kind, reps), psi, t) == expected
 
     def test_zeno2_value_at_t1(self):
         c = scheme_coherence(Scheme("zeno2"), PLUS, 1.0)
@@ -190,13 +201,28 @@ class TestCoherence:
         assert abs(scheme_coherence(Scheme("phase3"), PLUS, 1.0) - 1) < 1e-12
 
     def test_global_phase_of_off_diagonal_ignored(self):
-        rho0 = IPLUS.density()
-        rotated = PureState(1, np.array([1, -1j]) / np.sqrt(2)).density()
-        assert abs(coherence(rotated, rho0) - 1) < 1e-12
+        """C is the modulus of <1|rho|0> / <1|rho_0|0>. On a 45 degree input
+        phase3's output a*rho_0 + b*X rho_0 X makes that ratio a - ib."""
+        rotated = PureState(1, np.array([1, -1j]) / np.sqrt(2))
+        assert scheme_coherence(Scheme("phase3"), rotated, 1.0) == scheme_coherence(
+            Scheme("phase3"), IPLUS, 1.0)
+        psi = PureState(1, np.array([1, np.exp(1j * np.pi / 4)]) / np.sqrt(2))
+        a, b = phase3_mixture_coefficients(1.0)
+        assert abs(scheme_coherence(Scheme("phase3"), psi, 1.0) - math.hypot(a, b)) < 1e-12
 
     def test_basis_state_rejected(self):
-        with pytest.raises(ValueError, match="off-diagonal"):
-            coherence(PureState.from_bits("0").density(), PureState.from_bits("0").density())
+        for bits in ("0", "1"):
+            with pytest.raises(ValueError, match="off-diagonal"):
+                scheme_coherence(Scheme("phase3"), PureState.from_bits(bits), 1.0)
+            with pytest.raises(ValueError, match="off-diagonal"):
+                mc_coherence(Scheme("phase3"), PureState.from_bits(bits), 1.0, 100, seed=1)
+
+    def test_two_qubit_input_rejected_on_both_routes(self, rng):
+        psi = random_pure_state(2, rng)
+        with pytest.raises(ValueError, match="schemes protect a single qubit"):
+            scheme_coherence(Scheme("zeno2"), psi, 1.0)
+        with pytest.raises(ValueError, match="schemes protect a single qubit"):
+            mc_coherence(Scheme("zeno2"), psi, 1.0, 100, seed=1)
 
     def test_short_time_slope_is_minus_one(self):
         """d C_zeno2 / dt at 0+ is -1: the error is first order in t, not second."""
@@ -250,28 +276,24 @@ class TestMonteCarlo:
         b = mc_coherence(Scheme("phase3"), IPLUS, 0.5, 2000, seed=7)
         assert a == b
 
-    def test_run_scheme_mc_returns_valid_density(self):
-        rho = run_scheme(Scheme("zeno2"), IPLUS, 0.5, mode="mc", shots=4000, seed=3)
-        assert isinstance(rho, DensityMatrix)
-        assert abs(np.trace(rho.matrix) - 1) < 1e-10
-
     def test_trajectory_channel_matches_kraus_channel(self):
         """Averaged single-qubit trajectories reproduce the exact channel."""
         shots = 30_000
-        rho = run_scheme(Scheme("uncoded"), IPLUS, 1.0, mode="mc", shots=shots, seed=11)
+        states = _run_trajectories(Scheme("uncoded"), IPLUS, 1.0, shots, 11)
+        rho = states.T @ states.conj() / shots
         exact = dephase_channel(IPLUS.density(), 0, 1.0)
-        assert np.abs(rho.matrix - exact.matrix).max() < 5.0 / math.sqrt(shots)
+        assert np.abs(rho - exact.matrix).max() < 5.0 / math.sqrt(shots)
 
     def test_shot_validation(self):
         with pytest.raises(ValueError):
             mc_coherence(Scheme("zeno2"), IPLUS, 1.0, 0, seed=1)
 
     def test_one_shot_rejected(self):
-        """One trajectory has no error bar: both MC entry points refuse it."""
+        """One trajectory has no error bar: the MC route refuses it."""
         with pytest.raises(ValueError, match="shots"):
             mc_coherence(Scheme("phase3"), IPLUS, 1.0, 1, seed=1)
         with pytest.raises(ValueError, match="shots"):
-            run_scheme(Scheme("phase3"), IPLUS, 1.0, mode="mc", shots=1, seed=1)
+            _run_trajectories(Scheme("phase3"), IPLUS, 1.0, 1, 1)
 
     def test_mc_rejects_a_phase_width_that_overflows(self):
         """t = 1e308 is finite, but the variance 2t is not."""
