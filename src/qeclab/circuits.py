@@ -24,6 +24,7 @@ from .states import U, UDAG, V, VDAG, W, WDAG, X, Z, PureState, basis_bits
 # Largest register with a dense path (unitaries, pulse simulation); the
 # circuit parser rejects larger ones, so every command agrees on what is valid.
 MAX_QUBITS = 6
+MAX_CIRCUIT_OPS = 20_000    # longest circuit document the parser builds
 
 SINGLE_QUBIT_KINDS = ("U", "Udag", "V", "Vdag", "W", "Wdag", "X", "Z")
 KINDS = SINGLE_QUBIT_KINDS + ("CNOT", "CPHASE")
@@ -210,6 +211,8 @@ def circuit_from_dict(doc: dict) -> Circuit:
         raise CircuitFormatError(f"'n' is {doc['n']}; registers are limited to {MAX_QUBITS} qubits")
     if not isinstance(doc["ops"], list):
         raise CircuitFormatError(f"'ops' must be a list, got {doc['ops']!r}")
+    if len(doc["ops"]) > MAX_CIRCUIT_OPS:
+        raise CircuitFormatError(f"circuit has {len(doc['ops'])} ops; at most {MAX_CIRCUIT_OPS} are allowed")
     return Circuit(doc["n"], tuple(_op_from_dict(op_doc, i) for i, op_doc in enumerate(doc["ops"])))
 
 

@@ -272,6 +272,13 @@ def cmd_simulate_pulses(args) -> int:
     return EXIT_OK
 
 
+def _complex_flag(flag: str, text: str) -> complex:
+    try:
+        return complex(text)
+    except ValueError:
+        raise ValueError(f"{flag} must be a complex number, got {text!r}") from None
+
+
 def _psi_from_args(args) -> PureState:
     if args.psi == "plus":
         return PLUS
@@ -279,7 +286,8 @@ def _psi_from_args(args) -> PureState:
         return IPLUS
     if args.alpha is None or args.beta is None:
         raise ValueError("--psi custom needs --alpha and --beta")
-    parts = np.array([complex(args.alpha), complex(args.beta)]).view(float)   # re, im, re, im
+    parts = np.array([_complex_flag("--alpha", args.alpha),
+                      _complex_flag("--beta", args.beta)]).view(float)    # re, im, re, im
     if not np.isfinite(parts).all():
         raise ValueError("custom amplitudes must be finite")
     # Scale by the power of two just above the largest part: exact, so the

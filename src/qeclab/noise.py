@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .codes import (
+    _collapse,
     build_syndrome_table,
     recovery_operators,
     three_qubit_phase_code,
@@ -174,8 +175,7 @@ def _run_trajectories(scheme: Scheme, psi: PureState, t: float, shots: int, seed
     n, isometry, recovery = _model(scheme.kind)
     n_reps = scheme.repetitions
     sigma = _phase_width(t, n_reps)
-    n_outcomes = recovery.shape[0]
-    recovery = recovery.reshape(2 * n_outcomes, 2**n)           # row 2s + a: outcome s, amplitude a
+    recovery = recovery.reshape(-1, 2**n)                       # row 2s + a: outcome s, amplitude a
 
     out = np.empty((shots, 2), dtype=complex)
     for block, start in enumerate(range(0, shots, MC_BLOCK)):
@@ -183,7 +183,6 @@ def _run_trajectories(scheme: Scheme, psi: PureState, t: float, shots: int, seed
         rng = block_rng(seed, block)
         phases = rng.normal(0.0, sigma, size=(size, n_reps, n))
         draws = rng.uniform(size=(size, n_reps))
-        cols = np.arange(size)
         kick = np.empty((n, size), dtype=complex)
         states = np.broadcast_to(psi.amplitudes[:, None], (2, size))
         for rep in range(n_reps):
@@ -192,22 +191,7 @@ def _run_trajectories(scheme: Scheme, psi: PureState, t: float, shots: int, seed
             np.sin(phases[:, rep].T, out=kick.imag)
             for q in range(n):
                 full.reshape(2**q, 2, -1, size)[:, 1] *= kick[q]
-            amps = recovery @ full                              # (2K, size)
-            # Born sampling of the ancilla outcome, then collapse
-            sq = amps.real * amps.real                          # x**2 is slower on these strided views
-            sq += amps.imag * amps.imag
-            probs = sq[0::2] + sq[1::2]                         # (K, size)
-            cum = probs.copy()
-            for s in range(1, n_outcomes):
-                cum[s] += cum[s - 1]
-            threshold = draws[:, rep] * cum[-1]
-            chosen = np.zeros(size, dtype=np.intp)
-            for s in range(n_outcomes - 1):
-                chosen += cum[s] <= threshold                   # first s with cum[s] > threshold
-            pick = chosen * size + cols                         # (chosen, col) in probs
-            first = pick + chosen * size                        # (chosen, 0, col) in amps
-            branch = amps.reshape(-1).take(np.stack((first, first + size)))
-            states = branch / np.sqrt(probs.reshape(-1).take(pick))
+            _, states, _ = _collapse(recovery @ full, draws[:, rep])   # Born sampling, collapse
         out[start:start + size] = states.T
     return out
 

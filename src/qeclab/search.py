@@ -118,6 +118,9 @@ class SearchConfig:
             raise ValueError("budget must be >= 1")
         if not 1 <= self.max_ops <= MAX_OPS:
             raise ValueError(f"max_ops must be in 1..{MAX_OPS}, got {self.max_ops}")
+        if self.start is not None and self.start.n_qubits != self.n_qubits:
+            raise ValueError(f"start circuit has {self.start.n_qubits} qubits; "
+                             f"the search runs on {self.n_qubits}-qubit circuits")
         if self.start is not None and len(self.start.ops) > MAX_OPS:
             raise ValueError(f"start circuit has {len(self.start.ops)} ops; at most {MAX_OPS} are allowed")
         if not 1 <= self.restarts <= self.budget:
@@ -221,8 +224,7 @@ def mutate(circuit: Circuit, cfg: SearchConfig, rng: np.random.Generator) -> Cir
         ops.append(random_op(cfg.n_qubits, cfg.alphabet, rng))
     else:                          # at or over the cap: shrink rather than grow
         ops.pop(int(rng.integers(len(ops))))
-    build = Circuit._trusted if circuit.n_qubits == cfg.n_qubits else Circuit  # ops in range
-    return build(cfg.n_qubits, tuple(ops))
+    return Circuit._trusted(cfg.n_qubits, tuple(ops))      # SearchConfig checks the start's register
 
 
 def _candidate(circuit: Circuit, res: ValidityResult) -> Candidate:

@@ -525,6 +525,16 @@ class TestBadInputs:
         assert_one_error_line(code, out, err)
         assert "finite" in err
 
+    @pytest.mark.parametrize("alpha,beta,message", [
+        ("1", "foo", "--beta must be a complex number, got 'foo'"),
+        ("0.6+", "0.8j", "--alpha must be a complex number, got '0.6+'"),
+    ])
+    def test_unparseable_custom_amplitude_names_its_flag(self, capsys, alpha, beta, message):
+        code, out, err = run_cli(capsys, "noise", "--scheme", "phase3", "--t", "1",
+                                 "--psi", "custom", "--alpha", alpha, "--beta", beta)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv", [
         ("noise", "--scheme", "phase3", "--t", "nan"),
         ("noise", "--scheme", "phase3", "--t", "1", "inf", "--shots", "100"),
@@ -594,6 +604,21 @@ class TestUpperBounds:
         code, out, err = run_cli(capsys, "verify-code", "--code", "five-qubit", "--trials", trials)
         assert_one_error_line(code, out, err)
         assert "1..1000" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("compile", "--circuit"),
+        ("verify-code", "--code", "five-qubit", "--encoder"),
+        ("search", "--budget", "2", "--restarts", "1", "--start"),
+    ], ids=["compile", "verify-code", "search"])
+    def test_circuit_file_one_op_past_the_cap(self, capsys, tmp_path, argv):
+        """The parser refuses the file before it builds any op."""
+        from qeclab.circuits import MAX_CIRCUIT_OPS
+
+        path = tmp_path / "long.qc.json"
+        path.write_text(json.dumps({"n": 5, "ops": [{"kind": "X", "targets": [0]}] * (MAX_CIRCUIT_OPS + 1)}))
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert_one_error_line(code, out, err)
+        assert f"circuit has {MAX_CIRCUIT_OPS + 1} ops; at most {MAX_CIRCUIT_OPS}" in err
 
     def test_steps_one_past_the_bound(self, capsys, tmp_path):
         out_path = tmp_path / "fig5.csv"

@@ -229,11 +229,19 @@ class TestSyndromeTable:
         """The detection-only code is not distance 3: table construction fails."""
         zeno = two_qubit_zeno_code()
         probe_errors = [ErrorOp("I"), ErrorOp("Z", 0), ErrorOp("Z", 1)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="syndrome collision"):
             build_syndrome_table(
                 CodeSpec("zeno-as-corrector", 2, zeno.logical_zero, zeno.logical_one,
                          encoder=zeno.encoder, error_classes=tuple(probe_errors)),
             )
+
+    def test_non_clifford_encoder_raises_non_deterministic(self):
+        """After X1 this encoder's ancillas read one outcome with p = 0.64 only."""
+        encoder = Circuit(3, (GateOp("U", (1,)), GateOp("U", (2,)), GateOp("CPHASE", (2,), (0, 1))))
+        zero, one = codes.circuit_codewords(encoder)
+        code = CodeSpec("non-clifford", 3, zero, one, encoder=encoder, error_classes=(ErrorOp("X", 1),))
+        with pytest.raises(ValueError, match=r"ancilla measurement is not deterministic \(p=0\.640000\)"):
+            build_syndrome_table(code)
 
 
 class TestDecodeAndCorrect:
@@ -319,6 +327,52 @@ class TestDecodeAndCorrect:
             assert syndrome != "0000" and fidelity(recovered, psi) >= 1 - 1e-10
         assert len(built) == 1
         assert not recovery_operators(code).flags.writeable
+
+
+def _collapse_reference(amps, draws):
+    """One column at a time, as ``Generator.choice(K, p=probs / probs.sum())``
+    samples: the cdf of the normalised probabilities, divided by its last
+    entry, then ``searchsorted(side="right")`` of the uniform. Also returns
+    each column's cdf."""
+    outcomes, states, probs, cdfs = [], [], [], []
+    for b in range(amps.shape[1]):
+        branches = amps[:, b].reshape(-1, 2)
+        p = (np.abs(branches) ** 2).sum(axis=1)
+        cdf = np.cumsum(p / p.sum())
+        cdf /= cdf[-1]
+        s = int(cdf.searchsorted(draws[b], side="right"))
+        outcomes.append(s)
+        states.append(branches[s] / np.sqrt(p[s]))
+        probs.append(p)
+        cdfs.append(cdf)
+    return np.array(outcomes), np.array(states).T, np.array(probs).T, cdfs
+
+
+class TestCollapse:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([1, 2, 4, 16]), size=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           draws=st.lists(st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True), min_size=8, max_size=8))
+    def test_matches_the_per_column_reference(self, k, size, seed, draws):
+        """Same outcome and states to 1e-15 on columns of any total weight,
+        zero-probability outcomes and draws of exactly 0 included; draws
+        within 1e-12 of a nonzero cdf step may round either way and are left
+        out."""
+        gen = np.random.default_rng(seed)
+        amps = gen.normal(size=(2 * k, size)) + 1j * gen.normal(size=(2 * k, size))
+        zero = gen.random((k, size)) < 0.4
+        zero[gen.integers(k, size=size), np.arange(size)] = False      # one live outcome per column
+        amps *= np.repeat(~zero, 2, axis=0)                             # row 2s + a: outcome s
+        amps *= np.ldexp(1.0, gen.integers(-3, 4, size=size)) / np.linalg.norm(amps, axis=0)
+        draws = np.array(draws[:size])
+
+        outcomes, states, probs = codes._collapse(amps, draws)
+        ref_outcomes, ref_states, ref_probs, cdfs = _collapse_reference(amps, draws)
+        assert outcomes.shape == (size,) and states.shape == (2, size) and probs.shape == (k, size)
+        assert np.all(np.abs(probs - ref_probs) <= 1e-15 * ref_probs.sum(axis=0))
+        clear = [not np.any((cdf > 0) & (np.abs(cdf - u) < 1e-12)) for cdf, u in zip(cdfs, draws)]
+        assert np.array_equal(outcomes[clear], ref_outcomes[clear])
+        assert np.abs(states[:, clear] - ref_states[:, clear]).max(initial=0.0) < 1e-15
+        assert not zero[outcomes[clear], np.arange(size)[clear]].any()
 
 
 def _recovery_reference(code, table):

@@ -137,6 +137,12 @@ class TestSearch:
         with pytest.raises(ValueError):
             SearchConfig(alphabet=("U", "RX"))
 
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_start_register_must_match(self, n):
+        start = Circuit(n, (GateOp("CNOT", (n - 1,), (0,)),))
+        with pytest.raises(ValueError, match=f"start circuit has {n} qubits; the search runs on 5-qubit circuits"):
+            SearchConfig(start=start)
+
     @pytest.mark.parametrize("max_ops", [0, -3, 1001])
     def test_max_ops_must_be_positive(self, max_ops):
         with pytest.raises(ValueError, match="max_ops"):
