@@ -25,6 +25,9 @@ from .states import U, UDAG, V, VDAG, W, WDAG, X, Z, PureState, basis_bits
 # circuit parser rejects larger ones, so every command agrees on what is valid.
 MAX_QUBITS = 6
 MAX_CIRCUIT_OPS = 20_000    # longest circuit document the parser builds
+# longest pulse program the parser builds: every program compile writes for
+# a circuit within MAX_CIRCUIT_OPS, at most 2c + k = 11 pulses per op (c + k <= 6)
+MAX_PULSES = (2 * MAX_QUBITS - 1) * MAX_CIRCUIT_OPS
 
 SINGLE_QUBIT_KINDS = ("U", "Udag", "V", "Vdag", "W", "Wdag", "X", "Z")
 KINDS = SINGLE_QUBIT_KINDS + ("CNOT", "CPHASE")

@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .circuits import CircuitFormatError, parse_circuit, serialize_circuit
+from .circuits import MAX_CIRCUIT_OPS, CircuitFormatError, GateOp, parse_circuit, serialize_circuit
 from .codes import (
     build_syndrome_table,
     check_knill_laflamme,
@@ -37,10 +37,11 @@ from .codes import (
     two_qubit_zeno_code,
 )
 from .iontrap import (
+    PulseSequence,
     compile_circuit,
     op_pulse_cost,
+    pulse_to_json,
     pulses_from_json,
-    pulses_to_json,
     simulate_pulse_sequence,
     verify_compilation,
 )
@@ -64,6 +65,13 @@ EXIT_IO = 3
 
 MAX_TRIALS = 1000
 
+# Input files larger than these are refused before they are read. Per op,
+# serialize_circuit spells at most 157 bytes (a six-qubit CPHASE) and
+# compile --out at most 455 (a CNOT: two OneQubit entries and three phonon
+# pulses), so every file they write within MAX_CIRCUIT_OPS loads.
+MAX_CIRCUIT_BYTES = 200 * MAX_CIRCUIT_OPS
+MAX_PULSE_BYTES = 800 * MAX_CIRCUIT_OPS
+
 _CODES = {
     "five-qubit": five_qubit_code,
     "phase3": three_qubit_phase_code,
@@ -82,12 +90,22 @@ def _default_seed() -> int:
     return seed
 
 
-def _read_text(path: str) -> str:
+def _load(path: str, max_bytes: int, parse):
+    """``parse`` of the text of input file ``path``. A file of more than
+    ``max_bytes`` is refused before it is read, and a document nested past
+    the recursion limit is an input error, not a traceback."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            # a pipe has no size: read it to at most one byte past the cap
+            data = fh.read(max_bytes + 1) if os.fstat(fh.fileno()).st_size <= max_bytes else None
     except OSError as exc:
         raise _IOFailure(f"cannot read {path}: {exc}") from None
+    if data is None or len(data) > max_bytes:
+        raise ValueError(f"{path} has more than {max_bytes} bytes, the limit for this input")
+    try:
+        return parse(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path} nests too deeply to parse") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -103,6 +121,10 @@ class _IOFailure(Exception):
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _Raw(str):
+    """JSON text already spelled for its place in a report, printed as is."""
 
 
 def _json_pieces(value, out: list, indent: str) -> None:
@@ -148,6 +170,8 @@ def _json_pieces(value, out: list, indent: str) -> None:
         out.append("null")
     elif kind is int:
         out.append(repr(value))
+    elif kind is _Raw:
+        out.append(value)
     else:   # tuples, subclasses, NumPy scalars, non-string keys: json's own spelling (or TypeError)
         out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", indent))
 
@@ -163,6 +187,52 @@ def _emit(doc: dict) -> None:
     print(_dumps(doc))
 
 
+# A report's list entries under a top-level key start on a new line, four
+# spaces in; their fragments are spelled once for that place and joined.
+_ENTRY = "\n    "
+_FRAGMENT_CACHE_SIZE = 1024     # a program on 6 ions holds at most 78 distinct compiled pulses
+_PULSE_FRAGMENTS: dict = {}
+
+
+def _raw_list(entries: list) -> _Raw:
+    """A top-level key's list value, from entries spelled at ``_ENTRY``."""
+    if not entries:
+        return _Raw("[]")
+    return _Raw("[" + _ENTRY + ("," + _ENTRY).join(entries) + "\n  ]")
+
+
+@lru_cache(maxsize=4096)
+def _gate_fragment(op: GateOp) -> str:
+    """The op's entry in the report's ``per_gate`` list."""
+    out = []
+    _json_pieces({"kind": op.kind, "controls": list(op.controls), "targets": list(op.targets),
+                  "pulses": op_pulse_cost(op)}, out, _ENTRY)
+    return "".join(out)
+
+
+def _pulse_texts(seq: PulseSequence) -> tuple:
+    """The report's ``pulses`` list and the ``--out`` file text of ``seq``.
+    Both are joined from per-pulse fragments, spelled from ``pulse_to_json``
+    once per content: kind, ion, label and the matrix bytes, so that 0.0 and
+    -0.0 stay apart. The cache keeps the newest ``_FRAGMENT_CACHE_SIZE``."""
+    cache = _PULSE_FRAGMENTS
+    report, compact = [], []
+    for pulse in seq.pulses:
+        key = (pulse.kind, pulse.ion, pulse.label, None if pulse.matrix is None else pulse.matrix.tobytes())
+        texts = cache.get(key)
+        if texts is None:
+            doc = pulse_to_json(pulse)
+            pieces = []
+            _json_pieces(doc, pieces, _ENTRY)
+            texts = "".join(pieces), json.dumps(doc, separators=(",", ":"))
+            if len(cache) >= _FRAGMENT_CACHE_SIZE:
+                del cache[next(iter(cache))]        # the oldest
+            cache[key] = texts
+        report.append(texts[0])
+        compact.append(texts[1])
+    return _raw_list(report), "[" + ",".join(compact) + "]"
+
+
 def cmd_verify_code(args) -> int:
     if not 1 <= args.trials <= MAX_TRIALS:
         raise ValueError(f"--trials must be in 1..{MAX_TRIALS} (got {args.trials})")
@@ -170,7 +240,7 @@ def cmd_verify_code(args) -> int:
     if args.encoder is not None:
         if args.code != "five-qubit":
             raise ValueError("--encoder is only supported for the five-qubit code")
-        encoder = parse_circuit(_read_text(args.encoder))
+        encoder = _load(args.encoder, MAX_CIRCUIT_BYTES, parse_circuit)
         try:
             code = five_qubit_code(encoder=encoder)
         except ValueError as exc:
@@ -232,32 +302,28 @@ def cmd_verify_code(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    circuit = parse_circuit(_read_text(args.circuit))
+    circuit = _load(args.circuit, MAX_CIRCUIT_BYTES, parse_circuit)
     seq = compile_circuit(circuit)
     doc = {"n_qubits": circuit.n_qubits, "total_pulses": seq.cost}
+    if args.report == "full" or args.out is not None:
+        pulses, pulse_file = _pulse_texts(seq)
     if args.report == "full":
-        doc["per_gate"] = [
-            {"kind": op.kind, "controls": list(op.controls),
-             "targets": list(op.targets), "pulses": op_pulse_cost(op)}
-            for op in circuit.ops
-        ]
+        doc["per_gate"] = _raw_list([_gate_fragment(op) for op in circuit.ops])
         check = verify_compilation(circuit, seq)
         doc["verified"] = bool(check.ok)
         doc["max_deviation"] = check.max_deviation
         doc["leakage"] = check.leakage
         doc["phonon_residual"] = check.phonon_residual
-        doc["pulses"] = pulses_to_json(seq)
+        doc["pulses"] = pulses
     if args.out is not None:
-        pulses = doc["pulses"] if "pulses" in doc else pulses_to_json(seq)
-        _write_text(args.out, json.dumps(pulses, separators=(",", ":")))
+        _write_text(args.out, pulse_file)
         doc["pulse_file"] = args.out
     _emit(doc)
     return EXIT_OK
 
 
 def cmd_simulate_pulses(args) -> int:
-    docs = json.loads(_read_text(args.pulses))
-    seq = pulses_from_json(docs)
+    seq = _load(args.pulses, MAX_PULSE_BYTES, lambda text: pulses_from_json(json.loads(text)))
     result = simulate_pulse_sequence(seq, args.ions)
     doc = {
         "n_ions": args.ions,
@@ -334,7 +400,7 @@ def cmd_search(args) -> int:
     if args.start == "reference":
         start = five_qubit_code().encoder
     elif args.start is not None:
-        start = parse_circuit(_read_text(args.start))
+        start = _load(args.start, MAX_CIRCUIT_BYTES, parse_circuit)
     alphabet = tuple(args.alphabet.split(",")) if args.alphabet is not None else SearchConfig().alphabet
     cfg = SearchConfig(
         alphabet=alphabet,

@@ -23,6 +23,7 @@ leave behind.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -34,6 +35,7 @@ from .circuits import (
     Circuit,
     GateOp,
     GATE_MATRICES,
+    MAX_PULSES,
     MAX_QUBITS,
     SINGLE_QUBIT_KINDS,
     circuit_to_unitary,
@@ -274,22 +276,25 @@ def verify_compilation(circuit: Circuit, seq: PulseSequence) -> CompilationRepor
     return CompilationReport(ok, deviation, sim.leakage, sim.phonon_residual)
 
 
+def pulse_to_json(pulse: Pulse) -> dict:
+    """JSON form of one pulse: base kind plus a ``dag`` flag, e.g.
+    ``{"kind": "WPhon", "ion": 0, "dag": false}``; a ``OneQubit`` pulse adds
+    its matrix as ``[re, im]`` pairs and its label, if it has one."""
+    base = pulse.kind
+    dag = False
+    if base.endswith("Dag"):
+        base, dag = base[:-3], True
+    doc = {"kind": base, "ion": pulse.ion, "dag": dag}
+    if pulse.kind == "OneQubit":
+        doc["matrix"] = [[[float(v.real), float(v.imag)] for v in row] for row in pulse.matrix]
+        if pulse.label is not None:
+            doc["label"] = pulse.label
+    return doc
+
+
 def pulses_to_json(seq: PulseSequence) -> list:
-    """JSON form: base kind plus a ``dag`` flag, e.g.
-    ``{"kind": "WPhon", "ion": 0, "dag": false}``."""
-    docs = []
-    for p in seq.pulses:
-        base = p.kind
-        dag = False
-        if base.endswith("Dag"):
-            base, dag = base[:-3], True
-        doc = {"kind": base, "ion": p.ion, "dag": dag}
-        if p.kind == "OneQubit":
-            doc["matrix"] = [[[float(v.real), float(v.imag)] for v in row] for row in p.matrix]
-            if p.label is not None:
-                doc["label"] = p.label
-        docs.append(doc)
-    return docs
+    """JSON form of a pulse program, one ``pulse_to_json`` entry per pulse."""
+    return [pulse_to_json(p) for p in seq.pulses]
 
 
 def _json_number(value) -> float:
@@ -298,14 +303,64 @@ def _json_number(value) -> float:
     return value
 
 
+_PACK_2X2 = struct.Struct("<8d").pack
+
+
+def _matrix_bits(matrix) -> Optional[bytes]:
+    """The eight numbers of a 2x2 matrix of ``[re, im]`` pairs, packed as
+    doubles, so that 0.0 and -0.0 differ; None for anything else, which the
+    full parse then reports."""
+    try:
+        ((a, b), (c, d)), ((e, f), (g, h)) = matrix
+    except (TypeError, ValueError):
+        return None
+    flat = (a, b, c, d, e, f, g, h)
+    for value in flat:
+        if type(value) is not float and type(value) is not int:
+            return None
+    try:
+        return _PACK_2X2(*flat)
+    except struct.error:        # an integer past the float range
+        return None
+
+
+def _parse_entry(doc: dict, kind: str, ion: int, dag: bool, i: int, bits: Optional[bytes]) -> Pulse:
+    """The ``Pulse`` of entry ``i``, whose kind, ion and dag are checked;
+    ``bits`` is ``_matrix_bits`` of its matrix."""
+    if kind != "OneQubit":
+        full = kind + "Dag" if dag and kind != "VPulse" else kind
+        if full not in PULSE_KINDS:
+            raise ValueError(f"unknown pulse kind {kind!r} at position {i}")
+        return Pulse(full, ion)
+    if bits is not None:        # eight checked numbers: the same matrix, without a list build
+        mat = np.frombuffer(bits, dtype="<c16").reshape(2, 2)
+    else:
+        try:
+            mat = np.array([[complex(_json_number(re), _json_number(im)) for re, im in row]
+                            for row in doc["matrix"]])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"malformed matrix at position {i}: {exc}") from None
+    label = doc.get("label")
+    if label is not None and type(label) is not str:
+        raise ValueError(f"pulse entry at position {i} has a 'label' that is not a string")
+    try:
+        return Pulse("OneQubit", ion, mat.conj().T if dag else mat, label=label)
+    except ValueError as exc:
+        raise ValueError(f"pulse entry at position {i}: {exc}") from None
+
+
 def pulses_from_json(docs: Sequence[dict]) -> PulseSequence:
-    """Parse a pulse program, reporting the first malformed entry by position.
-    Each distinct ``OneQubit`` entry (ion, dag, matrix, label) is built, and
-    its matrix checked, once per call; a repeat shares that ``Pulse``."""
+    """Parse a pulse program of at most ``MAX_PULSES`` entries, reporting the
+    first malformed entry by position. Each distinct entry is built, and a
+    ``OneQubit`` matrix checked, once per call: a repeat of (kind, ion, dag),
+    with the same label and matrix numbers for ``OneQubit``, shares that
+    ``Pulse`` without building its matrix again."""
     if not isinstance(docs, list):
         raise ValueError("a pulse program is a list of pulse entries")
+    if len(docs) > MAX_PULSES:
+        raise ValueError(f"pulse program has {len(docs)} entries; at most {MAX_PULSES} are allowed")
     pulses = []
-    one_qubit = {}
+    built = {}
     for i, doc in enumerate(docs):
         try:
             kind = doc["kind"]
@@ -316,28 +371,17 @@ def pulses_from_json(docs: Sequence[dict]) -> PulseSequence:
         if type(kind) is not str or type(ion) is not int or type(dag) is not bool:
             raise ValueError(f"pulse entry at position {i} needs a string 'kind', "
                              f"an integer 'ion' and a boolean 'dag'")
+        key, bits = (kind, ion, dag), None
         if kind == "OneQubit":
-            try:
-                mat = np.array([[complex(_json_number(re), _json_number(im)) for re, im in row]
-                                for row in doc["matrix"]])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"malformed matrix at position {i}: {exc}") from None
             label = doc.get("label")
-            if label is not None and type(label) is not str:
-                raise ValueError(f"pulse entry at position {i} has a 'label' that is not a string")
-            # the bytes tell 0.0 from -0.0, which compare equal
-            key = (ion, dag, mat.shape, mat.tobytes(), label)
-            pulse = one_qubit.get(key)
-            if pulse is None:
-                try:
-                    pulse = Pulse("OneQubit", ion, mat.conj().T if dag else mat, label=label)
-                except ValueError as exc:
-                    raise ValueError(f"pulse entry at position {i}: {exc}") from None
-                one_qubit[key] = pulse
-            pulses.append(pulse)
-        else:
-            full = kind + "Dag" if dag and kind != "VPulse" else kind
-            if full not in PULSE_KINDS:
-                raise ValueError(f"unknown pulse kind {kind!r} at position {i}")
-            pulses.append(Pulse(full, ion))
+            bits = _matrix_bits(doc.get("matrix"))
+            # an entry the full parse would reject gets no key, and so no share
+            key = (kind, ion, dag, label, bits) if bits is not None and (
+                label is None or type(label) is str) else None
+        pulse = built.get(key)
+        if pulse is None:
+            pulse = _parse_entry(doc, kind, ion, dag, i, bits)
+            if key is not None:
+                built[key] = pulse
+        pulses.append(pulse)
     return PulseSequence(tuple(pulses))

@@ -1,20 +1,38 @@
+import contextlib
+import io
+import itertools
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qeclab
-from qeclab.circuits import GATE_MATRICES, Circuit, GateOp, serialize_circuit
-from qeclab.cli import _dumps, build_parser, main
-from qeclab.iontrap import Pulse, PulseSequence, pulses_from_json, pulses_to_json, simulate_pulse_sequence
+import qeclab.cli as cli
+from qeclab.circuits import GATE_MATRICES, MAX_CIRCUIT_OPS, MAX_QUBITS, Circuit, GateOp, serialize_circuit
+from qeclab.cli import _dumps, _pulse_texts, build_parser, main
+from qeclab.iontrap import (
+    PULSE_KINDS,
+    Pulse,
+    PulseSequence,
+    compile_circuit,
+    compile_op,
+    op_pulse_cost,
+    pulses_from_json,
+    pulses_to_json,
+    simulate_pulse_sequence,
+)
 from qeclab.noise import MAX_STEPS
+from qeclab.search import random_circuit
+
+from conftest import FILE_COMMANDS
 
 
 def run_cli(capsys, *argv):
@@ -411,6 +429,9 @@ class TestShotValidation:
         assert not (tmp_path / "fig5.csv").exists()
 
 
+FILE_COMMAND_IDS = [argv[0] for argv in FILE_COMMANDS]
+
+
 def assert_one_error_line(code, out, err):
     assert code == 2
     assert out == ""
@@ -627,6 +648,66 @@ class TestUpperBounds:
         assert str(MAX_STEPS) in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=FILE_COMMAND_IDS)
+    def test_file_past_the_byte_cap(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(cli, "MAX_CIRCUIT_BYTES", 64)
+        monkeypatch.setattr(cli, "MAX_PULSE_BYTES", 64)
+        path = tmp_path / "big.json"
+        path.write_text("[" + " " * 63 + "]")
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert_one_error_line(code, out, err)
+        assert "more than 64 bytes" in err
+
+    @pytest.mark.parametrize("argv, text", [
+        (("compile", "--circuit"), '{"n": 1, "ops": [{"kind": "X", "targets": [0]}]}'),
+        (("simulate-pulses", "--ions", "1", "--pulses"), '[{"kind": "VPulse", "ion": 0}]'),
+    ], ids=["compile", "simulate-pulses"])
+    def test_file_at_the_byte_cap_loads(self, capsys, tmp_path, monkeypatch, argv, text):
+        monkeypatch.setattr(cli, "MAX_CIRCUIT_BYTES", 64)
+        monkeypatch.setattr(cli, "MAX_PULSE_BYTES", 64)
+        path = tmp_path / "full.json"
+        path.write_text(text.ljust(64))
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+
+    def test_byte_caps_hold_every_file_qeclab_writes_within_the_op_cap(self):
+        """A circuit of MAX_CIRCUIT_OPS copies of the op with the longest
+        spelling, as ``serialize_circuit`` writes it, and its ``compile --out``
+        pulse file both fit their caps; sizes grow by the same bytes per op."""
+        n = MAX_QUBITS
+        ops = [GateOp(kind, (q,)) for kind in GATE_MATRICES for q in range(n)]
+        ops += [GateOp("CNOT", (t,), (c,)) for c, t in itertools.permutations(range(n), 2)]
+        for roles in itertools.product((None, "c", "t"), repeat=n):
+            controls = tuple(q for q in range(n) if roles[q] == "c")
+            targets = tuple(q for q in range(n) if roles[q] == "t")
+            if controls and targets:
+                ops.append(GateOp("CPHASE", targets, controls))
+
+        def circuit_bytes(count, op):
+            return len(serialize_circuit(Circuit(n, (op,) * count)).encode())
+
+        def pulse_bytes(count, op):
+            return len(json.dumps(pulses_to_json(compile_op(op)) * count, separators=(",", ":")))
+
+        for size, cap in ((circuit_bytes, cli.MAX_CIRCUIT_BYTES), (pulse_bytes, cli.MAX_PULSE_BYTES)):
+            worst = max(size(1, op) + (MAX_CIRCUIT_OPS - 1) * (size(2, op) - size(1, op)) for op in ops)
+            assert worst <= cap
+
+    @pytest.mark.parametrize("entries, code", [(3, 2), (2, 0)])
+    def test_pulse_count_cap(self, capsys, tmp_path, monkeypatch, entries, code):
+        import qeclab.iontrap as iontrap
+
+        monkeypatch.setattr(iontrap, "MAX_PULSES", 2)
+        path = tmp_path / "long.pulses.json"
+        path.write_text(json.dumps([{"kind": "VPulse", "ion": 0}] * entries))
+        result = run_cli(capsys, "simulate-pulses", "--pulses", str(path), "--ions", "1")
+        if code:
+            assert_one_error_line(*result)
+            assert "3 entries; at most 2" in result[2]
+        else:
+            assert result[0] == 0 and json.loads(result[1])["n_pulses"] == 2
+
 
 def test_unitary_bytes_of_a_leaking_six_ion_program(capsys, tmp_path):
     """Late-ion one-qubit pulses among phonon pulses: the report spells the
@@ -668,3 +749,116 @@ JSON_DOCS = st.recursive(
 def test_report_text_matches_json_dumps(doc):
     """The reports' emitter prints exactly what ``json.dumps`` printed."""
     assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+# The compile report's pulses and per_gate lists, and the --out file, are
+# joined from per-pulse and per-op fragments cached by content.
+
+_ANGLE = st.floats(-4, 4, allow_nan=False)
+_ZERO = st.sampled_from([0.0, -0.0])
+_SIGNED_ZERO = st.builds(complex, _ZERO, _ZERO)
+_PHASE = st.builds(lambda t: complex(math.cos(t), math.sin(t)), _ANGLE) | st.builds(
+    complex, st.sampled_from([1.0, -1.0]), _ZERO)
+
+
+def _rotation(alpha, beta, gamma, theta):
+    """A 2x2 unitary: a global phase times an SU(2) rotation."""
+    c, s = math.cos(theta), math.sin(theta)
+    b, g = complex(math.cos(beta), math.sin(beta)), complex(math.cos(gamma), math.sin(gamma))
+    return complex(math.cos(alpha), math.sin(alpha)) * np.array(
+        [[b * c, g * s], [-g.conjugate() * s, b.conjugate() * c]])
+
+
+_MATRICES = (
+    st.sampled_from(list(GATE_MATRICES.values()))
+    | st.builds(lambda a, b, z, w: np.array([[a, z], [w, b]]), _PHASE, _PHASE, _SIGNED_ZERO, _SIGNED_ZERO)
+    | st.builds(lambda a, b, z, w: np.array([[z, a], [b, w]]), _PHASE, _PHASE, _SIGNED_ZERO, _SIGNED_ZERO)
+    | st.builds(_rotation, _ANGLE, _ANGLE, _ANGLE, _ANGLE)
+)
+_IONS = st.integers(0, MAX_QUBITS - 1)
+_PULSES = (st.builds(Pulse, st.sampled_from([k for k in PULSE_KINDS if k != "OneQubit"]), _IONS)
+           | st.builds(Pulse, st.just("OneQubit"), _IONS, _MATRICES, st.none() | st.text(max_size=4)))
+
+
+def _signed_zero_twin(pulse: Pulse) -> Pulse:
+    """The pulse with the sign of every zero real or imaginary part flipped."""
+    parts = pulse.matrix.copy().view(float)
+    np.negative(parts, out=parts, where=parts == 0)
+    return Pulse("OneQubit", pulse.ion, parts.view(complex), pulse.label)
+
+
+def _assert_pulse_texts(seq: PulseSequence) -> None:
+    docs = pulses_to_json(seq)
+    report, text = _pulse_texts(seq)
+    assert _dumps({"pulses": report}) == json.dumps({"pulses": docs}, indent=2, sort_keys=True)
+    assert text == json.dumps(docs, separators=(",", ":"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_PULSES, max_size=12))
+@example([])
+def test_pulse_fragments_spell_what_json_dumps_spells(pulses):
+    """Cold and warm, the fragments join to the bytes ``json.dumps`` gives;
+    a -0.0 twin, rendered after its +0.0 sibling, gets its own spelling."""
+    seq = PulseSequence(pulses)
+    twins = PulseSequence([_signed_zero_twin(p) for p in pulses if p.kind == "OneQubit"])
+    cli._PULSE_FRAGMENTS.clear()
+    _assert_pulse_texts(seq)
+    _assert_pulse_texts(seq)
+    _assert_pulse_texts(twins)
+    _assert_pulse_texts(PulseSequence(seq.pulses + twins.pulses))
+
+
+def test_signed_zero_twin_gets_its_own_fragment():
+    plus = Pulse("OneQubit", 2, np.array([[1, 0.0], [0.0, 1]]), "I")
+    minus = _signed_zero_twin(plus)
+    cli._PULSE_FRAGMENTS.clear()
+    _, plus_text = _pulse_texts(PulseSequence((plus,)))
+    _, minus_text = _pulse_texts(PulseSequence((minus,)))
+    assert "-0.0" not in plus_text
+    assert minus_text == plus_text.replace("0.0", "-0.0") and len(cli._PULSE_FRAGMENTS) == 2
+
+
+def test_fragment_caches_are_bounded(monkeypatch):
+    monkeypatch.setattr(cli, "_FRAGMENT_CACHE_SIZE", 3)
+    cli._PULSE_FRAGMENTS.clear()
+    seq = PulseSequence([Pulse("VPulse", ion) for ion in range(6)] + [Pulse("VPulse", 0)])
+    _assert_pulse_texts(seq)
+    assert len(cli._PULSE_FRAGMENTS) == 3
+    assert cli._gate_fragment.cache_info().maxsize == compile_op.cache_info().maxsize
+
+
+def _run_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, MAX_QUBITS), st.integers(0, 12), st.integers(0, 2**32 - 1))
+@example(1, 0, 0)
+def test_compile_outputs_spell_what_json_dumps_spells(n, n_ops, seed):
+    """``compile`` on a random circuit, with cold and then warm caches: the
+    report is ``json.dumps(doc, indent=2, sort_keys=True)`` of its own values
+    with the independently built ``per_gate`` and ``pulses`` lists, and the
+    ``--out`` file is the compact ``json.dumps`` of ``pulses_to_json``."""
+    circuit = random_circuit(n, n_ops, np.random.default_rng(seed))
+    docs = pulses_to_json(compile_circuit(circuit))
+    per_gate = [{"kind": op.kind, "controls": list(op.controls), "targets": list(op.targets),
+                 "pulses": op_pulse_cost(op)} for op in circuit.ops]
+    cli._PULSE_FRAGMENTS.clear()
+    cli._gate_fragment.cache_clear()
+    with tempfile.TemporaryDirectory() as tmp:
+        source, pulse_file = Path(tmp) / "c.qc.json", Path(tmp) / "c.pulses.json"
+        source.write_text(serialize_circuit(circuit))
+        for _ in ("cold", "warm"):
+            for report in ("full", "count"):
+                code, out, err = _run_main("compile", "--circuit", str(source), "--report", report,
+                                           "--out", str(pulse_file))
+                assert (code, err) == (0, "")
+                expected = json.loads(out)
+                if report == "full":
+                    expected.update(per_gate=per_gate, pulses=docs)
+                assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+                assert pulse_file.read_text() == json.dumps(docs, separators=(",", ":"))

@@ -357,6 +357,55 @@ class TestPulseJson:
         assert seq.pulses[0] is seq.pulses[-5] and seq.pulses[0] is not seq.pulses[4]
         assert np.signbit(seq.pulses[4].matrix[0, 1].real) and not np.signbit(seq.pulses[0].matrix[0, 1].real)
 
+    def test_each_distinct_entry_is_built_once(self, monkeypatch):
+        """A repeat of (kind, ion, dag), with the same label and matrix
+        numbers for OneQubit, shares the first entry's Pulse."""
+        import qeclab.iontrap as iontrap
+
+        built = []
+
+        def counting(doc, *args):
+            built.append(doc)
+            return parse_entry(doc, *args)
+
+        parse_entry = iontrap._parse_entry
+        monkeypatch.setattr(iontrap, "_parse_entry", counting)
+        one_qubit = pulses_to_json(PulseSequence((Pulse("OneQubit", 1, U, label="U"),)))[0]
+        distinct = [{"kind": "WPhon", "ion": 0}, {"kind": "WPhon", "ion": 0, "dag": True},
+                    {"kind": "WPhon", "ion": 1}, {"kind": "VPulse", "ion": 2}, one_qubit,
+                    {**one_qubit, "label": None}, {**one_qubit, "ion": 0}]
+        seq = pulses_from_json(distinct + distinct[::-1])
+        assert len(built) == len(distinct)
+        assert all(a is b for a, b in zip(seq.pulses, seq.pulses[::-1]))
+        assert [p.kind for p in seq.pulses[:2]] == ["WPhon", "WPhonDag"]
+
+    @pytest.mark.parametrize("value", [True, "1", None, [1]])
+    def test_repeat_with_a_mistyped_number_is_still_rejected(self, value):
+        """Sharing by matrix numbers never skips the check of a later entry."""
+        valid = {"kind": "OneQubit", "ion": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        later = {**valid, "matrix": [[[value, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        with pytest.raises(ValueError, match="malformed matrix at position 1"):
+            pulses_from_json([valid, later])
+
+    def test_integer_past_the_float_range_is_a_malformed_matrix(self):
+        entry = {"kind": "OneQubit", "ion": 0, "matrix": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        with pytest.raises(ValueError, match="malformed matrix at position 0"):
+            pulses_from_json([entry])
+
+    def test_count_cap_applies_before_any_entry_is_built(self, monkeypatch):
+        import qeclab.iontrap as iontrap
+
+        monkeypatch.setattr(iontrap, "MAX_PULSES", 3)
+        with pytest.raises(ValueError, match="pulse program has 4 entries; at most 3 are allowed"):
+            pulses_from_json([{"kind": "bogus", "ion": 0}] * 4)
+
+    def test_count_cap_bounds_every_compiled_circuit(self):
+        """The most pulses one op compiles to, times the op cap."""
+        from qeclab.circuits import MAX_CIRCUIT_OPS, MAX_PULSES, MAX_QUBITS
+
+        widest = GateOp("CPHASE", (MAX_QUBITS - 1,), tuple(range(MAX_QUBITS - 1)))
+        assert compile_op(widest).cost * MAX_CIRCUIT_OPS == MAX_PULSES == 220_000
+
     def test_non_string_label_reports_position(self):
         entry = {"kind": "OneQubit", "ion": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
         with pytest.raises(ValueError, match="position 1"):
