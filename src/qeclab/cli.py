@@ -66,10 +66,11 @@ EXIT_IO = 3
 MAX_TRIALS = 1000
 
 # Input files larger than these are refused before they are read. Per op,
-# serialize_circuit spells at most 157 bytes (a six-qubit CPHASE) and
-# compile --out at most 455 (a CNOT: two OneQubit entries and three phonon
-# pulses), so every file they write within MAX_CIRCUIT_OPS loads.
-MAX_CIRCUIT_BYTES = 200 * MAX_CIRCUIT_OPS
+# serialize_circuit spells at most 157 bytes (a six-qubit CPHASE; 243
+# at indent=4) and compile --out at most 455 (a CNOT: two OneQubit entries
+# and three phonon pulses), so every file they write within MAX_CIRCUIT_OPS,
+# and a circuit file re-indented by hand, loads.
+MAX_CIRCUIT_BYTES = 300 * MAX_CIRCUIT_OPS
 MAX_PULSE_BYTES = 800 * MAX_CIRCUIT_OPS
 
 _CODES = {
@@ -103,7 +104,8 @@ def _load(path: str, max_bytes: int, parse):
     if data is None or len(data) > max_bytes:
         raise ValueError(f"{path} has more than {max_bytes} bytes, the limit for this input")
     try:
-        return parse(data.decode("utf-8"))
+        # newlines as text mode reads them, so a JSON error names the same line and column
+        return parse(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except RecursionError:
         raise ValueError(f"{path} nests too deeply to parse") from None
 
@@ -188,7 +190,9 @@ def _emit(doc: dict) -> None:
 
 
 # A report's list entries under a top-level key start on a new line, four
-# spaces in; their fragments are spelled once for that place and joined.
+# spaces in; their fragments are spelled once for that place and joined. The
+# fragment caches live for the process: they pay off when one process runs
+# cli.main many times (a batch driver, a test suite).
 _ENTRY = "\n    "
 _FRAGMENT_CACHE_SIZE = 1024     # a program on 6 ions holds at most 78 distinct compiled pulses
 _PULSE_FRAGMENTS: dict = {}

@@ -308,38 +308,27 @@ _PACK_2X2 = struct.Struct("<8d").pack
 
 def _matrix_bits(matrix) -> Optional[bytes]:
     """The eight numbers of a 2x2 matrix of ``[re, im]`` pairs, packed as
-    doubles, so that 0.0 and -0.0 differ; None for anything else, which the
-    full parse then reports."""
+    doubles so that 0.0 and -0.0 differ: the key a repeated ``OneQubit``
+    matrix is shared by. None for anything else, which the parse reports."""
     try:
         ((a, b), (c, d)), ((e, f), (g, h)) = matrix
-    except (TypeError, ValueError):
-        return None
-    flat = (a, b, c, d, e, f, g, h)
-    for value in flat:
-        if type(value) is not float and type(value) is not int:
-            return None
-    try:
-        return _PACK_2X2(*flat)
-    except struct.error:        # an integer past the float range
+        return _PACK_2X2(*map(_json_number, (a, b, c, d, e, f, g, h)))
+    except (TypeError, ValueError, struct.error):    # struct.error: an int past the float range
         return None
 
 
-def _parse_entry(doc: dict, kind: str, ion: int, dag: bool, i: int, bits: Optional[bytes]) -> Pulse:
-    """The ``Pulse`` of entry ``i``, whose kind, ion and dag are checked;
-    ``bits`` is ``_matrix_bits`` of its matrix."""
+def _parse_entry(doc: dict, kind: str, ion: int, dag: bool, i: int) -> Pulse:
+    """The ``Pulse`` of entry ``i``, whose kind, ion and dag are checked."""
     if kind != "OneQubit":
         full = kind + "Dag" if dag and kind != "VPulse" else kind
         if full not in PULSE_KINDS:
             raise ValueError(f"unknown pulse kind {kind!r} at position {i}")
         return Pulse(full, ion)
-    if bits is not None:        # eight checked numbers: the same matrix, without a list build
-        mat = np.frombuffer(bits, dtype="<c16").reshape(2, 2)
-    else:
-        try:
-            mat = np.array([[complex(_json_number(re), _json_number(im)) for re, im in row]
-                            for row in doc["matrix"]])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"malformed matrix at position {i}: {exc}") from None
+    try:
+        mat = np.array([[complex(_json_number(re), _json_number(im)) for re, im in row]
+                        for row in doc["matrix"]])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed matrix at position {i}: {exc}") from None
     label = doc.get("label")
     if label is not None and type(label) is not str:
         raise ValueError(f"pulse entry at position {i} has a 'label' that is not a string")
@@ -371,7 +360,7 @@ def pulses_from_json(docs: Sequence[dict]) -> PulseSequence:
         if type(kind) is not str or type(ion) is not int or type(dag) is not bool:
             raise ValueError(f"pulse entry at position {i} needs a string 'kind', "
                              f"an integer 'ion' and a boolean 'dag'")
-        key, bits = (kind, ion, dag), None
+        key = (kind, ion, dag)
         if kind == "OneQubit":
             label = doc.get("label")
             bits = _matrix_bits(doc.get("matrix"))
@@ -380,7 +369,7 @@ def pulses_from_json(docs: Sequence[dict]) -> PulseSequence:
                 label is None or type(label) is str) else None
         pulse = built.get(key)
         if pulse is None:
-            pulse = _parse_entry(doc, kind, ion, dag, i, bits)
+            pulse = _parse_entry(doc, kind, ion, dag, i)
             if key is not None:
                 built[key] = pulse
         pulses.append(pulse)

@@ -673,8 +673,9 @@ class TestUpperBounds:
 
     def test_byte_caps_hold_every_file_qeclab_writes_within_the_op_cap(self):
         """A circuit of MAX_CIRCUIT_OPS copies of the op with the longest
-        spelling, as ``serialize_circuit`` writes it, and its ``compile --out``
-        pulse file both fit their caps; sizes grow by the same bytes per op."""
+        spelling, as ``serialize_circuit`` writes it or re-indented by four,
+        and its ``compile --out`` pulse file all fit their caps; sizes grow by
+        the same bytes per op."""
         n = MAX_QUBITS
         ops = [GateOp(kind, (q,)) for kind in GATE_MATRICES for q in range(n)]
         ops += [GateOp("CNOT", (t,), (c,)) for c, t in itertools.permutations(range(n), 2)]
@@ -687,12 +688,32 @@ class TestUpperBounds:
         def circuit_bytes(count, op):
             return len(serialize_circuit(Circuit(n, (op,) * count)).encode())
 
+        def reindented_bytes(count, op):
+            return len(json.dumps(json.loads(serialize_circuit(Circuit(n, (op,) * count))), indent=4))
+
         def pulse_bytes(count, op):
             return len(json.dumps(pulses_to_json(compile_op(op)) * count, separators=(",", ":")))
 
-        for size, cap in ((circuit_bytes, cli.MAX_CIRCUIT_BYTES), (pulse_bytes, cli.MAX_PULSE_BYTES)):
+        for size, cap in ((circuit_bytes, cli.MAX_CIRCUIT_BYTES), (reindented_bytes, cli.MAX_CIRCUIT_BYTES),
+                          (pulse_bytes, cli.MAX_PULSE_BYTES)):
             worst = max(size(1, op) + (MAX_CIRCUIT_OPS - 1) * (size(2, op) - size(1, op)) for op in ops)
             assert worst <= cap
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_json_error_in_a_crlf_file_names_the_text_mode_position(self, capsys, tmp_path, newline):
+        """Newlines are read as text mode reads them, so the position in the
+        message is the one ``json.loads`` gives for the text-mode text."""
+        path = tmp_path / "bad.qc.json"
+        path.write_bytes(newline.join(['{', '  "n": 1,', '  "ops": [', '    {"kind": "X" "targets": [0]}',
+                                       '  ]', '}']).encode())
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(text)
+        code, out, err = run_cli(capsys, "compile", "--circuit", str(path))
+        assert_one_error_line(code, out, err)
+        assert err == f"error: invalid JSON: {exc.value}\n"
+        assert "line 4 column 18 (char 40)" in err
 
     @pytest.mark.parametrize("entries, code", [(3, 2), (2, 0)])
     def test_pulse_count_cap(self, capsys, tmp_path, monkeypatch, entries, code):
