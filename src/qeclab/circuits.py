@@ -219,9 +219,14 @@ def circuit_from_dict(doc: dict) -> Circuit:
     return Circuit(doc["n"], tuple(_op_from_dict(op_doc, i) for i, op_doc in enumerate(doc["ops"])))
 
 
-def parse_circuit(text: str) -> Circuit:
+def load_json(text: str):
+    """The JSON value of an input file's ``text``; a syntax error is an
+    ``invalid JSON:`` format error, for circuit and pulse files alike."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitFormatError(f"invalid JSON: {exc}") from None
-    return circuit_from_dict(doc)
+
+
+def parse_circuit(text: str) -> Circuit:
+    return circuit_from_dict(load_json(text))

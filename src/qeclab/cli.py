@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .circuits import MAX_CIRCUIT_OPS, CircuitFormatError, GateOp, parse_circuit, serialize_circuit
+from .circuits import MAX_CIRCUIT_OPS, CircuitFormatError, GateOp, load_json, parse_circuit, serialize_circuit
 from .codes import (
     build_syndrome_table,
     check_knill_laflamme,
@@ -37,10 +37,10 @@ from .codes import (
     two_qubit_zeno_code,
 )
 from .iontrap import (
-    PulseSequence,
     compile_circuit,
+    compile_op,
     op_pulse_cost,
-    pulse_to_json,
+    pulses_to_json,
     pulses_from_json,
     simulate_pulse_sequence,
     verify_compilation,
@@ -135,7 +135,10 @@ def _json_pieces(value, out: list, indent: str) -> None:
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder; this
     one pass spells every scalar the way it does, in under half the time:
     ``repr`` of exact floats and ints, NaN and Infinity, ASCII escapes,
-    sorted keys."""
+    sorted keys. It stays because ``json.dumps(..., indent=2)`` is slower
+    (it takes twice as long to spell a 6-ion ``simulate-pulses --unitary``
+    report) and each of its calls also leaves 33 cyclic objects for the
+    garbage collector."""
     kind = type(value)
     if kind is float:
         text = repr(value)
@@ -190,51 +193,32 @@ def _emit(doc: dict) -> None:
 
 
 # A report's list entries under a top-level key start on a new line, four
-# spaces in; their fragments are spelled once for that place and joined. The
-# fragment caches live for the process: they pay off when one process runs
-# cli.main many times (a batch driver, a test suite).
+# spaces in.
 _ENTRY = "\n    "
-_FRAGMENT_CACHE_SIZE = 1024     # a program on 6 ions holds at most 78 distinct compiled pulses
-_PULSE_FRAGMENTS: dict = {}
 
 
 def _raw_list(entries: list) -> _Raw:
-    """A top-level key's list value, from entries spelled at ``_ENTRY``."""
+    """A top-level key's list value, from entries (or runs of them joined
+    at ``_ENTRY``) spelled at ``_ENTRY``."""
     if not entries:
         return _Raw("[]")
     return _Raw("[" + _ENTRY + ("," + _ENTRY).join(entries) + "\n  ]")
 
 
 @lru_cache(maxsize=4096)
-def _gate_fragment(op: GateOp) -> str:
-    """The op's entry in the report's ``per_gate`` list."""
-    out = []
+def _op_texts(op: GateOp) -> tuple:
+    """What ``compile`` prints and writes for one op: its entry in the
+    report's ``per_gate`` list, its pulses' entries in the report's
+    ``pulses`` list joined at ``_ENTRY``, and their compact ``--out`` text
+    joined with ``,``. They depend on the op alone, so they are cached per
+    op for the process, like ``compile_op``."""
+    gate = []
     _json_pieces({"kind": op.kind, "controls": list(op.controls), "targets": list(op.targets),
-                  "pulses": op_pulse_cost(op)}, out, _ENTRY)
-    return "".join(out)
-
-
-def _pulse_texts(seq: PulseSequence) -> tuple:
-    """The report's ``pulses`` list and the ``--out`` file text of ``seq``.
-    Both are joined from per-pulse fragments, spelled from ``pulse_to_json``
-    once per content: kind, ion, label and the matrix bytes, so that 0.0 and
-    -0.0 stay apart. The cache keeps the newest ``_FRAGMENT_CACHE_SIZE``."""
-    cache = _PULSE_FRAGMENTS
-    report, compact = [], []
-    for pulse in seq.pulses:
-        key = (pulse.kind, pulse.ion, pulse.label, None if pulse.matrix is None else pulse.matrix.tobytes())
-        texts = cache.get(key)
-        if texts is None:
-            doc = pulse_to_json(pulse)
-            pieces = []
-            _json_pieces(doc, pieces, _ENTRY)
-            texts = "".join(pieces), json.dumps(doc, separators=(",", ":"))
-            if len(cache) >= _FRAGMENT_CACHE_SIZE:
-                del cache[next(iter(cache))]        # the oldest
-            cache[key] = texts
-        report.append(texts[0])
-        compact.append(texts[1])
-    return _raw_list(report), "[" + ",".join(compact) + "]"
+                  "pulses": op_pulse_cost(op)}, gate, _ENTRY)
+    docs = pulses_to_json(compile_op(op))
+    pulses = []
+    _json_pieces(docs, pulses, "\n  ")         # "[" + _ENTRY, the entries joined at _ENTRY, "\n  ]"
+    return "".join(gate), "".join(pulses[1:-1]), json.dumps(docs, separators=(",", ":"))[1:-1]
 
 
 def cmd_verify_code(args) -> int:
@@ -310,24 +294,24 @@ def cmd_compile(args) -> int:
     seq = compile_circuit(circuit)
     doc = {"n_qubits": circuit.n_qubits, "total_pulses": seq.cost}
     if args.report == "full" or args.out is not None:
-        pulses, pulse_file = _pulse_texts(seq)
+        texts = [_op_texts(op) for op in circuit.ops]
     if args.report == "full":
-        doc["per_gate"] = _raw_list([_gate_fragment(op) for op in circuit.ops])
+        doc["per_gate"] = _raw_list([gate for gate, _, _ in texts])
         check = verify_compilation(circuit, seq)
         doc["verified"] = bool(check.ok)
         doc["max_deviation"] = check.max_deviation
         doc["leakage"] = check.leakage
         doc["phonon_residual"] = check.phonon_residual
-        doc["pulses"] = pulses
+        doc["pulses"] = _raw_list([pulses for _, pulses, _ in texts])
     if args.out is not None:
-        _write_text(args.out, pulse_file)
+        _write_text(args.out, "[" + ",".join(compact for _, _, compact in texts) + "]")
         doc["pulse_file"] = args.out
     _emit(doc)
     return EXIT_OK
 
 
 def cmd_simulate_pulses(args) -> int:
-    seq = _load(args.pulses, MAX_PULSE_BYTES, lambda text: pulses_from_json(json.loads(text)))
+    seq = _load(args.pulses, MAX_PULSE_BYTES, lambda text: pulses_from_json(load_json(text)))
     result = simulate_pulse_sequence(seq, args.ions)
     doc = {
         "n_ions": args.ions,
@@ -424,10 +408,15 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors, in any subcommand, end as one ``error:`` line, exit 2."""
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qeclab", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="qeclab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-code", help="validate a code and print its report")
@@ -481,6 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the characters str.splitlines breaks at, as escapes
+_ONE_LINE = str.maketrans({c: ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 def main(argv=None) -> int:
     try:
         seed = _default_seed()          # read on every call, and checked for every command
@@ -496,12 +489,10 @@ def main(argv=None) -> int:
         # the reader is gone (``| head``); the final flush at exit goes to /dev/null
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
-    except _IOFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (CircuitFormatError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except (_IOFailure, CircuitFormatError, ValueError, KeyError) as exc:
+        # one line, though the message quotes a path or an argument with a line break in it
+        print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
+        return EXIT_IO if isinstance(exc, _IOFailure) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -276,25 +276,21 @@ def verify_compilation(circuit: Circuit, seq: PulseSequence) -> CompilationRepor
     return CompilationReport(ok, deviation, sim.leakage, sim.phonon_residual)
 
 
-def pulse_to_json(pulse: Pulse) -> dict:
-    """JSON form of one pulse: base kind plus a ``dag`` flag, e.g.
-    ``{"kind": "WPhon", "ion": 0, "dag": false}``; a ``OneQubit`` pulse adds
-    its matrix as ``[re, im]`` pairs and its label, if it has one."""
-    base = pulse.kind
-    dag = False
-    if base.endswith("Dag"):
-        base, dag = base[:-3], True
-    doc = {"kind": base, "ion": pulse.ion, "dag": dag}
-    if pulse.kind == "OneQubit":
-        doc["matrix"] = [[[float(v.real), float(v.imag)] for v in row] for row in pulse.matrix]
-        if pulse.label is not None:
-            doc["label"] = pulse.label
-    return doc
-
-
 def pulses_to_json(seq: PulseSequence) -> list:
-    """JSON form of a pulse program, one ``pulse_to_json`` entry per pulse."""
-    return [pulse_to_json(p) for p in seq.pulses]
+    """JSON form of a pulse program, one entry per pulse: base kind plus a
+    ``dag`` flag, e.g. ``{"kind": "WPhon", "ion": 0, "dag": false}``; a
+    ``OneQubit`` pulse adds its matrix as ``[re, im]`` pairs and its label,
+    if it has one."""
+    docs = []
+    for pulse in seq.pulses:
+        dag = pulse.kind.endswith("Dag")
+        doc = {"kind": pulse.kind[:-3] if dag else pulse.kind, "ion": pulse.ion, "dag": dag}
+        if pulse.kind == "OneQubit":
+            doc["matrix"] = [[[float(v.real), float(v.imag)] for v in row] for row in pulse.matrix]
+            if pulse.label is not None:
+                doc["label"] = pulse.label
+        docs.append(doc)
+    return docs
 
 
 def _json_number(value) -> float:

@@ -17,9 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 import qeclab
 import qeclab.cli as cli
 from qeclab.circuits import GATE_MATRICES, MAX_CIRCUIT_OPS, MAX_QUBITS, Circuit, GateOp, serialize_circuit
-from qeclab.cli import _dumps, _pulse_texts, build_parser, main
+from qeclab.cli import _dumps, build_parser, main
 from qeclab.iontrap import (
-    PULSE_KINDS,
     Pulse,
     PulseSequence,
     compile_circuit,
@@ -581,6 +580,35 @@ class TestBadInputs:
         assert_one_error_line(code, out, err)
         assert "position 0" in err and "unitary" in err
 
+    def test_pulse_file_json_error_has_the_circuit_files_prefix(self, capsys, tmp_path):
+        path = tmp_path / "empty.pulses.json"
+        path.write_text("")
+        code, out, err = run_cli(capsys, "simulate-pulses", "--pulses", str(path), "--ions", "1")
+        assert_one_error_line(code, out, err)
+        assert err == "error: invalid JSON: Expecting value: line 1 column 1 (char 0)\n"
+
+
+class TestArgumentErrors:
+    def test_bad_value_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--budget", "x")
+        assert_one_error_line(code, out, err)
+        assert err == "error: qeclab search: argument --budget: invalid int value: 'x'\n"
+
+    @pytest.mark.parametrize("argv", [(), ("compile",), ("compile", "--circuit", "c", "--bogus"), ("frobnicate",)])
+    def test_missing_or_unknown_argument_is_one_error_line(self, capsys, argv):
+        assert_one_error_line(*run_cli(capsys, *argv))
+
+    def test_line_break_in_a_quoted_argument_is_escaped(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "compile", "--circuit", str(tmp_path / "a\nb.qc.json"))
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot read {tmp_path}/a\\nb.qc.json: ")
+
+    def test_help_exits_0_with_its_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qeclab search ")
+
 
 def test_closed_stdout_exits_3_quietly():
     """``qeclab verify-code ... | head -1``: the reader is gone before the
@@ -772,83 +800,6 @@ def test_report_text_matches_json_dumps(doc):
     assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-# The compile report's pulses and per_gate lists, and the --out file, are
-# joined from per-pulse and per-op fragments cached by content.
-
-_ANGLE = st.floats(-4, 4, allow_nan=False)
-_ZERO = st.sampled_from([0.0, -0.0])
-_SIGNED_ZERO = st.builds(complex, _ZERO, _ZERO)
-_PHASE = st.builds(lambda t: complex(math.cos(t), math.sin(t)), _ANGLE) | st.builds(
-    complex, st.sampled_from([1.0, -1.0]), _ZERO)
-
-
-def _rotation(alpha, beta, gamma, theta):
-    """A 2x2 unitary: a global phase times an SU(2) rotation."""
-    c, s = math.cos(theta), math.sin(theta)
-    b, g = complex(math.cos(beta), math.sin(beta)), complex(math.cos(gamma), math.sin(gamma))
-    return complex(math.cos(alpha), math.sin(alpha)) * np.array(
-        [[b * c, g * s], [-g.conjugate() * s, b.conjugate() * c]])
-
-
-_MATRICES = (
-    st.sampled_from(list(GATE_MATRICES.values()))
-    | st.builds(lambda a, b, z, w: np.array([[a, z], [w, b]]), _PHASE, _PHASE, _SIGNED_ZERO, _SIGNED_ZERO)
-    | st.builds(lambda a, b, z, w: np.array([[z, a], [b, w]]), _PHASE, _PHASE, _SIGNED_ZERO, _SIGNED_ZERO)
-    | st.builds(_rotation, _ANGLE, _ANGLE, _ANGLE, _ANGLE)
-)
-_IONS = st.integers(0, MAX_QUBITS - 1)
-_PULSES = (st.builds(Pulse, st.sampled_from([k for k in PULSE_KINDS if k != "OneQubit"]), _IONS)
-           | st.builds(Pulse, st.just("OneQubit"), _IONS, _MATRICES, st.none() | st.text(max_size=4)))
-
-
-def _signed_zero_twin(pulse: Pulse) -> Pulse:
-    """The pulse with the sign of every zero real or imaginary part flipped."""
-    parts = pulse.matrix.copy().view(float)
-    np.negative(parts, out=parts, where=parts == 0)
-    return Pulse("OneQubit", pulse.ion, parts.view(complex), pulse.label)
-
-
-def _assert_pulse_texts(seq: PulseSequence) -> None:
-    docs = pulses_to_json(seq)
-    report, text = _pulse_texts(seq)
-    assert _dumps({"pulses": report}) == json.dumps({"pulses": docs}, indent=2, sort_keys=True)
-    assert text == json.dumps(docs, separators=(",", ":"))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(_PULSES, max_size=12))
-@example([])
-def test_pulse_fragments_spell_what_json_dumps_spells(pulses):
-    """Cold and warm, the fragments join to the bytes ``json.dumps`` gives;
-    a -0.0 twin, rendered after its +0.0 sibling, gets its own spelling."""
-    seq = PulseSequence(pulses)
-    twins = PulseSequence([_signed_zero_twin(p) for p in pulses if p.kind == "OneQubit"])
-    cli._PULSE_FRAGMENTS.clear()
-    _assert_pulse_texts(seq)
-    _assert_pulse_texts(seq)
-    _assert_pulse_texts(twins)
-    _assert_pulse_texts(PulseSequence(seq.pulses + twins.pulses))
-
-
-def test_signed_zero_twin_gets_its_own_fragment():
-    plus = Pulse("OneQubit", 2, np.array([[1, 0.0], [0.0, 1]]), "I")
-    minus = _signed_zero_twin(plus)
-    cli._PULSE_FRAGMENTS.clear()
-    _, plus_text = _pulse_texts(PulseSequence((plus,)))
-    _, minus_text = _pulse_texts(PulseSequence((minus,)))
-    assert "-0.0" not in plus_text
-    assert minus_text == plus_text.replace("0.0", "-0.0") and len(cli._PULSE_FRAGMENTS) == 2
-
-
-def test_fragment_caches_are_bounded(monkeypatch):
-    monkeypatch.setattr(cli, "_FRAGMENT_CACHE_SIZE", 3)
-    cli._PULSE_FRAGMENTS.clear()
-    seq = PulseSequence([Pulse("VPulse", ion) for ion in range(6)] + [Pulse("VPulse", 0)])
-    _assert_pulse_texts(seq)
-    assert len(cli._PULSE_FRAGMENTS) == 3
-    assert cli._gate_fragment.cache_info().maxsize == compile_op.cache_info().maxsize
-
-
 def _run_main(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -868,8 +819,7 @@ def test_compile_outputs_spell_what_json_dumps_spells(n, n_ops, seed):
     docs = pulses_to_json(compile_circuit(circuit))
     per_gate = [{"kind": op.kind, "controls": list(op.controls), "targets": list(op.targets),
                  "pulses": op_pulse_cost(op)} for op in circuit.ops]
-    cli._PULSE_FRAGMENTS.clear()
-    cli._gate_fragment.cache_clear()
+    cli._op_texts.cache_clear()
     with tempfile.TemporaryDirectory() as tmp:
         source, pulse_file = Path(tmp) / "c.qc.json", Path(tmp) / "c.pulses.json"
         source.write_text(serialize_circuit(circuit))
@@ -883,3 +833,4 @@ def test_compile_outputs_spell_what_json_dumps_spells(n, n_ops, seed):
                     expected.update(per_gate=per_gate, pulses=docs)
                 assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
                 assert pulse_file.read_text() == json.dumps(docs, separators=(",", ":"))
+    assert cli._op_texts.cache_info().maxsize == compile_op.cache_info().maxsize

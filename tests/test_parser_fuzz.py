@@ -1,18 +1,22 @@
 """Any JSON value fed to the circuit and pulse parsers yields either a parsed
 object or the documented error type, never another exception; any input file
-given to the CLI yields a report or one ``error:`` line."""
+or argv given to the CLI yields a result or one ``error:`` line."""
 
+import argparse
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from qeclab.circuits import MAX_QUBITS, Circuit, CircuitFormatError, parse_circuit
-from qeclab.cli import main
-from qeclab.iontrap import PULSE_KINDS, PulseSequence, pulses_from_json
+from qeclab.circuits import MAX_QUBITS, Circuit, CircuitFormatError, GateOp, parse_circuit, serialize_circuit
+from qeclab.cli import MAX_TRIALS, build_parser, main
+from qeclab.iontrap import MAX_IONS, PULSE_KINDS, PulseSequence, compile_circuit, pulses_from_json, pulses_to_json
+from qeclab.noise import MAX_REPETITIONS, MAX_SHOTS, MAX_STEPS
+from qeclab.search import MAX_OPS
 
 from conftest import FILE_COMMANDS
 
@@ -92,3 +96,83 @@ def test_cli_input_file_gives_a_report_or_one_error_line(argv, text):
         assert len(lines) == 1 and lines[0].startswith("error:")
     else:
         assert isinstance(json.loads(out.getvalue()), dict)
+
+
+# argv for every subcommand, built from the parser's own flags: valid,
+# boundary and junk values, with flags dropped and unknown ones added. Counts
+# that set the work come from small ranges; each cap is drawn one past its
+# upper value, which is refused before anything runs. A word "@name" is the
+# file or directory "name" in the example's temporary directory, which is
+# also the working directory: junk holds no "/", so whatever a command writes
+# stays in there.
+CAPPED = {"trials": MAX_TRIALS, "n": MAX_REPETITIONS, "shots": MAX_SHOTS, "steps": MAX_STEPS,
+          "max_ops": MAX_OPS, "ions": MAX_IONS}
+SMALL = {"budget": (1, 4), "restarts": (1, 3), "trials": (1, 2), "n": (1, 3), "shots": (2, 40),
+         "steps": (2, 4), "max_ops": (1, 12), "ions": (1, MAX_IONS), "seed": (0, 2**64)}
+TEXTS = {"circuit": ["@circuit"], "encoder": ["@circuit"], "start": ["@circuit", "reference"],
+         "pulses": ["@pulses"], "alpha": ["0.6", "1", "0", "1e308", "nan"], "beta": ["0.8j", "1j", "0", "-1e308"],
+         "alphabet": ["U,V,CPHASE", "X", "CNOT", "bogus", ""]}
+JUNK = (st.text(st.characters(blacklist_characters="/"), max_size=6) | st.sampled_from(["", "-1", "0", "1e400", "nan", "inf", "0x10", "--", "x\ny",
+                                               "@missing", "@dir", "@dir/missing/x", "@circuit", "@pulses"]))
+
+
+def _values(action):
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    low, high = SMALL.get(action.dest, (-2, 3))
+    if action.type is int:
+        return (st.integers(low, high) | st.sampled_from([low - 1, CAPPED.get(action.dest, high) + 1])).map(str)
+    if action.type is float:
+        return st.floats(0, 3).map(repr) | st.sampled_from(["-1", "1e308", "nan", "inf"])
+    return st.sampled_from(TEXTS.get(action.dest, ["@out"]))
+
+
+def _flag(action):
+    """The flag and its values, or nothing: a required flag is dropped one time in four."""
+    value = st.one_of(_values(action), _values(action), JUNK)       # junk one time in three
+    values = st.just([]) if action.nargs == 0 else st.lists(
+        value, min_size=1, max_size=3 if action.nargs == "+" else 1)
+    flag = values.map(lambda v: [action.option_strings[-1], *v])
+    return st.sampled_from([True, True, True, False] if action.required else [True, False]).flatmap(
+        lambda keep: flag if keep else st.just([]))
+
+
+def _argv(name, parser):
+    parts = [_flag(a) for a in parser._actions if a.option_strings and a.dest != "help"]
+    extra = st.lists(st.sampled_from(["--bogus", "-x", "x"]) | JUNK, max_size=1)
+    return st.tuples(*parts, extra).map(lambda ps: [name, *(word for part in ps for word in part)])
+
+
+(SUBCOMMANDS,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+ARGV = st.one_of(*(_argv(name, parser) for name, parser in SUBCOMMANDS.items())) | st.lists(JUNK, max_size=2)
+ARGV_CIRCUIT = Circuit(3, (GateOp("U", (0,)), GateOp("CNOT", (2,), (0,)), GateOp("CPHASE", (1, 2), (0,))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGV)
+def test_any_argv_gives_a_result_or_one_error_line(argv):
+    """Exit 0, 2 or 3 and no traceback; a nonzero exit prints exactly one
+    ``error:`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "circuit").write_text(serialize_circuit(ARGV_CIRCUIT))
+        (Path(tmp) / "pulses").write_text(json.dumps(pulses_to_json(compile_circuit(ARGV_CIRCUIT))))
+        (Path(tmp) / "dir").mkdir()
+        argv = [tmp + "/" + word[1:] if word.startswith("@") else word for word in argv]
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:       # --help, or a prefix of it, prints the usage
+            code = exc.code
+            assert code == 0 and out.getvalue().startswith("usage:")
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
