@@ -95,11 +95,6 @@ class PulseSequence:
         return len(self.pulses)
 
 
-def _check_ion(ion: int, n_ions: int) -> None:
-    if not 0 <= ion < n_ions:
-        raise ValueError(f"ion index {ion} out of range for {n_ions} ions")
-
-
 def _pulse_apply(block: np.ndarray, pulse: Pulse, shape: tuple, axis: int) -> None:
     """Apply a pulse in place to a C-contiguous block whose leading axes are
     ``shape``: the ions of a corner of the trap basis, 2 (g, e) or 3 (and e')
@@ -198,54 +193,127 @@ def _worst_norm(power: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(power.reshape(-1, power.shape[-1]), axis=0), initial=0.0)))
 
 
-def _reorder(block: np.ndarray, out: np.ndarray, order: tuple, new: tuple) -> np.ndarray:
-    """Copy ``block``, its ion axes in memory order ``order``, into the memory
-    of ``out`` with them in order ``new``; the phonon and columns stay last."""
-    n = len(order)
-    moved = block.transpose([order.index(k) for k in new] + [n, n + 1])
-    out = out.reshape(moved.shape)
-    np.copyto(out, moved)
-    return out
+def _shaped(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading ``prod(shape)`` elements of a flat buffer, as a C-contiguous block."""
+    return buffer[:prod(shape)].reshape(shape)
+
+
+def _run(pulses: tuple, n_ions: int, region: tuple, fixed: bool) -> Optional[np.ndarray]:
+    """The pulse loop; returns the final block in trap order, its axes the
+    ions' levels, the phonon and the 2**n columns.
+
+    With ``fixed`` the block holds the whole ``region`` from the start, zeros
+    outside the qubit rows. Without it the block starts on the qubit corner,
+    levels {g, e} and phonon 0, and grows a part (phonon 1, e' of one ion)
+    just before the first WPhon/VPhon-family pulse that needs it, for every
+    such pulse up to the next OneQubit. The new rows hold NaN: each stands for
+    a zero whose sign earlier pulses may have flipped, and every product, sum,
+    negation and copy of ``_pulse_apply`` keeps a NaN a NaN. Each OneQubit
+    pulse runs on the qubit corner again, the grown parts cut off. Between
+    OneQubit pulses the other pulses permute rows, so a column holds at least
+    as many NaN as rows were grown, and a cut that drops a value leaves one
+    more NaN in the corner for good. A corner free of NaN at the end therefore
+    means every cut dropped only zeros and every finite value is exact; else
+    this returns None, and the fixed run is the exact one."""
+    nq = 2**n_ions
+    base = region if fixed else (2,) * n_ions + (1,)
+    size = prod(base) * nq
+    buffer, spare = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    shape = base                        # levels per ion in trap order, then the phonon
+    block = _shaped(buffer, base + (nq,))
+    corner = (slice(0, 2),) * n_ions + (0,)
+    if fixed:
+        block.fill(0)
+    block[corner] = np.eye(nq).reshape((2,) * n_ions + (nq,))
+    corner = corner[:-1] + (slice(0, 1),)   # the same rows, the phonon axis kept
+    # A OneQubit pulse runs with its ion's axis leading, where the ion's two
+    # level slices are contiguous; on a late ion in trap order they are short
+    # strided runs, at two to ten times the cost. The axes move, by one copy into
+    # the spare buffer, when a OneQubit pulse needs another ion first. A grown
+    # block lives in a third buffer, and one copy back cuts it and moves the axes.
+    # Every element still goes through the same arithmetic.
+    order = tuple(range(n_ions))        # the ion axes in memory order
+    grown_blocks = {}                   # by parts and order: the view, the slabs of new rows
+    for i, pulse in enumerate(pulses):
+        if pulse.kind == "OneQubit":
+            grown = shape != base
+            if grown or order[0] != pulse.ion:
+                moved = block[corner] if grown else block
+                if order[0] != pulse.ion:
+                    new = (pulse.ion,) + tuple(k for k in range(n_ions) if k != pulse.ion)
+                    moved = moved.transpose([order.index(k) for k in new] + [n_ions, n_ions + 1])
+                    order = new
+                if grown:           # two levels an ion: one corner shape in every order
+                    block = home
+                else:
+                    block, buffer, spare = _shaped(spare, moved.shape), spare, buffer
+                np.copyto(block, moved)
+                shape = base
+        elif pulse.kind != "VPulse" and (shape[-1] == 1 or (
+                pulse.kind.startswith("VPhon") and shape[pulse.ion] == 2)):
+            # only the fast run gets here, at a segment's first phonon pulse
+            # (the fixed region holds every part): grow what the segment uses
+            parts = list(shape[:-1]) + [PHONON_DIM]
+            for later in pulses[i:]:
+                if later.kind == "OneQubit":
+                    break
+                if later.kind.startswith("VPhon"):
+                    parts[later.ion] = LEVELS
+            home, shape = block, tuple(parts)
+            if (shape, order) not in grown_blocks:
+                if not grown_blocks:
+                    grow_buffer = np.empty(prod(region) * nq, dtype=complex)
+                view = _shaped(grow_buffer, tuple(shape[k] for k in order) + (PHONON_DIM, nq))
+                # one slab of new rows per grown axis; the corner has 2 levels and 1 phonon state
+                slabs = [corner[:axis] + (slice(corner[axis].stop, None),)
+                         for axis, size in enumerate(view.shape[:-1]) if size > corner[axis].stop]
+                grown_blocks[shape, order] = view, slabs
+            block, slabs = grown_blocks[shape, order]
+            block[corner] = home
+            for slab in slabs:
+                block[slab] = np.nan
+        _pulse_apply(block, pulse, block.shape[:-1], order.index(pulse.ion))
+    if not fixed and np.isnan(block[corner]).any():
+        return None
+    if order[0] != 0:
+        block = np.ascontiguousarray(
+            block.transpose([order.index(k) for k in range(n_ions)] + [n_ions, n_ions + 1]))
+    return block
 
 
 def simulate_pulse_sequence(seq: PulseSequence, n_ions: int) -> PulseSimResult:
     """Run the sequence on every qubit-subspace basis state (phonon in |0>).
 
     Returns the induced 2**n x 2**n operator together with the worst residual
-    amplitude outside the qubit subspace and the worst phonon excitation.
+    amplitude outside the qubit subspace and the worst phonon excitation. The
+    ions are checked before any pulse runs. The pulses run on the rows the
+    amplitudes occupy (``_run``); when that run cannot vouch for the sign of a
+    zero, they run again on the fixed region the program reaches: phonon 1 if
+    it has a phonon pulse, e' of the ions it VPhons. Each pulse maps that
+    region into itself, and the rest of the space stays zero.
     """
     if not 1 <= n_ions <= MAX_IONS:
         raise ValueError(f"n_ions must be in 1..{MAX_IONS}, got {n_ions}")
-    # The pulses run on the corner of the trap basis the program reaches:
-    # phonon 1 if it has a phonon pulse, e' of the ions it VPhons. Each pulse
-    # maps that corner into itself, and the rest of the space stays empty.
-    eprime = {p.ion for p in seq.pulses if p.kind.startswith("VPhon")}
-    phonon = bool(eprime) or any(p.kind.startswith("WPhon") for p in seq.pulses)
+    pulses = seq.pulses
+    bad = next((p.ion for p in pulses if not 0 <= p.ion < n_ions), None)
+    if bad is not None:
+        raise ValueError(f"ion index {bad} out of range for {n_ions} ions")
+    eprime = {p.ion for p in pulses if p.kind.startswith("VPhon")}
+    phonon = bool(eprime) or any(p.kind.startswith("WPhon") for p in pulses)
     region = tuple(LEVELS if k in eprime else 2 for k in range(n_ions)) + (1 + phonon,)
-    nq = 2**n_ions
-    block = np.zeros(region + (nq,), dtype=complex)
-    qubit = (slice(0, 2),) * n_ions + (0,)
-    block[qubit] = np.eye(nq).reshape((2,) * n_ions + (nq,))
-    # A OneQubit pulse runs with its ion's axis leading, where the ion's two
-    # level slices are contiguous; on a late ion in trap order they are short
-    # strided runs, at two to ten times the cost. The axes move, by one copy into
-    # the spare block, only when a OneQubit pulse needs another ion first.
-    # Every element still goes through the same arithmetic.
-    order = tuple(range(n_ions))        # the ion axes in memory order
-    spare = np.empty_like(block)
-    for pulse in seq.pulses:
-        _check_ion(pulse.ion, n_ions)
-        if pulse.kind == "OneQubit" and order[0] != pulse.ion:
-            new = (pulse.ion,) + tuple(k for k in range(n_ions) if k != pulse.ion)
-            block, spare, order = _reorder(block, spare, order, new), block, new
-        _pulse_apply(block, pulse, block.shape[:-1], order.index(pulse.ion))
-    if order[0] != 0:
-        block = _reorder(block, spare, order, tuple(range(n_ions)))
-    # The block's rows are in trap-basis order, so its column sums add the
-    # same nonzero terms, in the same order, as sums over the whole space.
+    block = _run(pulses, n_ions, region, fixed=False)
+    if block is None:
+        block = _run(pulses, n_ions, region, fixed=True)
+    # The block's rows are in trap-basis order, and a row it lacks holds a zero
+    # in the whole space. The axis-0 sums add row by row, where adding +0 changes
+    # no bit, so they give the whole space's sums; a NaN left outside the qubit
+    # rows stands for a zero and reads as one.
     power = np.abs(block) ** 2
+    np.fmax(power, 0.0, out=power)      # a NaN reads as 0, the rest stays bit for bit
     phonon_residual = _worst_norm(power[..., 1:, :])
+    qubit = (slice(0, 2),) * n_ions + (0,)
     power[qubit] = 0.0
+    nq = 2**n_ions
     return PulseSimResult(block[qubit].reshape(nq, nq), _worst_norm(power), phonon_residual)
 
 

@@ -374,6 +374,24 @@ class TestCollapse:
         assert np.abs(states[:, clear] - ref_states[:, clear]).max(initial=0.0) < 1e-15
         assert not zero[outcomes[clear], np.arange(size)[clear]].any()
 
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([1, 2, 4, 16]), size=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_one_column_matches_its_column_of_a_block(self, k, size, seed):
+        """A single decode's one-column branch gives, bit for bit, what the
+        block step gives that column: outcome, state and probabilities."""
+        gen = np.random.default_rng(seed)
+        amps = gen.normal(size=(2 * k, size)) + 1j * gen.normal(size=(2 * k, size))
+        amps[gen.random((2 * k, size)) < 0.2] = 0.0                     # signed zeros too
+        amps[gen.integers(2 * k, size=size), np.arange(size)] = -0.0 + 1j   # one live row per column
+        draws = gen.random(size)
+        draws[1] = 0.0
+        outcomes, states, probs = codes._collapse(amps, draws)
+        for b in range(size):
+            (one,), state, prob = codes._collapse(np.ascontiguousarray(amps[:, b:b + 1]), draws[b:b + 1])
+            assert one == outcomes[b]
+            assert state.tobytes() == np.ascontiguousarray(states[:, b:b + 1]).tobytes()
+            assert prob.tobytes() == np.ascontiguousarray(probs[:, b:b + 1]).tobytes()
+
 
 def _recovery_reference(code, table):
     """Block s = correction(s) @ selector(s) @ decode, one outcome at a time."""

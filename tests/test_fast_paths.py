@@ -5,7 +5,7 @@ mask/gather pulse kernel, on the whole block, that the in-place one replaced."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qeclab.circuits import Circuit, GateOp, SINGLE_QUBIT_KINDS, GATE_MATRICES, _apply_op_array
 from qeclab.codes import (
@@ -15,6 +15,7 @@ from qeclab.codes import (
     five_qubit_encoder,
     single_qubit_error_classes,
 )
+from qeclab import iontrap
 from qeclab.iontrap import (
     LEVELS,
     PHONON_DIM,
@@ -303,7 +304,8 @@ def test_region_simulation_matches_mask_gather_reference(family, data):
 def test_region_is_fixed_for_the_whole_program():
     """After the VPulse the whole-space kernel holds -0 on |g,1>, and the WPhon
     moves it into the qubit row |e,0> as +0 (from +0 it would be -0 there).
-    A region that grew only at the WPhon would print the other sign."""
+    A region that grew only at the WPhon, with zeros, would print the other
+    sign; the NaN it grows with sends this program to the fixed region."""
     seq = PulseSequence((Pulse("VPulse", 0), Pulse("WPhon", 0)))
     unitary = reference_simulation(seq, 1)[0]
     assert not np.signbit(unitary[1].imag).any()
@@ -363,3 +365,112 @@ def test_ion_out_of_range_is_reported_in_a_moved_layout(kind):
     seq = PulseSequence((Pulse("OneQubit", 2, GATE_MATRICES["U"]), bad))
     with pytest.raises(ValueError, match="ion index 3 out of range for 3 ions"):
         simulate_pulse_sequence(seq, 3)
+
+
+# --- the rows the amplitudes occupy ---------------------------------------------------
+# The simulator first runs on the qubit corner, growing phonon 1 and e' with NaN
+# before a segment's first phonon pulse and cutting them before each OneQubit
+# pulse; a NaN left in the qubit rows sends the program to the fixed region.
+
+
+def fixed_runs(seq: PulseSequence, n: int):
+    """The simulation, and how many times it ran on the fixed region."""
+    calls = []
+
+    def spy(pulses, n_ions, region, fixed):
+        calls.append(fixed)
+        return run(pulses, n_ions, region, fixed)
+
+    run = iontrap._run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iontrap, "_run", spy)
+        sim = simulate_pulse_sequence(seq, n)
+    return sim, sum(calls)
+
+
+def assert_matches_reference(sim, seq: PulseSequence, n: int) -> None:
+    unitary, leakage, phonon_residual = reference_simulation(seq, n)
+    assert same_bits(sim.unitary, unitary)
+    assert (sim.leakage, sim.phonon_residual) == (leakage, phonon_residual)
+    assert not np.isnan(sim.unitary).any()
+    assert not np.isnan(sim.leakage) and not np.isnan(sim.phonon_residual)
+
+
+@st.composite
+def compiled_programs(draw):
+    """Compiled random circuits on 1-6 qubits, with CPHASEs of two or more
+    controls inserted at random places from 3 qubits on."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(seeds))
+    ops = list(random_circuit(n, draw(st.integers(0, 30)), rng).ops)
+    for _ in range(draw(st.integers(0, 3)) if n >= 3 else 0):
+        qubits = [int(q) for q in rng.permutation(n)]
+        c = draw(st.integers(2, n - 1))
+        ops.insert(draw(st.integers(0, len(ops))),
+                   GateOp("CPHASE", tuple(sorted(qubits[c:])), tuple(sorted(qubits[:c]))))
+    return compile_circuit(Circuit(n, tuple(ops))), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(compiled_programs())
+def test_compiled_programs_never_need_the_fixed_region(program):
+    seq, n = program
+    sim, fixed = fixed_runs(seq, n)
+    assert fixed == 0
+    assert_matches_reference(sim, seq, n)
+
+
+@st.composite
+def spliced_programs(draw):
+    """A compiled program with 1-3 random pulses spliced in at random places;
+    many leak, so the fixed run takes over from a cut or from the end."""
+    seq, n = draw(compiled_programs())
+    rng = np.random.default_rng(draw(seeds))
+    pulses = list(seq.pulses)
+    for _ in range(draw(st.integers(1, 3))):
+        pulses.insert(draw(st.integers(0, len(pulses))), random_pulse(n, rng))
+    return PulseSequence(tuple(pulses)), n
+
+
+# the README's example: a VPulse before the first WPhon flips the sign of a zero
+# that the WPhon then moves into a qubit row
+@example(program=(PulseSequence((Pulse("VPulse", 0), Pulse("WPhon", 0))), 1))
+@example(program=(PulseSequence((Pulse("VPulse", 1),) + compile_circuit(
+    Circuit(2, (GateOp("CNOT", (1,), (0,)),))).pulses), 2))
+@settings(max_examples=60, deadline=None)
+@given(spliced_programs())
+def test_spliced_programs_match_mask_gather_reference(program):
+    seq, n = program
+    assert_matches_reference(fixed_runs(seq, n)[0], seq, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(pulse_programs(), compiled_programs(), spliced_programs()))
+def test_no_result_holds_a_nan(program):
+    """Whichever run gave the result, the NaN that grown rows start with
+    never reaches the unitary, the leakage or the phonon residual."""
+    seq, n = program
+    sim, fixed = fixed_runs(seq, n)
+    assert not np.isnan(sim.unitary).any()
+    assert not np.isnan(sim.leakage) and not np.isnan(sim.phonon_residual)
+    assert fixed in (0, 1)
+
+
+def test_vpulse_before_the_first_wphon_takes_the_fixed_region():
+    """The README's example on one ion: the grown |g,1> row holds NaN for the
+    VPulse's -0, the WPhon moves it into the qubit corner, and the fixed run
+    prints +0 there."""
+    seq = PulseSequence((Pulse("VPulse", 0), Pulse("WPhon", 0)))
+    sim, fixed = fixed_runs(seq, 1)
+    assert fixed == 1
+    assert not np.signbit(sim.unitary[1].imag).any()
+
+
+def test_ions_are_checked_before_any_pulse_runs():
+    """The first out-of-range pulse in program order is named, before the
+    qubit-corner run starts."""
+    seq = PulseSequence((Pulse("WPhon", 0), Pulse("VPhon", 5), Pulse("VPulse", 4)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iontrap, "_run", lambda *args: pytest.fail("a run started"))
+        with pytest.raises(ValueError, match="ion index 5 out of range for 3 ions"):
+            simulate_pulse_sequence(seq, 3)
