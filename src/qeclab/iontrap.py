@@ -203,18 +203,20 @@ def _run(pulses: tuple, n_ions: int, region: tuple, fixed: bool) -> Optional[np.
     ions' levels, the phonon and the 2**n columns.
 
     With ``fixed`` the block holds the whole ``region`` from the start, zeros
-    outside the qubit rows. Without it the block starts on the qubit corner,
-    levels {g, e} and phonon 0, and grows a part (phonon 1, e' of one ion)
-    just before the first WPhon/VPhon-family pulse that needs it, for every
-    such pulse up to the next OneQubit. The new rows hold NaN: each stands for
-    a zero whose sign earlier pulses may have flipped, and every product, sum,
-    negation and copy of ``_pulse_apply`` keeps a NaN a NaN. Each OneQubit
-    pulse runs on the qubit corner again, the grown parts cut off. Between
-    OneQubit pulses the other pulses permute rows, so a column holds at least
-    as many NaN as rows were grown, and a cut that drops a value leaves one
-    more NaN in the corner for good. A corner free of NaN at the end therefore
-    means every cut dropped only zeros and every finite value is exact; else
-    this returns None, and the fixed run is the exact one."""
+    outside the qubit rows, and never changes shape. Without it the block
+    starts on the qubit corner, levels {g, e} and phonon 0. Just before the
+    first WPhon/VPhon-family pulse after a OneQubit pulse (or the start), it
+    grows every part that the pulses up to the next OneQubit pulse use:
+    phonon 1, and e' of each ion they VPhon. The new rows hold NaN: each
+    stands for a zero whose sign earlier pulses may have flipped, and every
+    product, sum, negation and copy of ``_pulse_apply`` keeps a NaN a NaN.
+    Each OneQubit pulse runs on the qubit corner again, the grown parts cut
+    off. Between OneQubit pulses the other pulses permute rows, so a column
+    holds at least as many NaN as rows were grown, and a cut that drops a
+    value leaves one more NaN in the corner for good. A corner free of NaN
+    at the end therefore means every cut dropped only zeros and every finite
+    value is exact; else this returns None, and the fixed run is the exact
+    one."""
     nq = 2**n_ions
     base = region if fixed else (2,) * n_ions + (1,)
     size = prod(base) * nq
@@ -266,7 +268,7 @@ def _run(pulses: tuple, n_ions: int, region: tuple, fixed: bool) -> Optional[np.
                 view = _shaped(grow_buffer, tuple(shape[k] for k in order) + (PHONON_DIM, nq))
                 # one slab of new rows per grown axis; the corner has 2 levels and 1 phonon state
                 slabs = [corner[:axis] + (slice(corner[axis].stop, None),)
-                         for axis, size in enumerate(view.shape[:-1]) if size > corner[axis].stop]
+                         for axis, dim in enumerate(view.shape[:-1]) if dim > corner[axis].stop]
                 grown_blocks[shape, order] = view, slabs
             block, slabs = grown_blocks[shape, order]
             block[corner] = home
