@@ -3,16 +3,18 @@
 Usage, from anywhere:
 
     python3 tools/ab_pairs.py --base ../parent --change . --workload verify_suite \
-        --seed 11 --seconds 15 --pairs 10 --label verify_suite_seed11
+        --seed 11 --pairs 10 --label verify_suite_seed11
 
 Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each checkout, one after the other; even pairs start with
 the base, odd pairs with the change, so a drift in host speed falls on both
-sides alike. The file ``BENCH_<label>.json`` (in ``--out``, the current
+sides alike. The run length defaults to the change checkout's
+``BENCHMARK.json`` ``run_seconds``, so both sides run as the benchmark does. The file ``BENCH_<label>.json`` (in ``--out``, the current
 directory by default) holds every run's result line and, per metric, the
 median and quartiles of each side and the number of pairs the change won.
-A metric's direction comes from the change checkout's ``BENCHMARK.json``;
-metrics it does not declare are reported without win counts. Standard
+A metric's direction comes from that file too; metrics it does not declare
+are reported without win counts. Each checkout is recorded by its git
+commit, marked "+dirty" when tracked files differ from it. Standard
 library only.
 """
 
@@ -40,11 +42,21 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return {"started": start, "result": json.loads(lines[-1])}
 
 
-def directions(checkout: Path) -> dict:
+def revision(checkout: Path) -> str:
+    """The checkout's commit, marked "+dirty" when tracked files differ from it."""
+    def git(*args):
+        proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    commit = git("rev-parse", "HEAD")
+    if commit is None:
+        return "unknown (not a git checkout)"
+    return commit + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
+
+
+def benchmark(checkout: Path) -> dict:
     path = checkout / "BENCHMARK.json"
-    if not path.is_file():
-        return {}
-    return {m["name"]: m["better"] for m in json.loads(path.read_text())["end_to_end"]}
+    return json.loads(path.read_text()) if path.is_file() else {}
 
 
 def spread(values: list) -> dict:
@@ -80,7 +92,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=15)
+    parser.add_argument("--seconds", type=int, help="run length (default: run_seconds)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--label", required=True)
     parser.add_argument("--out", type=Path, default=Path("."))
@@ -88,17 +100,20 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    declared = benchmark(sides["change"])
+    seconds = args.seconds or declared.get("run_seconds", 25)
     runs = []
     for pair in range(args.pairs):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
         for side in order:
-            run = run_once(sides[side], args.workload, args.seed, args.seconds)
+            run = run_once(sides[side], args.workload, args.seed, seconds)
             runs.append({"pair": pair, "side": side, "first": side == order[0], **run})
             print(f"pair {pair} {side}: {json.dumps(run['result']['metrics'])}", file=sys.stderr)
     doc = {"label": args.label, "workload": args.workload, "seed": args.seed,
-           "seconds": args.seconds, "pairs": args.pairs,
-           "checkouts": {side: str(path) for side, path in sides.items()},
-           "runs": runs, "summary": summarise(runs, directions(sides["change"]))}
+           "seconds": seconds, "pairs": args.pairs,
+           "revisions": {side: revision(path) for side, path in sides.items()},
+           "runs": runs,
+           "summary": summarise(runs, {m["name"]: m["better"] for m in declared.get("end_to_end", [])})}
     out = args.out / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(out)
