@@ -102,6 +102,7 @@ def main(argv=None) -> int:
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     declared = benchmark(sides["change"])
     seconds = args.seconds or declared.get("run_seconds", 25)
+    revisions = {side: revision(path) for side, path in sides.items()}
     runs = []
     for pair in range(args.pairs):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
@@ -111,7 +112,7 @@ def main(argv=None) -> int:
             print(f"pair {pair} {side}: {json.dumps(run['result']['metrics'])}", file=sys.stderr)
     doc = {"label": args.label, "workload": args.workload, "seed": args.seed,
            "seconds": seconds, "pairs": args.pairs,
-           "revisions": {side: revision(path) for side, path in sides.items()},
+           "revisions": revisions,
            "runs": runs,
            "summary": summarise(runs, {m["name"]: m["better"] for m in declared.get("end_to_end", [])})}
     out = args.out / f"BENCH_{args.label}.json"
