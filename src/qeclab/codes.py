@@ -29,7 +29,9 @@ and the noise schemes all read it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -371,14 +373,16 @@ def _collapse(amps: np.ndarray, draws: np.ndarray) -> tuple:
     size = amps.shape[1]
     if size == 1:
         # one column, as in every single decode: the same products and sums in
-        # the same order, on 1-D arrays, at a third of the wide path's calls
+        # the same order, on a 1-D array and Python floats, at a third of the
+        # block step's cost; dividing by a float divides by it as a complex
         parts = amps.view(np.float64)                       # (2K, 2): re, im of each row
         parts = parts * parts
         sq = parts[:, 0] + parts[:, 1]
         probs = sq[0::2] + sq[1::2]
-        cum = np.add.accumulate(probs)                      # row after row, as below
-        chosen = int(np.count_nonzero(cum[:-1] <= draws * cum[-1]))
-        return (np.array([chosen]), amps[2 * chosen:2 * chosen + 2] / np.sqrt(probs[chosen:chosen + 1]),
+        cum = list(itertools.accumulate(probs.tolist()))    # row after row, as below
+        draw = draws.item() if isinstance(draws, np.ndarray) else draws
+        chosen = bisect.bisect_right(cum, draw * cum[-1], 0, len(cum) - 1)
+        return (np.array([chosen]), amps[2 * chosen:2 * chosen + 2] / math.sqrt(probs[chosen]),
                 probs.reshape(-1, 1))
     sq = amps.real * amps.real                              # x**2 is slower on these strided views
     sq += amps.imag * amps.imag
