@@ -374,7 +374,8 @@ def _collapse(amps: np.ndarray, draws: np.ndarray) -> tuple:
     if size == 1:
         # one column, as in every single decode: the same products and sums in
         # the same order, on a 1-D array and Python floats, at a third of the
-        # block step's cost; dividing by a float divides by it as a complex
+        # block step's cost; NumPy divides by the float as by a complex with a
+        # zero imaginary part, as the block step divides by its float array
         parts = amps.view(np.float64)                       # (2K, 2): re, im of each row
         parts = parts * parts
         sq = parts[:, 0] + parts[:, 1]

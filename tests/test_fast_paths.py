@@ -423,7 +423,7 @@ def test_compiled_programs_never_need_the_fixed_region(program):
 @st.composite
 def spliced_programs(draw):
     """A compiled program with 1-3 random pulses spliced in at random places;
-    many leak, so the fixed run takes over from a cut or from the end."""
+    many leak mid-program, and the fixed run then takes the whole program."""
     seq, n = draw(compiled_programs())
     rng = np.random.default_rng(draw(seeds))
     pulses = list(seq.pulses)

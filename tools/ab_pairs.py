@@ -8,14 +8,15 @@ Usage, from anywhere:
 Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each checkout, one after the other; even pairs start with
 the base, odd pairs with the change, so a drift in host speed falls on both
-sides alike. The run length defaults to the change checkout's
-``BENCHMARK.json`` ``run_seconds``, so both sides run as the benchmark does. The file ``BENCH_<label>.json`` (in ``--out``, the current
-directory by default) holds every run's result line and, per metric, the
-median and quartiles of each side and the number of pairs the change won.
-A metric's direction comes from that file too; metrics it does not declare
-are reported without win counts. Each checkout is recorded by its git
-commit, marked "+dirty" when tracked files differ from it. Standard
-library only.
+sides alike. The run length defaults to ``run_seconds`` in the change
+checkout's ``BENCHMARK.json``, so both sides run as the benchmark does.
+
+The file ``BENCH_<label>.json`` (in ``--out``, the current directory by
+default) holds every run's result line and, per metric, the median and
+quartiles of each side and the number of pairs the change won. A metric's
+direction comes from ``BENCHMARK.json`` too; metrics it does not declare are
+reported without win counts. Each checkout is recorded by its git commit,
+marked "+dirty" when tracked files differ from it. Standard library only.
 """
 
 from __future__ import annotations
