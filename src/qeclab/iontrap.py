@@ -256,21 +256,22 @@ def _run(pulses: tuple, n_ions: int, region: tuple, fixed: bool) -> Optional[np.
             # only the fast run gets here, at a segment's first phonon pulse
             # (the fixed region holds every part): grow what the segment uses
             parts = list(shape[:-1]) + [PHONON_DIM]
-            for later in pulses[i:]:
-                if later.kind == "OneQubit":
-                    break
-                if later.kind.startswith("VPhon"):
-                    parts[later.ion] = LEVELS
+            end = i                     # by index: a slice of the rest would cost O(len) per grow
+            while end < len(pulses) and pulses[end].kind != "OneQubit":
+                if pulses[end].kind.startswith("VPhon"):
+                    parts[pulses[end].ion] = LEVELS
+                end += 1
             home, shape = block, tuple(parts)
-            if (shape, order) not in grown_blocks:
+            cached = grown_blocks.get((shape, order))
+            if cached is None:
                 if not grown_blocks:
                     grow_buffer = np.empty(prod(region) * nq, dtype=complex)
                 view = _shaped(grow_buffer, tuple(shape[k] for k in order) + (PHONON_DIM, nq))
                 # one slab of new rows per grown axis; the corner has 2 levels and 1 phonon state
                 slabs = [corner[:axis] + (slice(corner[axis].stop, None),)
                          for axis, dim in enumerate(view.shape[:-1]) if dim > corner[axis].stop]
-                grown_blocks[shape, order] = view, slabs
-            block, slabs = grown_blocks[shape, order]
+                cached = grown_blocks[shape, order] = view, slabs
+            block, slabs = cached
             block[corner] = home
             for slab in slabs:
                 block[slab] = np.nan
