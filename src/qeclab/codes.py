@@ -411,9 +411,10 @@ def build_syndrome_table(code: CodeSpec) -> SyndromeTable:
     table = SyndromeTable()
     for error in code.error_classes:
         branches = recovery @ apply_error(encoded_probe, error).amplitudes      # (K, 2)
-        # a deterministic reading leaves under 1e-10 off one outcome: any middle draw picks it
+        # a deterministic reading leaves under 1e-10 off one outcome: any middle
+        # draw picks it, so the chosen outcome's probability is the largest
         (outcome,), data, probs = _collapse(branches.reshape(-1, 1), 0.5)
-        if probs.max() < 1.0 - 1e-10:
+        if probs[outcome, 0] < 1.0 - 1e-10:
             raise ValueError(
                 f"ancilla measurement is not deterministic (p={probs.max():.6f}); "
                 f"the circuit is not a valid encoder for this error"

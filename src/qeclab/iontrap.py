@@ -193,9 +193,21 @@ def _worst_norm(power: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(power.reshape(-1, power.shape[-1]), axis=0), initial=0.0)))
 
 
-def _shaped(buffer: np.ndarray, shape: tuple) -> np.ndarray:
-    """The leading ``prod(shape)`` elements of a flat buffer, as a C-contiguous block."""
-    return buffer[:prod(shape)].reshape(shape)
+@lru_cache(maxsize=4096)
+def _keeps_qubit_rows(stretch: tuple, n_ions: int) -> bool:
+    """Whether a stretch of WPhon/VPhon-family and VPulse pulses, given as
+    (kind, ion) pairs, maps every qubit row (levels g/e, phonon 0) onto a
+    qubit row. Those pulses only permute rows, each times a phase of modulus
+    1, so a mark on each qubit row, run through the stretch on the whole trap
+    space, either stays on the qubit rows or shows where it left them."""
+    space = (LEVELS,) * n_ions + (PHONON_DIM,)
+    qubit = (slice(0, 2),) * n_ions + (0,)
+    mark = np.zeros(space + (1,), dtype=complex)
+    mark[qubit] = 1
+    for kind, ion in stretch:
+        _pulse_apply(mark, Pulse(kind, ion), space, ion)
+    mark[qubit] = 0
+    return not mark.any()
 
 
 def _run(pulses: tuple, n_ions: int, region: tuple, fixed: bool) -> Optional[np.ndarray]:
@@ -206,78 +218,51 @@ def _run(pulses: tuple, n_ions: int, region: tuple, fixed: bool) -> Optional[np.
     outside the qubit rows, and never changes shape. Without it the block
     starts on the qubit corner, levels {g, e} and phonon 0. Just before the
     first WPhon/VPhon-family pulse after a OneQubit pulse (or the start), it
-    grows every part that the pulses up to the next OneQubit pulse use:
-    phonon 1, and e' of each ion they VPhon. The new rows hold NaN: each
-    stands for a zero whose sign earlier pulses may have flipped, and every
-    product, sum, negation and copy of ``_pulse_apply`` keeps a NaN a NaN.
-    Each OneQubit pulse runs on the qubit corner again, the grown parts cut
-    off. Between OneQubit pulses the other pulses permute rows, so a column
-    holds at least as many NaN as rows were grown, and a cut that drops a
-    value leaves one more NaN in the corner for good. A corner free of NaN
-    at the end therefore means every cut dropped only zeros and every finite
-    value is exact; else this returns None, and the fixed run is the exact
-    one."""
+    grows, with zeros, every part that the pulses up to the next OneQubit
+    pulse use: phonon 1, and e' of each ion they VPhon. Each OneQubit pulse
+    runs on the qubit corner again, the grown parts cut off. Where this run
+    grows +0, the fixed run may hold a zero whose sign earlier pulses have
+    flipped. That never shows if the stretch maps the qubit rows onto
+    themselves (``_keeps_qubit_rows``): its other rows then stay apart from
+    the qubit rows, and the cut drops only zeros. At the first stretch that
+    does not, this returns None before it runs any of its pulses, and the
+    fixed run is the exact one."""
     nq = 2**n_ions
-    base = region if fixed else (2,) * n_ions + (1,)
-    size = prod(base) * nq
-    buffer, spare = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-    shape = base                        # levels per ion in trap order, then the phonon
-    block = _shaped(buffer, base + (nq,))
-    corner = (slice(0, 2),) * n_ions + (0,)
-    if fixed:
-        block.fill(0)
-    block[corner] = np.eye(nq).reshape((2,) * n_ions + (nq,))
-    corner = corner[:-1] + (slice(0, 1),)   # the same rows, the phonon axis kept
+    corner = (slice(0, 2),) * n_ions + (slice(0, 1),)
+    block = np.zeros((region if fixed else (2,) * n_ions + (1,)) + (nq,), dtype=complex)
+    block[corner] = np.eye(nq).reshape((2,) * n_ions + (1, nq))
     # A OneQubit pulse runs with its ion's axis leading, where the ion's two
     # level slices are contiguous; on a late ion in trap order they are short
-    # strided runs, at two to ten times the cost. The axes move, by one copy into
-    # the spare buffer, when a OneQubit pulse needs another ion first. A grown
-    # block lives in a third buffer, and one copy back cuts it and moves the axes.
-    # Every element still goes through the same arithmetic.
+    # strided runs, at two to ten times the cost. The axes move, by one copy,
+    # when a OneQubit pulse needs another ion first, and the copy that cuts a
+    # grown block moves them in the same pass. Every element still goes
+    # through the same arithmetic.
     order = tuple(range(n_ions))        # the ion axes in memory order
-    grown_blocks = {}                   # by parts and order: the view, the slabs of new rows
+    grown = False
     for i, pulse in enumerate(pulses):
         if pulse.kind == "OneQubit":
-            grown = shape != base
             if grown or order[0] != pulse.ion:
                 moved = block[corner] if grown else block
                 if order[0] != pulse.ion:
                     new = (pulse.ion,) + tuple(k for k in range(n_ions) if k != pulse.ion)
                     moved = moved.transpose([order.index(k) for k in new] + [n_ions, n_ions + 1])
                     order = new
-                if grown:           # two levels an ion: one corner shape in every order
-                    block = home
-                else:
-                    block, buffer, spare = _shaped(spare, moved.shape), spare, buffer
-                np.copyto(block, moved)
-                shape = base
-        elif pulse.kind != "VPulse" and (shape[-1] == 1 or (
-                pulse.kind.startswith("VPhon") and shape[pulse.ion] == 2)):
-            # only the fast run gets here, at a segment's first phonon pulse
-            # (the fixed region holds every part): grow what the segment uses
-            parts = list(shape[:-1]) + [PHONON_DIM]
+                block, grown = np.ascontiguousarray(moved), False
+        elif not (fixed or grown or pulse.kind == "VPulse"):
+            # a stretch's first phonon pulse: check it, then grow what it uses
+            parts, stretch = [2] * n_ions, []
             end = i                     # by index: a slice of the rest would cost O(len) per grow
-            while end < len(pulses) and pulses[end].kind != "OneQubit":
-                if pulses[end].kind.startswith("VPhon"):
-                    parts[pulses[end].ion] = LEVELS
+            while end < len(pulses) and (p := pulses[end]).kind != "OneQubit":
+                stretch.append((p.kind, p.ion))
+                if p.kind.startswith("VPhon"):
+                    parts[p.ion] = LEVELS
                 end += 1
-            home, shape = block, tuple(parts)
-            cached = grown_blocks.get((shape, order))
-            if cached is None:
-                if not grown_blocks:
-                    grow_buffer = np.empty(prod(region) * nq, dtype=complex)
-                view = _shaped(grow_buffer, tuple(shape[k] for k in order) + (PHONON_DIM, nq))
-                # one slab of new rows per grown axis; the corner has 2 levels and 1 phonon state
-                slabs = [corner[:axis] + (slice(corner[axis].stop, None),)
-                         for axis, dim in enumerate(view.shape[:-1]) if dim > corner[axis].stop]
-                cached = grown_blocks[shape, order] = view, slabs
-            block, slabs = cached
+            if not _keeps_qubit_rows(tuple(stretch), n_ions):
+                return None
+            home, grown = block, True
+            block = np.zeros(tuple(parts[k] for k in order) + (PHONON_DIM, nq), dtype=complex)
             block[corner] = home
-            for slab in slabs:
-                block[slab] = np.nan
         _pulse_apply(block, pulse, block.shape[:-1], order.index(pulse.ion))
-    if not fixed and np.isnan(block[corner]).any():
-        return None
     if order[0] != 0:
         block = np.ascontiguousarray(
             block.transpose([order.index(k) for k in range(n_ions)] + [n_ions, n_ions + 1]))
@@ -290,10 +275,11 @@ def simulate_pulse_sequence(seq: PulseSequence, n_ions: int) -> PulseSimResult:
     Returns the induced 2**n x 2**n operator together with the worst residual
     amplitude outside the qubit subspace and the worst phonon excitation. The
     ions are checked before any pulse runs. The pulses run on the rows the
-    amplitudes occupy (``_run``); when that run cannot vouch for the sign of a
-    zero, they run again on the fixed region the program reaches: phonon 1 if
-    it has a phonon pulse, e' of the ions it VPhons. Each pulse maps that
-    region into itself, and the rest of the space stays zero.
+    amplitudes occupy (``_run``); when a stretch of phonon pulses would move
+    amplitude off the qubit rows, they run again on the fixed region the
+    program reaches: phonon 1 if it has a phonon pulse, e' of the ions it
+    VPhons. Each pulse maps that region into itself, and the rest of the
+    space stays zero.
     """
     if not 1 <= n_ions <= MAX_IONS:
         raise ValueError(f"n_ions must be in 1..{MAX_IONS}, got {n_ions}")
@@ -309,10 +295,8 @@ def simulate_pulse_sequence(seq: PulseSequence, n_ions: int) -> PulseSimResult:
         block = _run(pulses, n_ions, region, fixed=True)
     # The block's rows are in trap-basis order, and a row it lacks holds a zero
     # in the whole space. The axis-0 sums add row by row, where adding +0 changes
-    # no bit, so they give the whole space's sums; a NaN left outside the qubit
-    # rows stands for a zero and reads as one.
+    # no bit, so they give the whole space's sums.
     power = np.abs(block) ** 2
-    np.fmax(power, 0.0, out=power)      # a NaN reads as 0, the rest stays bit for bit
     phonon_residual = _worst_norm(power[..., 1:, :])
     qubit = (slice(0, 2),) * n_ions + (0,)
     power[qubit] = 0.0

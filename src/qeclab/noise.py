@@ -69,9 +69,13 @@ class Scheme:
 
 # --- the exact channel --------------------------------------------------------
 
-def _check_time(t: float) -> None:
+def _check_time(t: float) -> float:
+    """The exposure time, checked; a zero reads as +0.0, so that -0.0 runs and
+    prints as 0 (its phase width sqrt(-0.0) would be -0.0, which NumPy's
+    ``normal`` refuses as a negative scale)."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"exposure time must be finite and nonnegative (got {t})")
+    return t + 0.0
 
 
 def dephasing_kraus(t: float):
@@ -123,8 +127,7 @@ def block_rng(seed, block: int) -> np.random.Generator:
 def _phase_width(t: float, slices: int) -> float:
     """Standard deviation sqrt(2t / slices) of the phase one qubit accumulates
     in each of ``slices`` equal parts of exposure time t."""
-    _check_time(t)
-    sigma = math.sqrt(2.0 * t / slices)
+    sigma = math.sqrt(2.0 * _check_time(t) / slices)
     if sigma == math.inf:
         raise ValueError(f"exposure time {t} is too long: its phase width overflows")
     return sigma
@@ -291,6 +294,9 @@ class CurveSample:
     c_exact: float
     c_mc: Optional[float] = None
     mc_stderr: Optional[float] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "t", _check_time(self.t))
 
 
 @dataclass(frozen=True)

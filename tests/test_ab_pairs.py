@@ -1,0 +1,62 @@
+"""``tools/ab_pairs.summarise`` on synthetic runs: spreads, win counts and the
+verdict each declared end-to-end metric gets from its bound."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("ab_pairs", _PATH)
+ab_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab_pairs)
+
+DECLARED = {"cmd_ms": {"name": "cmd_ms", "better": "lower", "bound": 0.25},
+            "work_per_s": {"name": "work_per_s", "better": "higher", "bound": 0.25}}
+
+
+def runs_of(name: str, base: list, change: list) -> list:
+    """Alternating pairs, as ``main`` records them, of one metric."""
+    runs = []
+    for pair, (b, c) in enumerate(zip(base, change)):
+        for side, value in (("base", b), ("change", c)):
+            runs.append({"pair": pair, "side": side,
+                         "result": {"metrics": {name: {"value": value, "unit": "u"}}}})
+    return runs
+
+
+def summary_of(name: str, base: list, change: list) -> dict:
+    return ab_pairs.summarise(runs_of(name, base, change), DECLARED)[name]
+
+
+def test_spreads_and_wins():
+    entry = summary_of("cmd_ms", [10, 11, 12, 13, 14], [9, 11, 13, 12, 15])
+    assert entry["base"] == {"median": 12, "q1": 11, "q3": 13, "iqr": 2}
+    assert entry["change"]["median"] == 12
+    assert (entry["change_wins"], entry["pairs"], entry["median_gain"]) == (2, 5, 0)
+    assert (entry["better"], entry["bound"], entry["unit"]) == ("lower", 0.25, "u")
+
+
+def test_equal_sides_hold():
+    assert summary_of("cmd_ms", [10, 10, 10, 10], [10, 10, 10, 10])["verdict"] == "held"
+
+
+def test_a_median_worse_by_more_than_the_bound_regresses():
+    # a margin of 0.25 * 10 = 2.5; the change's median is 3 worse
+    assert summary_of("cmd_ms", [10, 10, 10, 10], [13, 13, 13, 13])["verdict"] == "regressed"
+    assert summary_of("cmd_ms", [10, 10, 10, 10], [12, 12, 12, 12])["verdict"] == "held"
+    assert summary_of("work_per_s", [100, 100, 100], [70, 70, 70])["verdict"] == "regressed"
+    assert summary_of("work_per_s", [100, 100, 100], [130, 130, 130])["verdict"] == "held"
+
+
+def test_a_wide_base_spread_leaves_an_overlapping_change_unresolved():
+    # base median 10 and IQR 4, wider than the 2.5 margin
+    base = [6, 8, 10, 12, 14]
+    assert summary_of("cmd_ms", base, [5, 7, 9, 11, 13])["verdict"] == "unresolved"
+    # every change run beats every base run: resolved however wide the base
+    assert summary_of("cmd_ms", base, [1, 2, 3, 4, 5])["verdict"] == "held"
+    assert summary_of("work_per_s", [60, 80, 100, 120, 140],
+                      [150, 160, 170, 180, 190])["verdict"] == "held"
+
+
+def test_undeclared_metrics_get_spreads_only():
+    entry = summary_of("trace_s", [1, 2, 3], [1, 2, 3])
+    assert set(entry) == {"unit", "base", "change"}

@@ -284,6 +284,14 @@ class TestNoise:
         assert run_cli(capsys, *argv, "--alpha", "1e308", "--beta", "1e308") == expected
         assert expected[0] == 0 and expected[2] == ""
 
+    def test_negative_zero_time_runs_as_zero(self, capsys):
+        """-0.0 passes the time check; its phase width sqrt(-0.0) used to reach
+        NumPy as a negative scale (exit 2), and its row printed t as -0."""
+        argv = ("noise", "--scheme", "phase3", "--n", "3", "--shots", "100", "--seed", "4", "--t")
+        expected = run_cli(capsys, *argv, "0", "1")
+        assert expected[0] == 0 and expected[1].splitlines()[1].startswith("0,phase3,3,1,1,")
+        assert run_cli(capsys, *argv, "-0.0", "1") == expected
+
 
 class TestFigure5Command:
     def test_default_run_row_count(self, capsys, tmp_path):
@@ -306,6 +314,18 @@ class TestFigure5Command:
                 continue
             assert abs(by[("zeno2", 1)] - by[("uncoded", 1)]) < 1e-12
             assert by[("phase3", 10)] > by[("phase3", 1)] > by[("zeno2", 1)]
+
+    def test_negative_zero_tmax_runs_as_zero(self, capsys, tmp_path):
+        """The grid ends on -0.0, whose MC points used to stop the run (exit 2)."""
+        out_path = tmp_path / "fig5.csv"
+        argv = ("figure5", "--steps", "2", "--shots", "10", "--seed", "2", "--out", str(out_path))
+        expected = run_cli(capsys, *argv, "--tmax", "0")
+        written = out_path.read_text()
+        out_path.unlink()
+        assert expected == (0, f"wrote {out_path}: 12 rows\n", "")
+        assert run_cli(capsys, *argv, "--tmax", "-0.0") == expected
+        assert out_path.read_text() == written
+        assert "-0" not in written
 
     def test_byte_identical_reruns_with_mc(self, capsys, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

@@ -24,6 +24,7 @@ from qeclab.iontrap import (
     PulseSequence,
     _pulse_apply,
     compile_circuit,
+    compile_cphase,
     simulate_pulse_sequence,
 )
 from qeclab.search import random_circuit, random_op
@@ -305,7 +306,8 @@ def test_region_is_fixed_for_the_whole_program():
     """After the VPulse the whole-space kernel holds -0 on |g,1>, and the WPhon
     moves it into the qubit row |e,0> as +0 (from +0 it would be -0 there).
     A region that grew only at the WPhon, with zeros, would print the other
-    sign; the NaN it grows with sends this program to the fixed region."""
+    sign; the check of the stretch, a lone WPhon that moves the |e,0> row off
+    the qubit rows, sends this program to the fixed region."""
     seq = PulseSequence((Pulse("VPulse", 0), Pulse("WPhon", 0)))
     unitary = reference_simulation(seq, 1)[0]
     assert not np.signbit(unitary[1].imag).any()
@@ -368,9 +370,10 @@ def test_ion_out_of_range_is_reported_in_a_moved_layout(kind):
 
 
 # --- the rows the amplitudes occupy ---------------------------------------------------
-# The simulator first runs on the qubit corner, growing phonon 1 and e' with NaN
-# before a segment's first phonon pulse and cutting them before each OneQubit
-# pulse; a NaN left in the qubit rows sends the program to the fixed region.
+# The simulator first runs on the qubit corner, growing phonon 1 and e' with zeros
+# before a stretch's first phonon pulse and cutting them before each OneQubit
+# pulse; a stretch that moves amplitude off the qubit rows sends the program to
+# the fixed region before any of its pulses runs.
 
 
 def fixed_runs(seq: PulseSequence, n: int):
@@ -447,8 +450,8 @@ def test_spliced_programs_match_mask_gather_reference(program):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(pulse_programs(), compiled_programs(), spliced_programs()))
 def test_no_result_holds_a_nan(program):
-    """Whichever run gave the result, the NaN that grown rows start with
-    never reaches the unitary, the leakage or the phonon residual."""
+    """Whichever run gave the result, the unitary, the leakage and the
+    phonon residual hold no NaN, and the fixed region ran at most once."""
     seq, n = program
     sim, fixed = fixed_runs(seq, n)
     assert not np.isnan(sim.unitary).any()
@@ -457,9 +460,9 @@ def test_no_result_holds_a_nan(program):
 
 
 def test_vpulse_before_the_first_wphon_takes_the_fixed_region():
-    """The README's example on one ion: the grown |g,1> row holds NaN for the
-    VPulse's -0, the WPhon moves it into the qubit corner, and the fixed run
-    prints +0 there."""
+    """The README's example on one ion: the whole space holds the VPulse's -0
+    on |g,1>, and the WPhon swaps it with the qubit row |e,0>; the stretch
+    fails the check, and the fixed run prints +0 there."""
     seq = PulseSequence((Pulse("VPulse", 0), Pulse("WPhon", 0)))
     sim, fixed = fixed_runs(seq, 1)
     assert fixed == 1
@@ -474,3 +477,70 @@ def test_ions_are_checked_before_any_pulse_runs():
         patch.setattr(iontrap, "_run", lambda *args: pytest.fail("a run started"))
         with pytest.raises(ValueError, match="ion index 5 out of range for 3 ions"):
             simulate_pulse_sequence(seq, 3)
+
+
+# --- the per-stretch check ------------------------------------------------------------
+
+
+def keeps_qubit_rows_reference(stretch: tuple, n: int) -> bool:
+    """Whether the mask/gather kernel, on the whole space, leaves every qubit
+    column's weight on the qubit rows."""
+    levels, phonon = trap_index_tables(n)
+    qubit = (levels < 2).all(axis=1) & (phonon == 0)
+    cols = np.zeros((trap_dim(n), 2**n), dtype=complex)
+    cols[np.nonzero(qubit)[0], np.arange(2**n)] = 1.0
+    for kind, ion in stretch:
+        cols = reference_pulse(cols, Pulse(kind, ion), n)
+    return not np.sum(np.abs(cols[~qubit]) ** 2, axis=0).any()
+
+
+@st.composite
+def stretches(draw):
+    """(kind, ion) pairs of non-OneQubit pulses on 1-6 ions: random ones, or a
+    compiled CPHASE (which keeps the qubit rows) with random pulses spliced in."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(seeds))
+    kinds = tuple(k for k in PULSE_KINDS if k != "OneQubit")
+    if n == 1 or draw(st.booleans()):
+        pulses = random_pulses(n, rng, kinds, draw(st.integers(1, 10)))
+    else:
+        qubits = [int(q) for q in rng.permutation(n)]
+        c = draw(st.integers(1, n - 1))
+        pulses = list(compile_cphase(qubits[:c], qubits[c:]).pulses)
+        for p in random_pulses(n, rng, kinds, draw(st.integers(0, 2))):
+            pulses.insert(draw(st.integers(0, len(pulses))), p)
+    return tuple((p.kind, p.ion) for p in pulses), n
+
+
+@example(case=((("WPhon", 0),), 1))
+@example(case=((("WPhon", 0), ("VPulse", 1), ("WPhon", 0)), 2))
+@settings(max_examples=100, deadline=None)
+@given(stretches())
+def test_stretch_check_matches_mask_gather_reference(case):
+    stretch, n = case
+    assert iontrap._keeps_qubit_rows(stretch, n) == keeps_qubit_rows_reference(stretch, n)
+
+
+def test_a_stray_wphon_stops_the_fast_run_before_its_stretch():
+    """A WPhon(0) before the shipped encoder moves ion 0's |e,0> rows onto the
+    phonon, so the first stretch fails the check: the fast run applies no
+    pulse, and the fixed run applies each pulse once."""
+    seq = PulseSequence((Pulse("WPhon", 0),) + compile_circuit(five_qubit_encoder()).pulses)
+    simulate_pulse_sequence(seq, 5)     # from here on, the stretches' checks are cached
+    runs = []
+
+    def run_spy(pulses, n_ions, region, fixed):
+        runs.append([fixed, 0])
+        return run(pulses, n_ions, region, fixed)
+
+    def apply_spy(*args):
+        runs[-1][1] += 1
+        return apply(*args)
+
+    run, apply = iontrap._run, iontrap._pulse_apply
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iontrap, "_run", run_spy)
+        patch.setattr(iontrap, "_pulse_apply", apply_spy)
+        sim = simulate_pulse_sequence(seq, 5)
+    assert runs == [[False, 0], [True, len(seq)]]
+    assert_matches_reference(sim, seq, 5)

@@ -276,6 +276,12 @@ class TestMonteCarlo:
         b = mc_coherence(Scheme("phase3"), IPLUS, 0.5, 2000, seed=7)
         assert a == b
 
+    def test_negative_zero_time_runs_as_zero(self):
+        """Its phase width used to be sqrt(-0.0) = -0.0, a scale NumPy refuses."""
+        for kind in SCHEME_KINDS:
+            assert (mc_coherence(Scheme(kind, 2), IPLUS, -0.0, 100, seed=3)
+                    == mc_coherence(Scheme(kind, 2), IPLUS, 0.0, 100, seed=3))
+
     def test_trajectory_channel_matches_kraus_channel(self):
         """Averaged single-qubit trajectories reproduce the exact channel."""
         shots = 30_000

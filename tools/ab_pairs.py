@@ -14,9 +14,17 @@ checkout's ``BENCHMARK.json``, so both sides run as the benchmark does.
 The file ``BENCH_<label>.json`` (in ``--out``, the current directory by
 default) holds every run's result line and, per metric, the median and
 quartiles of each side and the number of pairs the change won. A metric's
-direction comes from ``BENCHMARK.json`` too; metrics it does not declare are
-reported without win counts. Each checkout is recorded by its git commit,
-marked "+dirty" when tracked files differ from it. Standard library only.
+direction and bound come from ``BENCHMARK.json`` too, and give it a verdict:
+
+* ``regressed``: the change's median is worse than the base's by more than
+  ``bound`` times the base median;
+* ``unresolved``: the base's interquartile range is wider than that margin,
+  and not every change run beats every base run;
+* ``held``: otherwise.
+
+Metrics it does not declare are reported without win counts or verdicts.
+Each checkout is recorded by its git commit, marked "+dirty" when tracked
+files differ from it. Standard library only.
 """
 
 from __future__ import annotations
@@ -65,7 +73,9 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarise(runs: list, better: dict) -> dict:
+def summarise(runs: list, declared: dict) -> dict:
+    """Per metric, each side's spread and, for a metric in ``declared`` (its
+    ``BENCHMARK.json`` entry by name), the change's wins and its verdict."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
@@ -76,12 +86,22 @@ def summarise(runs: list, better: dict) -> dict:
         change = [p["change"][name]["value"] for p in pairs.values()]
         entry = {"unit": pairs[0]["base"][name]["unit"], "base": spread(base),
                  "change": spread(change)}
-        if name in better:
-            sign = 1 if better[name] == "higher" else -1
-            entry["better"] = better[name]
+        if name in declared:
+            better, bound = declared[name]["better"], declared[name]["bound"]
+            sign = 1 if better == "higher" else -1
+            entry["better"] = better
+            entry["bound"] = bound
             entry["change_wins"] = sum(sign * (c - b) > 0 for b, c in zip(base, change))
             entry["pairs"] = len(base)
             entry["median_gain"] = sign * (entry["change"]["median"] - entry["base"]["median"])
+            margin = bound * abs(entry["base"]["median"])
+            if -entry["median_gain"] > margin:
+                entry["verdict"] = "regressed"
+            elif (entry["base"]["iqr"] > margin
+                  and min(sign * c for c in change) <= max(sign * b for b in base)):
+                entry["verdict"] = "unresolved"     # not every change run beats every base run
+            else:
+                entry["verdict"] = "held"
         summary[name] = entry
     return summary
 
@@ -115,7 +135,7 @@ def main(argv=None) -> int:
            "seconds": seconds, "pairs": args.pairs,
            "revisions": revisions,
            "runs": runs,
-           "summary": summarise(runs, {m["name"]: m["better"] for m in declared.get("end_to_end", [])})}
+           "summary": summarise(runs, {m["name"]: m for m in declared.get("end_to_end", [])})}
     out = args.out / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(out)
