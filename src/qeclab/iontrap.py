@@ -19,6 +19,14 @@ inverse. The conditional sign flip with c controls and k targets compiles to
 VPulse on every target, then the control pulses again in reverse order --
 daggered exactly when k is even, which cancels the phases the control pulses
 leave behind.
+
+``simulate_pulse_sequence`` runs a program on all 2**n qubit columns at once,
+on the qubit corner of the trap space (levels g/e, phonon 0). Only OneQubit
+pulses mix amplitudes; the other pulses between two of them only move rows,
+each times a phase. A stretch of them that brings every qubit row back to a
+qubit row runs as one cached row map that meets each element with the same
+exact factors (``_stretch_map``). A program with a stretch that does not runs
+on the fixed region of the trap space it reaches instead.
 """
 
 from __future__ import annotations
@@ -193,79 +201,207 @@ def _worst_norm(power: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(power.reshape(-1, power.shape[-1]), axis=0), initial=0.0)))
 
 
+# The step a phonon pulse makes on one qubit row, by kind: a table over the
+# row's level of the pulsed ion (g, e, e') + 3 * (its phonon * 2 + a pending
+# sign flip, an odd number of VPulse flips since the row last moved), giving
+# the row's next level, its next 3 * (phonon * 2 + pending flip), and the code
+# of the factors it meets there, which _FACTORS spells out. A flip waits for
+# the row's next swap, so two in a row cancel; they are exact sign changes.
+# A flip only waits on phonon 1, so a row back on the qubit rows has none.
+_FLIP = None                # a VPulse sign flip: a negation of both float parts
+_FACTORS = ((), (-1j,), (1j,), (_FLIP, -1j), (_FLIP, 1j))
+
+
+def _step_table(kind: str) -> np.ndarray:
+    table = np.zeros((3, LEVELS * 4), dtype=np.intp)
+    other = E if kind.startswith("W") else EPRIME
+    for level in range(LEVELS):
+        for phonon in (0, 1):
+            for flip in (0, 1):
+                after = (level, phonon, flip, 0)
+                if kind == "VPulse" and (level, phonon) == (G, 1):
+                    after = (level, phonon, 1 - flip, 0)
+                elif kind != "VPulse" and (level, phonon) in ((G, 1), (other, 0)):
+                    code = (2 if kind.endswith("Dag") else 1) + 2 * flip
+                    after = (other if level == G else G, 1 - phonon, 0, code)
+                level_to, phonon_to, flip_to, code = after
+                table[:, level + LEVELS * (phonon * 2 + flip)] = (
+                    level_to, LEVELS * (phonon_to * 2 + flip_to), code)
+    return table
+
+
+_STEPS = {kind: _step_table(kind) for kind in _DAGGER}
+
+# A qubit row's index in trap order weighs ion j's level by 2**(n-1-j); these
+# are the weights of the last n of MAX_IONS ions.
+_WEIGHTS = 1 << np.arange(MAX_IONS - 1, -1, -1)
+
+
+@lru_cache(maxsize=None)
+def _qubit_levels(n_ions: int) -> np.ndarray:
+    """(n, 2**n): the level, g or e, of each ion on each qubit row in trap order."""
+    return (np.arange(2**n_ions) >> np.arange(n_ions - 1, -1, -1)[:, None]) & 1
+
+
+@lru_cache(maxsize=None)
+def _row_positions(n_ions: int, order: tuple) -> np.ndarray:
+    """Where each qubit row, in trap order, sits in a corner whose ion axes
+    are in ``order``."""
+    return np.dot(_WEIGHTS[-n_ions:], _qubit_levels(n_ions)[list(order)])
+
+
+def _frozen(index: np.ndarray) -> Optional[np.ndarray]:
+    """A map's gather index, read-only, as the cache shares it; None for the
+    identity, which needs no gather."""
+    if index.tobytes() == np.arange(index.size).tobytes():
+        return None
+    index.flags.writeable = False
+    return index
+
+
 @lru_cache(maxsize=4096)
-def _keeps_qubit_rows(stretch: tuple, n_ions: int) -> bool:
-    """Whether a stretch of WPhon/VPhon-family and VPulse pulses, given as
-    (kind, ion) pairs, maps every qubit row (levels g/e, phonon 0) onto a
-    qubit row. Those pulses only permute rows, each times a phase of modulus
-    1, so a mark on each qubit row, run through the stretch on the whole trap
-    space, either stays on the qubit rows or shows where it left them."""
-    space = (LEVELS,) * n_ions + (PHONON_DIM,)
-    qubit = (slice(0, 2),) * n_ions + (0,)
-    mark = np.zeros(space + (1,), dtype=complex)
-    mark[qubit] = 1
+def _stretch_walk(stretch: tuple, n_ions: int):
+    """Where a stretch of WPhon/VPhon-family and VPulse pulses, given as
+    (kind, ion) pairs, takes each qubit row (levels g/e, phonon 0), and the
+    factors the row meets on the way. Those pulses only move rows, each times
+    a phase, so the walk follows the row indices, all rows at once. None if a
+    row ends off the qubit rows. Otherwise (starts, ends, groups): the rows in
+    trap order, sorted by the factors they meet, where each of them ends, and
+    per run of rows that meet the same factors, its slice and the factors."""
+    levels = _qubit_levels(n_ions).copy()
+    state = np.zeros(2**n_ions, dtype=np.intp)  # 3 * (phonon * 2 + pending flip)
+    codes = []
     for kind, ion in stretch:
-        _pulse_apply(mark, Pulse(kind, ion), space, ion)
-    mark[qubit] = 0
-    return not mark.any()
+        step = _STEPS[kind].take(levels[ion] + state, axis=1)
+        levels[ion], state = step[0], step[1]
+        if kind != "VPulse":
+            codes.append(step[2])
+    if state.any() or levels.max() > E:        # phonon 1, or e'
+        return None
+    codes = np.array(codes or [state])          # with no swap, no row meets a factor
+    starts = np.lexsort(codes)                  # stable: trap order within a group
+    met = codes.take(starts, axis=1).T.tolist() # the codes each row meets, in that order
+    groups, lo = [], 0
+    for hi in range(1, len(met) + 1):
+        if hi == len(met) or met[hi] != met[lo]:
+            factors = tuple(f for code in met[lo] for f in _FACTORS[code])
+            if factors:
+                groups.append((slice(lo, hi), factors))
+            lo = hi
+    ends = np.dot(_WEIGHTS[-n_ions:], levels).take(starts)
+    return starts, ends, tuple(groups)
 
 
-def _run(pulses: tuple, n_ions: int, region: tuple, fixed: bool) -> Optional[np.ndarray]:
+@lru_cache(maxsize=4096)
+def _stretch_map(stretch: tuple, n_ions: int, order_in: tuple, order_out: tuple):
+    """A stretch's action on the qubit corner, rows in memory order: from a
+    corner whose ion axes are in ``order_in`` to one in ``order_out``. None if
+    the stretch moves a qubit row off the qubit rows. Otherwise (gather,
+    groups, place) for ``_map_rows``: gather the rows into groups that meet
+    the same factors, run each group's factors on its slice, and gather the
+    rows into place. An index is None where it is the identity; with no
+    factors to run, the first gather does it all."""
+    walk = _stretch_walk(stretch, n_ions)
+    if walk is None:
+        return None
+    starts, ends, groups = walk
+    gather = _row_positions(n_ions, order_in)[starts]
+    place = _row_positions(n_ions, order_out)[ends].argsort()   # the inverse: row i comes from place[i]
+    if groups:
+        return _frozen(gather), groups, _frozen(place)
+    return _frozen(gather[place]), (), None
+
+
+def _keeps_qubit_rows(stretch: tuple, n_ions: int) -> bool:
+    """Whether a stretch of non-OneQubit pulses maps every qubit row onto a
+    qubit row."""
+    trap = tuple(range(n_ions))
+    return _stretch_map(stretch, n_ions, trap, trap) is not None
+
+
+def _map_rows(block: np.ndarray, spare: np.ndarray, mapped: tuple) -> tuple:
+    """Run a stretch's map (``_stretch_map``) on the corner ``block``, rows by
+    columns, with ``spare`` a buffer of its shape; returns (block, spare).
+    Each group's factors are the calls ``_pulse_apply`` makes on those
+    elements: a sign flip on the float view, or a multiply by -i or +i with
+    the factor first."""
+    gather, groups, place = mapped
+    if gather is not None:
+        block, spare = block.take(gather, 0, spare, "clip"), block
+    for rows, factors in groups:
+        part = block[rows]
+        for factor in factors:
+            if factor is _FLIP:
+                parts = part.view(np.float64)
+                np.negative(parts, out=parts)
+            else:
+                np.multiply(factor, part, out=part)
+    if place is not None:
+        block, spare = block.take(place, 0, spare, "clip"), block
+    return block, spare
+
+
+def _stretch_key(pulses: tuple, start: int, stop: int) -> tuple:
+    return tuple([(p.kind, p.ion) for p in pulses[start:stop]])
+
+
+def _run(pulses: tuple, n_ions: int, region: Optional[tuple], fixed: bool) -> Optional[np.ndarray]:
     """The pulse loop; returns the final block in trap order, its axes the
     ions' levels, the phonon and the 2**n columns.
 
     With ``fixed`` the block holds the whole ``region`` from the start, zeros
-    outside the qubit rows, and never changes shape. Without it the block
-    starts on the qubit corner, levels {g, e} and phonon 0. Just before the
-    first WPhon/VPhon-family pulse after a OneQubit pulse (or the start), it
-    grows, with zeros, every part that the pulses up to the next OneQubit
-    pulse use: phonon 1, and e' of each ion they VPhon. Each OneQubit pulse
-    runs on the qubit corner again, the grown parts cut off. Where this run
-    grows +0, the fixed run may hold a zero whose sign earlier pulses have
-    flipped. That never shows if the stretch maps the qubit rows onto
-    themselves (``_keeps_qubit_rows``): its other rows then stay apart from
-    the qubit rows, and the cut drops only zeros. At the first stretch that
-    does not, this returns None before it runs any of its pulses, and the
-    fixed run is the exact one."""
+    outside the qubit rows, and every pulse runs through ``_pulse_apply``.
+    Without it (``region`` is then unused) the block is the qubit corner,
+    levels {g, e} and phonon 0, and only OneQubit pulses run on it. The other
+    pulses between two OneQubit pulses (or the start or the end) form a
+    stretch, which runs as one cached map (``_stretch_map``): a stretch that
+    keeps the qubit rows permutes them, each element through the same exact
+    factors as on the whole space, and its other rows, zeros there, never
+    reach them. At the first stretch that moves a qubit row off the qubit
+    rows, this returns None before any of its pulses runs, and the fixed run
+    is the exact one."""
     nq = 2**n_ions
-    corner = (slice(0, 2),) * n_ions + (slice(0, 1),)
-    block = np.zeros((region if fixed else (2,) * n_ions + (1,)) + (nq,), dtype=complex)
-    block[corner] = np.eye(nq).reshape((2,) * n_ions + (1, nq))
+    trap = tuple(range(n_ions))
+    if fixed:
+        block = np.zeros(region + (nq,), dtype=complex)
+        block[(slice(0, 2),) * n_ions + (slice(0, 1),)] = np.eye(nq).reshape((2,) * n_ions + (1, nq))
+    else:
+        corner = (2,) * n_ions + (1,)
+        block, spare = np.eye(nq, dtype=complex), np.empty((nq, nq), dtype=complex)
     # A OneQubit pulse runs with its ion's axis leading, where the ion's two
     # level slices are contiguous; on a late ion in trap order they are short
-    # strided runs, at two to ten times the cost. The axes move, by one copy,
-    # when a OneQubit pulse needs another ion first, and the copy that cuts a
-    # grown block moves them in the same pass. Every element still goes
-    # through the same arithmetic.
-    order = tuple(range(n_ions))        # the ion axes in memory order
-    grown = False
+    # strided runs, at two to ten times the cost. The axes move when a
+    # OneQubit pulse needs another ion first: by one copy on the fixed
+    # region, and in the stretch's map on the corner.
+    order, start = trap, 0              # the ion axes in memory order; the stretch's first pulse
     for i, pulse in enumerate(pulses):
         if pulse.kind == "OneQubit":
-            if grown or order[0] != pulse.ion:
-                moved = block[corner] if grown else block
-                if order[0] != pulse.ion:
-                    new = (pulse.ion,) + tuple(k for k in range(n_ions) if k != pulse.ion)
-                    moved = moved.transpose([order.index(k) for k in new] + [n_ions, n_ions + 1])
-                    order = new
-                block, grown = np.ascontiguousarray(moved), False
-        elif not (fixed or grown or pulse.kind == "VPulse"):
-            # a stretch's first phonon pulse: check it, then grow what it uses
-            parts, stretch = [2] * n_ions, []
-            end = i                     # by index: a slice of the rest would cost O(len) per grow
-            while end < len(pulses) and (p := pulses[end]).kind != "OneQubit":
-                stretch.append((p.kind, p.ion))
-                if p.kind.startswith("VPhon"):
-                    parts[p.ion] = LEVELS
-                end += 1
-            if not _keeps_qubit_rows(tuple(stretch), n_ions):
+            new = order if order[0] == pulse.ion else (
+                (pulse.ion,) + tuple(k for k in trap if k != pulse.ion))
+            if not fixed:
+                if start < i or new != order:
+                    mapped = _stretch_map(_stretch_key(pulses, start, i), n_ions, order, new)
+                    if mapped is None:
+                        return None
+                    block, spare = _map_rows(block, spare, mapped)
+                start = i + 1
+            elif new != order:
+                block = np.ascontiguousarray(
+                    block.transpose([order.index(k) for k in new] + [n_ions, n_ions + 1]))
+            order = new
+        elif not fixed:
+            continue                    # it runs in its stretch's map
+        _pulse_apply(block, pulse, block.shape[:-1] if fixed else corner, order.index(pulse.ion))
+    if not fixed:
+        if start < len(pulses) or order != trap:
+            mapped = _stretch_map(_stretch_key(pulses, start, len(pulses)), n_ions, order, trap)
+            if mapped is None:
                 return None
-            home, grown = block, True
-            block = np.zeros(tuple(parts[k] for k in order) + (PHONON_DIM, nq), dtype=complex)
-            block[corner] = home
-        _pulse_apply(block, pulse, block.shape[:-1], order.index(pulse.ion))
-    if order[0] != 0:
+            block = _map_rows(block, spare, mapped)[0]
+        return block.reshape(corner + (nq,))
+    if order != trap:
         block = np.ascontiguousarray(
-            block.transpose([order.index(k) for k in range(n_ions)] + [n_ions, n_ions + 1]))
+            block.transpose([order.index(k) for k in trap] + [n_ions, n_ions + 1]))
     return block
 
 
@@ -287,11 +423,11 @@ def simulate_pulse_sequence(seq: PulseSequence, n_ions: int) -> PulseSimResult:
     bad = next((p.ion for p in pulses if not 0 <= p.ion < n_ions), None)
     if bad is not None:
         raise ValueError(f"ion index {bad} out of range for {n_ions} ions")
-    eprime = {p.ion for p in pulses if p.kind.startswith("VPhon")}
-    phonon = bool(eprime) or any(p.kind.startswith("WPhon") for p in pulses)
-    region = tuple(LEVELS if k in eprime else 2 for k in range(n_ions)) + (1 + phonon,)
-    block = _run(pulses, n_ions, region, fixed=False)
+    block = _run(pulses, n_ions, None, fixed=False)
     if block is None:
+        eprime = {p.ion for p in pulses if p.kind.startswith("VPhon")}
+        phonon = bool(eprime) or any(p.kind.startswith("WPhon") for p in pulses)
+        region = tuple(LEVELS if k in eprime else 2 for k in range(n_ions)) + (1 + phonon,)
         block = _run(pulses, n_ions, region, fixed=True)
     # The block's rows are in trap-basis order, and a row it lacks holds a zero
     # in the whole space. The axis-0 sums add row by row, where adding +0 changes

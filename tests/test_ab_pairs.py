@@ -60,3 +60,31 @@ def test_a_wide_base_spread_leaves_an_overlapping_change_unresolved():
 def test_undeclared_metrics_get_spreads_only():
     entry = summary_of("trace_s", [1, 2, 3], [1, 2, 3])
     assert set(entry) == {"unit", "base", "change"}
+
+
+def claim_of(name: str, base: list, change: list):
+    return ab_pairs.summarise(runs_of(name, base, change), DECLARED, claim=name)[name].get("claim")
+
+
+def test_a_claim_needs_nine_wins_in_ten_and_a_gain_beyond_the_base_iqr():
+    base = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]    # IQR 0.2
+    assert claim_of("cmd_ms", base, [b - 1 for b in base]) == "improved"
+    nine = [b - 1 for b in base[:9]] + [base[9] + 1]
+    assert claim_of("cmd_ms", base, nine) == "improved"
+    eight = [b - 1 for b in base[:8]] + [b + 1 for b in base[8:]]
+    assert claim_of("cmd_ms", base, eight) == "not shown"
+    # ten wins, but by less than the base's quartile spread
+    assert claim_of("cmd_ms", base, [b - 0.1 for b in base]) == "not shown"
+    assert claim_of("work_per_s", [100, 90, 110, 100, 95, 105, 100, 98, 102, 100],
+                    [120, 112, 130, 121, 118, 125, 119, 117, 124, 122]) == "improved"
+
+
+def test_fewer_than_ten_pairs_need_every_win():
+    assert claim_of("cmd_ms", [10, 11, 12, 13], [5, 6, 7, 8]) == "improved"
+    assert claim_of("cmd_ms", [10, 11, 12, 13], [5, 6, 7, 14]) == "not shown"
+
+
+def test_only_the_claimed_metric_gets_a_claim():
+    runs = runs_of("cmd_ms", [10, 11, 12], [5, 6, 7])
+    assert "claim" not in ab_pairs.summarise(runs, DECLARED)["cmd_ms"]
+    assert "claim" not in ab_pairs.summarise(runs, DECLARED, claim="work_per_s")["cmd_ms"]

@@ -544,3 +544,56 @@ def test_a_stray_wphon_stops_the_fast_run_before_its_stretch():
         sim = simulate_pulse_sequence(seq, 5)
     assert runs == [[False, 0], [True, len(seq)]]
     assert_matches_reference(sim, seq, 5)
+
+
+# --- the stretch maps -------------------------------------------------------------------
+# The fast run does a stretch in one cached map on the qubit corner: one gather,
+# the factors each group of rows meets, one gather into the next axis order.
+
+
+def grow_run_cut(corner: np.ndarray, stretch: tuple, n: int, order_in: tuple,
+                 order_out: tuple) -> np.ndarray:
+    """The corner (rows in ``order_in``, by columns) grown with zeros to phonon
+    1 and e' of each ion the stretch VPhons, the stretch run through
+    ``_pulse_apply``, the rest cut off again and the axes moved to ``order_out``."""
+    cols = corner.shape[-1]
+    eprime = {ion for kind, ion in stretch if kind.startswith("VPhon")}
+    grown = np.zeros(tuple(LEVELS if k in eprime else 2 for k in order_in) + (PHONON_DIM, cols),
+                     dtype=complex)
+    qubit = (slice(0, 2),) * n + (slice(0, 1),)
+    grown[qubit] = corner.reshape((2,) * n + (1, cols))
+    for kind, ion in stretch:
+        _pulse_apply(grown, Pulse(kind, ion), grown.shape[:-1], order_in.index(ion))
+    moved = grown[qubit].transpose([order_in.index(k) for k in order_out] + [n, n + 1])
+    return np.ascontiguousarray(moved).reshape(2**n, cols)
+
+
+@st.composite
+def stretch_cases(draw):
+    """A stretch, its ion count, two axis orders, a seed and a column count."""
+    stretch, n = draw(stretches())
+    orders = st.permutations(range(n)).map(tuple)
+    return stretch, n, draw(orders), draw(orders), draw(seeds), draw(st.integers(1, 4))
+
+
+@example(case=((("WPhon", 0), ("VPulse", 1), ("WPhon", 0)), 2, (1, 0), (0, 1), 0, 1))
+@example(case=((("VPulse", 0), ("WPhonDag", 1), ("VPulse", 0), ("VPulse", 2), ("WPhon", 1)),
+               3, (2, 0, 1), (0, 1, 2), 1, 2))
+@settings(max_examples=100, deadline=None)
+@given(stretch_cases())
+def test_stretch_map_matches_grow_run_cut(case):
+    """On a random corner with zeros of both signs planted in it, in any axis
+    orders, the map gives the bits of the grown run, and is None exactly when
+    the stretch moves a qubit row off the qubit rows."""
+    stretch, n, order_in, order_out, seed, cols = case
+    rng = np.random.default_rng(seed)
+    corner = rng.normal(size=(2**n, cols)) + 1j * rng.normal(size=(2**n, cols))
+    parts = corner.view(np.float64).reshape(-1)
+    zeros = rng.random(parts.size) < 0.3
+    parts[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    mapped = iontrap._stretch_map(stretch, n, order_in, order_out)
+    assert (mapped is None) == (not keeps_qubit_rows_reference(stretch, n))
+    if mapped is not None:
+        expected = grow_run_cut(corner, stretch, n, order_in, order_out)
+        block = iontrap._map_rows(corner.copy(), np.empty_like(corner), mapped)[0]
+        assert same_bits(block, expected)

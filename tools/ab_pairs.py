@@ -23,6 +23,10 @@ direction and bound come from ``BENCHMARK.json`` too, and give it a verdict:
 * ``held``: otherwise.
 
 Metrics it does not declare are reported without win counts or verdicts.
+With ``--claim METRIC`` the summary also marks that metric ``improved`` when
+the change wins at least 9 in 10 pairs (every pair when there are fewer than
+10) and its median beats the base's by more than the base's interquartile
+range, and ``not shown`` otherwise; the verdict is printed too.
 Each checkout is recorded by its git commit, marked "+dirty" when tracked
 files differ from it. Standard library only.
 """
@@ -73,9 +77,18 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarise(runs: list, declared: dict) -> dict:
+def claim_verdict(entry: dict) -> str:
+    """``improved`` or ``not shown``, for a declared metric's summary entry."""
+    pairs = entry["pairs"]
+    needed = pairs if pairs < 10 else -(-9 * pairs // 10)
+    shown = entry["change_wins"] >= needed and entry["median_gain"] > entry["base"]["iqr"]
+    return "improved" if shown else "not shown"
+
+
+def summarise(runs: list, declared: dict, claim: str = None) -> dict:
     """Per metric, each side's spread and, for a metric in ``declared`` (its
-    ``BENCHMARK.json`` entry by name), the change's wins and its verdict."""
+    ``BENCHMARK.json`` entry by name), the change's wins and its verdict;
+    the ``claim`` metric also gets its claim verdict."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
@@ -102,6 +115,8 @@ def summarise(runs: list, declared: dict) -> dict:
                 entry["verdict"] = "unresolved"     # not every change run beats every base run
             else:
                 entry["verdict"] = "held"
+            if name == claim:
+                entry["claim"] = claim_verdict(entry)
         summary[name] = entry
     return summary
 
@@ -117,11 +132,16 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--label", required=True)
     parser.add_argument("--out", type=Path, default=Path("."))
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="an end-to-end metric the change claims to improve")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     declared = benchmark(sides["change"])
+    end_to_end = {m["name"]: m for m in declared.get("end_to_end", [])}
+    if args.claim is not None and args.claim not in end_to_end:
+        parser.error(f"--claim {args.claim}: not an end-to-end metric of BENCHMARK.json")
     seconds = args.seconds or declared.get("run_seconds", 25)
     revisions = {side: revision(path) for side, path in sides.items()}
     runs = []
@@ -135,10 +155,15 @@ def main(argv=None) -> int:
            "seconds": seconds, "pairs": args.pairs,
            "revisions": revisions,
            "runs": runs,
-           "summary": summarise(runs, {m["name"]: m for m in declared.get("end_to_end", [])})}
+           "summary": summarise(runs, end_to_end, args.claim)}
     out = args.out / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(out)
+    if args.claim is not None:
+        entry = doc["summary"][args.claim]
+        print(f"claim {args.claim}: {entry['claim']} (change wins {entry['change_wins']} of "
+              f"{entry['pairs']}; median {entry['base']['median']:.6g} -> "
+              f"{entry['change']['median']:.6g}; base IQR {entry['base']['iqr']:.6g})")
     return 0
 
 
