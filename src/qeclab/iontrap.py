@@ -208,6 +208,8 @@ def _worst_norm(power: np.ndarray) -> float:
 # of the factors it meets there, which _FACTORS spells out. A flip waits for
 # the row's next swap, so two in a row cancel; they are exact sign changes.
 # A flip only waits on phonon 1, so a row back on the qubit rows has none.
+# The factors are the literals _pulse_apply multiplies by: -1j has a real part
+# of -0.0, which decides the signs of zeros in the products.
 _FLIP = None                # a VPulse sign flip: a negation of both float parts
 _FACTORS = ((), (-1j,), (1j,), (_FLIP, -1j), (_FLIP, 1j))
 
@@ -230,7 +232,7 @@ def _step_table(kind: str) -> np.ndarray:
     return table
 
 
-_STEPS = {kind: _step_table(kind) for kind in _DAGGER}
+_STEPS = {kind: _step_table(kind) for kind in PULSE_KINDS if kind != "OneQubit"}
 
 # A qubit row's index in trap order weighs ion j's level by 2**(n-1-j); these
 # are the weights of the last n of MAX_IONS ions.

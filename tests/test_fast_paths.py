@@ -370,10 +370,10 @@ def test_ion_out_of_range_is_reported_in_a_moved_layout(kind):
 
 
 # --- the rows the amplitudes occupy ---------------------------------------------------
-# The simulator first runs on the qubit corner, growing phonon 1 and e' with zeros
-# before a stretch's first phonon pulse and cutting them before each OneQubit
-# pulse; a stretch that moves amplitude off the qubit rows sends the program to
-# the fixed region before any of its pulses runs.
+# The simulator first runs on the qubit corner, each stretch of phonon pulses
+# between two OneQubit pulses as one row map; a stretch that moves amplitude off
+# the qubit rows sends the program to the fixed region before any of its pulses
+# runs.
 
 
 def fixed_runs(seq: PulseSequence, n: int):
