@@ -20,13 +20,14 @@ VPulse on every target, then the control pulses again in reverse order --
 daggered exactly when k is even, which cancels the phases the control pulses
 leave behind.
 
-``simulate_pulse_sequence`` runs a program on all 2**n qubit columns at once,
-on the qubit corner of the trap space (levels g/e, phonon 0). Only OneQubit
-pulses mix amplitudes; the other pulses between two of them only move rows,
-each times a phase. A stretch of them that brings every qubit row back to a
-qubit row runs as one cached row map that meets each element with the same
-exact factors (``_stretch_map``). A program with a stretch that does not runs
-on the fixed region of the trap space it reaches instead.
+``simulate_pulse_sequence`` runs a program on all 2**n qubit columns at once.
+Only OneQubit pulses mix amplitudes; the other pulses between two of them
+only move rows, each times a phase, and such a stretch runs as one cached row
+map that meets each element with the same exact factors as the whole-space
+kernel (``_stretch_map``). The rows are chosen before any pulse runs: the
+qubit corner (levels g/e, phonon 0) when every stretch maps it onto itself,
+else the fixed region of the trap space the program reaches, which every
+pulse maps into itself.
 """
 
 from __future__ import annotations
@@ -104,31 +105,19 @@ class PulseSequence:
 
 
 def _pulse_apply(block: np.ndarray, pulse: Pulse, shape: tuple, axis: int) -> None:
-    """Apply a pulse in place to a C-contiguous block whose leading axes are
-    ``shape``: the ions of a corner of the trap basis, 2 (g, e) or 3 (and e')
-    levels each, in any order, then 1 or 2 phonon states. ``axis`` is the
-    pulsed ion's. Trailing axes (columns) are carried."""
-    # axis 1 is the ion's level, axis 3 the phonon
-    v = block.reshape(prod(shape[:axis]), shape[axis], prod(shape[axis + 1:-1]), shape[-1], -1)
-    if pulse.kind == "VPulse":
-        if shape[-1] == PHONON_DIM:         # with phonon 0 only, nothing to flip
-            parts = v[:, G, :, 1].view(np.float64)  # the same sign flips, in NumPy's faster real loop
-            np.negative(parts, out=parts)
-    elif pulse.kind == "OneQubit":
-        # r00 a_g + r01 a_e and r10 a_g + r11 a_e; the matrix entry stays the
-        # first factor of every product, so the rounding never depends on order
-        rot, a_g, a_e = pulse.matrix, v[:, G], v[:, E]
-        from_e, from_g = rot[0, 1] * a_e, rot[1, 0] * a_g
-        np.multiply(rot[0, 0], a_g, out=a_g)
-        a_g += from_e
-        np.multiply(rot[1, 1], a_e, out=a_e)
-        a_e += from_g
-    else:  # |g,1> <-> |e,0> (WPhon) or |e',0> (VPhon), times -i (+i daggered)
-        factor = 1j if pulse.kind.endswith("Dag") else -1j
-        g1, x0 = v[:, G, :, 1], v[:, E if pulse.kind.startswith("W") else EPRIME, :, 0]
-        swapped = factor * g1
-        np.multiply(factor, x0, out=g1)
-        x0[...] = swapped
+    """Apply a OneQubit pulse in place to a C-contiguous block whose leading
+    axes begin with ``shape``: ions of the trap basis, 2 (g, e) or 3 (and e')
+    levels each, in any order. ``axis`` is the pulsed ion's. The other axes
+    (later ions, the phonon, columns) are carried; e' is left alone."""
+    v = block.reshape(prod(shape[:axis]), shape[axis], -1)
+    # r00 a_g + r01 a_e and r10 a_g + r11 a_e; the matrix entry stays the
+    # first factor of every product, so the rounding never depends on order
+    rot, a_g, a_e = pulse.matrix, v[:, G], v[:, E]
+    from_e, from_g = rot[0, 1] * a_e, rot[1, 0] * a_g
+    np.multiply(rot[0, 0], a_g, out=a_g)
+    a_g += from_e
+    np.multiply(rot[1, 1], a_e, out=a_e)
+    a_e += from_g
 
 
 def compile_cphase(controls: Sequence[int], targets: Sequence[int]) -> PulseSequence:
@@ -201,17 +190,17 @@ def _worst_norm(power: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(power.reshape(-1, power.shape[-1]), axis=0), initial=0.0)))
 
 
-# The step a phonon pulse makes on one qubit row, by kind: a table over the
-# row's level of the pulsed ion (g, e, e') + 3 * (its phonon * 2 + a pending
-# sign flip, an odd number of VPulse flips since the row last moved), giving
-# the row's next level, its next 3 * (phonon * 2 + pending flip), and the code
-# of the factors it meets there, which _FACTORS spells out. A flip waits for
-# the row's next swap, so two in a row cancel; they are exact sign changes.
-# A flip only waits on phonon 1, so a row back on the qubit rows has none.
-# The factors are the literals _pulse_apply multiplies by: -1j has a real part
-# of -0.0, which decides the signs of zeros in the products.
+# The step a phonon pulse makes on one row, by kind: a table over the row's
+# level of the pulsed ion (g, e, e') + 3 * (its phonon * 2 + a pending sign
+# flip, an odd number of VPulse flips since the row last moved), giving the
+# row's next level, its next 3 * (phonon * 2 + pending flip), and the code of
+# the factors it meets there, which _FACTORS spells out. A flip waits for the
+# row's next swap, or for the end of the stretch (code 5), so two in a row
+# cancel; they are exact sign changes. A flip only waits on phonon 1.
+# The factors are the literals the whole-space kernel multiplies by: -1j has
+# a real part of -0.0, which decides the signs of zeros in the products.
 _FLIP = None                # a VPulse sign flip: a negation of both float parts
-_FACTORS = ((), (-1j,), (1j,), (_FLIP, -1j), (_FLIP, 1j))
+_FACTORS = ((), (-1j,), (1j,), (_FLIP, -1j), (_FLIP, 1j), (_FLIP,))
 
 
 def _step_table(kind: str) -> np.ndarray:
@@ -234,22 +223,24 @@ def _step_table(kind: str) -> np.ndarray:
 
 _STEPS = {kind: _step_table(kind) for kind in PULSE_KINDS if kind != "OneQubit"}
 
-# A qubit row's index in trap order weighs ion j's level by 2**(n-1-j); these
-# are the weights of the last n of MAX_IONS ions.
-_WEIGHTS = 1 << np.arange(MAX_IONS - 1, -1, -1)
-
 
 @lru_cache(maxsize=None)
-def _qubit_levels(n_ions: int) -> np.ndarray:
-    """(n, 2**n): the level, g or e, of each ion on each qubit row in trap order."""
-    return (np.arange(2**n_ions) >> np.arange(n_ions - 1, -1, -1)[:, None]) & 1
+def _trap_rows(shape: tuple) -> tuple:
+    """The rows of ``shape`` in trap order, read-only: each ion's level
+    (n, rows), and the walk's start state, 3 * (phonon * 2) (no flip)."""
+    start = np.indices(shape).reshape(len(shape), -1)
+    levels, state = start[:-1], 2 * LEVELS * start[-1]
+    levels.flags.writeable = state.flags.writeable = False
+    return levels, state
 
 
-@lru_cache(maxsize=None)
-def _row_positions(n_ions: int, order: tuple) -> np.ndarray:
-    """Where each qubit row, in trap order, sits in a corner whose ion axes
-    are in ``order``."""
-    return np.dot(_WEIGHTS[-n_ions:], _qubit_levels(n_ions)[list(order)])
+@lru_cache(maxsize=4096)
+def _row_positions(shape: tuple, order: tuple) -> np.ndarray:
+    """Where each row of ``shape`` (levels per ion, then phonon states), in
+    trap order, sits in a block whose ion axes are in ``order``."""
+    n_ions = len(order)
+    memory = np.arange(prod(shape)).reshape([shape[k] for k in order] + [shape[-1]])
+    return memory.transpose([order.index(k) for k in range(n_ions)] + [n_ions]).ravel()
 
 
 def _frozen(index: np.ndarray) -> Optional[np.ndarray]:
@@ -262,75 +253,72 @@ def _frozen(index: np.ndarray) -> Optional[np.ndarray]:
 
 
 @lru_cache(maxsize=4096)
-def _stretch_walk(stretch: tuple, n_ions: int):
+def _stretch_walk(stretch: tuple, shape: tuple):
     """Where a stretch of WPhon/VPhon-family and VPulse pulses, given as
-    (kind, ion) pairs, takes each qubit row (levels g/e, phonon 0), and the
-    factors the row meets on the way. Those pulses only move rows, each times
-    a phase, so the walk follows the row indices, all rows at once. None if a
-    row ends off the qubit rows. Otherwise (starts, ends, groups): the rows in
-    trap order, sorted by the factors they meet, where each of them ends, and
-    per run of rows that meet the same factors, its slice and the factors."""
-    levels = _qubit_levels(n_ions).copy()
-    state = np.zeros(2**n_ions, dtype=np.intp)  # 3 * (phonon * 2 + pending flip)
+    (kind, ion) pairs, takes each row of a block of the trap basis states in
+    ``shape`` (levels per ion, then phonon states), and the factors the row
+    meets on the way. Each row starts on its own level and phonon. Those
+    pulses only move rows, each times a phase, so the walk follows the row
+    indices, all rows at once. None if a row ends outside ``shape``.
+    Otherwise (starts, ends, calls): the rows in trap order, sorted by the
+    codes they meet, where each of them ends, and the (slice, factors) calls
+    that give every row its factors in order."""
+    levels, state = _trap_rows(shape)
+    levels = levels.copy()
     codes = []
     for kind, ion in stretch:
         step = _STEPS[kind].take(levels[ion] + state, axis=1)
         levels[ion], state = step[0], step[1]
         if kind != "VPulse":
             codes.append(step[2])
-    if state.any() or levels.max() > E:        # phonon 1, or e'
+    phonon, flip = np.divmod(state // LEVELS, 2)
+    try:
+        ends = np.ravel_multi_index((*levels, phonon), shape)
+    except ValueError:                          # a row left the shape
         return None
-    codes = np.array(codes or [state])          # with no swap, no row meets a factor
-    starts = np.lexsort(codes)                  # stable: trap order within a group
-    met = codes.take(starts, axis=1).T.tolist() # the codes each row meets, in that order
-    groups, lo = [], 0
-    for hi in range(1, len(met) + 1):
-        if hi == len(met) or met[hi] != met[lo]:
-            factors = tuple(f for code in met[lo] for f in _FACTORS[code])
-            if factors:
-                groups.append((slice(lo, hi), factors))
-            lo = hi
-    ends = np.dot(_WEIGHTS[-n_ions:], levels).take(starts)
-    return starts, ends, tuple(groups)
+    codes.append(5 * flip)                      # a flip still pending runs at the end
+    codes = np.array(codes)
+    starts = np.lexsort(codes[::-1])            # by the first code met, then the next, ...
+    codes = codes.take(starts, axis=1)
+    # Swap by swap, each run of sorted rows that meet the same code there
+    # takes that code's factors in one call. A run ends where the next one
+    # starts, or at the last row when the next starts the next swap, at 0.
+    change = np.empty(codes.shape, dtype=bool)
+    change[:, 0] = True
+    np.not_equal(codes[:, 1:], codes[:, :-1], out=change[:, 1:])
+    swap, lo = change.nonzero()
+    met, lo = codes[swap, lo].tolist(), lo.tolist()
+    calls = tuple((slice(a, b or len(starts)), _FACTORS[c])
+                  for a, b, c in zip(lo, lo[1:] + [0], met) if c)
+    return starts, ends.take(starts), calls
 
 
 @lru_cache(maxsize=4096)
-def _stretch_map(stretch: tuple, n_ions: int, order_in: tuple, order_out: tuple):
-    """A stretch's action on the qubit corner, rows in memory order: from a
-    corner whose ion axes are in ``order_in`` to one in ``order_out``. None if
-    the stretch moves a qubit row off the qubit rows. Otherwise (gather,
-    groups, place) for ``_map_rows``: gather the rows into groups that meet
-    the same factors, run each group's factors on its slice, and gather the
-    rows into place. An index is None where it is the identity; with no
-    factors to run, the first gather does it all."""
-    walk = _stretch_walk(stretch, n_ions)
-    if walk is None:
-        return None
-    starts, ends, groups = walk
-    gather = _row_positions(n_ions, order_in)[starts]
-    place = _row_positions(n_ions, order_out)[ends].argsort()   # the inverse: row i comes from place[i]
-    if groups:
-        return _frozen(gather), groups, _frozen(place)
+def _stretch_map(stretch: tuple, shape: tuple, order_in: tuple, order_out: tuple):
+    """A stretch's action on a block of the rows of ``shape``, whose walk
+    keeps them in ``shape`` (``_stretch_walk``), rows in memory order: from a
+    block whose ion axes are in ``order_in`` to one in ``order_out``.
+    (gather, calls, place) for ``_map_rows``: gather the rows in the walk's
+    sorted order, run the calls on their slices, and gather the rows into
+    place. An index is None where it is the identity; with no factors to
+    run, the first gather does it all."""
+    starts, ends, calls = _stretch_walk(stretch, shape)
+    gather = _row_positions(shape, order_in)[starts]
+    place = _row_positions(shape, order_out)[ends].argsort()   # the inverse: row i comes from place[i]
+    if calls:
+        return _frozen(gather), calls, _frozen(place)
     return _frozen(gather[place]), (), None
 
 
-def _keeps_qubit_rows(stretch: tuple, n_ions: int) -> bool:
-    """Whether a stretch of non-OneQubit pulses maps every qubit row onto a
-    qubit row."""
-    trap = tuple(range(n_ions))
-    return _stretch_map(stretch, n_ions, trap, trap) is not None
-
-
 def _map_rows(block: np.ndarray, spare: np.ndarray, mapped: tuple) -> tuple:
-    """Run a stretch's map (``_stretch_map``) on the corner ``block``, rows by
-    columns, with ``spare`` a buffer of its shape; returns (block, spare).
-    Each group's factors are the calls ``_pulse_apply`` makes on those
-    elements: a sign flip on the float view, or a multiply by -i or +i with
-    the factor first."""
-    gather, groups, place = mapped
+    """Run a stretch's map (``_stretch_map``) on ``block``, rows by columns,
+    with ``spare`` a buffer of its shape; returns (block, spare). The factors
+    are the calls the whole-space kernel makes on those elements: a sign
+    flip on the float view, or a multiply by -i or +i with the factor first."""
+    gather, calls, place = mapped
     if gather is not None:
         block, spare = block.take(gather, 0, spare, "clip"), block
-    for rows, factors in groups:
+    for rows, factors in calls:
         part = block[rows]
         for factor in factors:
             if factor is _FLIP:
@@ -347,64 +335,51 @@ def _stretch_key(pulses: tuple, start: int, stop: int) -> tuple:
     return tuple([(p.kind, p.ion) for p in pulses[start:stop]])
 
 
-def _run(pulses: tuple, n_ions: int, region: Optional[tuple], fixed: bool) -> Optional[np.ndarray]:
+def _run(pulses: tuple, n_ions: int) -> tuple:
     """The pulse loop; returns the final block in trap order, its axes the
-    ions' levels, the phonon and the 2**n columns.
+    row shape's (the ions' levels, the phonon) and the 2**n columns, and that
+    row shape.
 
-    With ``fixed`` the block holds the whole ``region`` from the start, zeros
-    outside the qubit rows, and every pulse runs through ``_pulse_apply``.
-    Without it (``region`` is then unused) the block is the qubit corner,
-    levels {g, e} and phonon 0, and only OneQubit pulses run on it. The other
-    pulses between two OneQubit pulses (or the start or the end) form a
-    stretch, which runs as one cached map (``_stretch_map``): a stretch that
-    keeps the qubit rows permutes them, each element through the same exact
-    factors as on the whole space, and its other rows, zeros there, never
-    reach them. At the first stretch that moves a qubit row off the qubit
-    rows, this returns None before any of its pulses runs, and the fixed run
-    is the exact one."""
-    nq = 2**n_ions
-    trap = tuple(range(n_ions))
-    if fixed:
-        block = np.zeros(region + (nq,), dtype=complex)
-        block[(slice(0, 2),) * n_ions + (slice(0, 1),)] = np.eye(nq).reshape((2,) * n_ions + (1, nq))
-    else:
-        corner = (2,) * n_ions + (1,)
-        block, spare = np.eye(nq, dtype=complex), np.empty((nq, nq), dtype=complex)
-    # A OneQubit pulse runs with its ion's axis leading, where the ion's two
-    # level slices are contiguous; on a late ion in trap order they are short
-    # strided runs, at two to ten times the cost. The axes move when a
-    # OneQubit pulse needs another ion first: by one copy on the fixed
-    # region, and in the stretch's map on the corner.
-    order, start = trap, 0              # the ion axes in memory order; the stretch's first pulse
+    The pulses other than OneQubit before, between and after the OneQubit
+    pulses form stretches, and each runs as one cached map (``_stretch_map``).
+    The rows are chosen before any pulse runs. They are the qubit corner,
+    levels {g, e} and phonon 0, when every stretch keeps it: each stretch
+    then permutes the qubit rows, each element through the same exact
+    factors as on the whole space, and the other rows, zeros there, never
+    reach them. Otherwise they are the fixed region the program reaches:
+    phonon 1 if it has a phonon pulse, e' of the ions it VPhons. Each pulse
+    maps that region into itself, and the rest of the space stays zero."""
+    nq, trap = 2**n_ions, tuple(range(n_ions))
+    stretches, start = [], 0            # (a stretch's (kind, ion) pairs, the OneQubit pulse after it)
     for i, pulse in enumerate(pulses):
         if pulse.kind == "OneQubit":
-            new = order if order[0] == pulse.ion else (
-                (pulse.ion,) + tuple(k for k in trap if k != pulse.ion))
-            if not fixed:
-                if start < i or new != order:
-                    mapped = _stretch_map(_stretch_key(pulses, start, i), n_ions, order, new)
-                    if mapped is None:
-                        return None
-                    block, spare = _map_rows(block, spare, mapped)
-                start = i + 1
-            elif new != order:
-                block = np.ascontiguousarray(
-                    block.transpose([order.index(k) for k in new] + [n_ions, n_ions + 1]))
+            stretches.append((_stretch_key(pulses, start, i), pulse))
+            start = i + 1
+    stretches.append((_stretch_key(pulses, start, len(pulses)), None))
+    shape = (2,) * n_ions + (1,)
+    if any(_stretch_walk(key, shape) is None for key, _ in stretches if key):
+        eprime = {p.ion for p in pulses if p.kind.startswith("VPhon")}
+        phonon = bool(eprime) or any(p.kind.startswith("WPhon") for p in pulses)
+        shape = tuple(LEVELS if k in eprime else 2 for k in trap) + (1 + phonon,)
+    block = np.zeros(shape + (nq,), dtype=complex)
+    block[(slice(0, 2),) * n_ions + (0,)] = np.eye(nq).reshape((2,) * n_ions + (nq,))
+    block = block.reshape(-1, nq)
+    spare = np.empty_like(block)
+    # A OneQubit pulse runs with its ion's axis leading, where the ion's two
+    # level slices are contiguous; on a late ion in trap order they are short
+    # strided runs, at two to ten times the cost. The stretch's map moves the
+    # axes when a OneQubit pulse needs another ion first, and the last one
+    # brings back trap order.
+    order = trap                        # the ion axes in memory order
+    for key, pulse in stretches:
+        new = trap if pulse is None else order if order[0] == pulse.ion else (
+            (pulse.ion,) + tuple(k for k in trap if k != pulse.ion))
+        if key or new != order:
+            block, spare = _map_rows(block, spare, _stretch_map(key, shape, order, new))
             order = new
-        elif not fixed:
-            continue                    # it runs in its stretch's map
-        _pulse_apply(block, pulse, block.shape[:-1] if fixed else corner, order.index(pulse.ion))
-    if not fixed:
-        if start < len(pulses) or order != trap:
-            mapped = _stretch_map(_stretch_key(pulses, start, len(pulses)), n_ions, order, trap)
-            if mapped is None:
-                return None
-            block = _map_rows(block, spare, mapped)[0]
-        return block.reshape(corner + (nq,))
-    if order != trap:
-        block = np.ascontiguousarray(
-            block.transpose([order.index(k) for k in trap] + [n_ions, n_ions + 1]))
-    return block
+        if pulse is not None:
+            _pulse_apply(block, pulse, (shape[pulse.ion],), 0)
+    return block.reshape(shape + (nq,)), shape
 
 
 def simulate_pulse_sequence(seq: PulseSequence, n_ions: int) -> PulseSimResult:
@@ -412,12 +387,9 @@ def simulate_pulse_sequence(seq: PulseSequence, n_ions: int) -> PulseSimResult:
 
     Returns the induced 2**n x 2**n operator together with the worst residual
     amplitude outside the qubit subspace and the worst phonon excitation. The
-    ions are checked before any pulse runs. The pulses run on the rows the
-    amplitudes occupy (``_run``); when a stretch of phonon pulses would move
-    amplitude off the qubit rows, they run again on the fixed region the
-    program reaches: phonon 1 if it has a phonon pulse, e' of the ions it
-    VPhons. Each pulse maps that region into itself, and the rest of the
-    space stays zero.
+    ions are checked before any pulse runs. The pulses run once, on the rows
+    ``_run`` chooses; on the qubit corner, nothing leaves the qubit rows, and
+    both residuals are 0.0.
     """
     if not 1 <= n_ions <= MAX_IONS:
         raise ValueError(f"n_ions must be in 1..{MAX_IONS}, got {n_ions}")
@@ -425,21 +397,19 @@ def simulate_pulse_sequence(seq: PulseSequence, n_ions: int) -> PulseSimResult:
     bad = next((p.ion for p in pulses if not 0 <= p.ion < n_ions), None)
     if bad is not None:
         raise ValueError(f"ion index {bad} out of range for {n_ions} ions")
-    block = _run(pulses, n_ions, None, fixed=False)
-    if block is None:
-        eprime = {p.ion for p in pulses if p.kind.startswith("VPhon")}
-        phonon = bool(eprime) or any(p.kind.startswith("WPhon") for p in pulses)
-        region = tuple(LEVELS if k in eprime else 2 for k in range(n_ions)) + (1 + phonon,)
-        block = _run(pulses, n_ions, region, fixed=True)
+    block, shape = _run(pulses, n_ions)
+    nq = 2**n_ions
+    qubit = (slice(0, 2),) * n_ions + (0,)
+    unitary = block[qubit].reshape(nq, nq)
+    if shape == (2,) * n_ions + (1,):
+        return PulseSimResult(unitary, 0.0, 0.0)
     # The block's rows are in trap-basis order, and a row it lacks holds a zero
     # in the whole space. The axis-0 sums add row by row, where adding +0 changes
     # no bit, so they give the whole space's sums.
     power = np.abs(block) ** 2
     phonon_residual = _worst_norm(power[..., 1:, :])
-    qubit = (slice(0, 2),) * n_ions + (0,)
     power[qubit] = 0.0
-    nq = 2**n_ions
-    return PulseSimResult(block[qubit].reshape(nq, nq), _worst_norm(power), phonon_residual)
+    return PulseSimResult(unitary, _worst_norm(power), phonon_residual)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
-"""The cached op kernels, the one-Gram Knill-Laflamme check and the in-place
-pulse kernel with its reachable region, cross-checked against slow
-references: dense Kronecker products, a loop of inner products, and the
-mask/gather pulse kernel, on the whole block, that the in-place one replaced."""
+"""The cached op kernels, the one-Gram Knill-Laflamme check, and the pulse
+simulator's one-qubit kernel and row maps on the rows a program reaches,
+cross-checked against slow references: dense Kronecker products, a loop of
+inner products, and the mask/gather pulse kernel on the whole trap space."""
+
+from math import prod
 
 import numpy as np
 import pytest
@@ -215,13 +217,13 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), seed=seeds, columns=st.integers(0, 3), length=st.integers(1, 12))
 def test_in_place_pulse_kernel_matches_mask_gather_kernel(n, seed, columns, length):
-    """Random pulses of every kind on a random block (a vector when columns == 0)."""
+    """Random OneQubit pulses on any ion of a random block (a vector when
+    columns == 0); the other kinds run only in row maps."""
     rng = np.random.default_rng(seed)
     shape = (trap_dim(n),) if columns == 0 else (trap_dim(n), columns)
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     expected = amps.copy()
-    for _ in range(length):
-        pulse = random_pulse(n, rng)
+    for pulse in random_pulses(n, rng, ("OneQubit",), length):
         _pulse_apply(amps, pulse, (LEVELS,) * n + (PHONON_DIM,), pulse.ion)
         expected = reference_pulse(expected, pulse, n)
         assert same_bits(amps, expected), pulse
@@ -306,7 +308,7 @@ def test_region_is_fixed_for_the_whole_program():
     """After the VPulse the whole-space kernel holds -0 on |g,1>, and the WPhon
     moves it into the qubit row |e,0> as +0 (from +0 it would be -0 there).
     A region that grew only at the WPhon, with zeros, would print the other
-    sign; the check of the stretch, a lone WPhon that moves the |e,0> row off
+    sign; the walk of the stretch, a lone WPhon that moves the |e,0> row off
     the qubit rows, sends this program to the fixed region."""
     seq = PulseSequence((Pulse("VPulse", 0), Pulse("WPhon", 0)))
     unitary = reference_simulation(seq, 1)[0]
@@ -370,25 +372,32 @@ def test_ion_out_of_range_is_reported_in_a_moved_layout(kind):
 
 
 # --- the rows the amplitudes occupy ---------------------------------------------------
-# The simulator first runs on the qubit corner, each stretch of phonon pulses
-# between two OneQubit pulses as one row map; a stretch that moves amplitude off
-# the qubit rows sends the program to the fixed region before any of its pulses
-# runs.
+# The simulator runs each stretch of phonon pulses between two OneQubit pulses
+# as one row map, once, on rows chosen before any pulse runs: the qubit corner
+# when every stretch keeps it, else the fixed region. A run on the corner
+# reports no leakage and no phonon residual.
+
+
+def corner(n: int) -> tuple:
+    return (2,) * n + (1,)
 
 
 def fixed_runs(seq: PulseSequence, n: int):
-    """The simulation, and how many times it ran on the fixed region."""
-    calls = []
+    """The simulation, and how many times it ran on the fixed region; the
+    simulation runs the pulse loop exactly once."""
+    shapes = []
 
-    def spy(pulses, n_ions, region, fixed):
-        calls.append(fixed)
-        return run(pulses, n_ions, region, fixed)
+    def spy(pulses, n_ions):
+        block, shape = run(pulses, n_ions)
+        shapes.append(shape)
+        return block, shape
 
     run = iontrap._run
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(iontrap, "_run", spy)
         sim = simulate_pulse_sequence(seq, n)
-    return sim, sum(calls)
+    assert len(shapes) == 1
+    return sim, int(shapes[0] != corner(n))
 
 
 def assert_matches_reference(sim, seq: PulseSequence, n: int) -> None:
@@ -426,7 +435,7 @@ def test_compiled_programs_never_need_the_fixed_region(program):
 @st.composite
 def spliced_programs(draw):
     """A compiled program with 1-3 random pulses spliced in at random places;
-    many leak mid-program, and the fixed run then takes the whole program."""
+    many leak mid-program, and the whole program then runs on the fixed region."""
     seq, n = draw(compiled_programs())
     rng = np.random.default_rng(draw(seeds))
     pulses = list(seq.pulses)
@@ -438,6 +447,10 @@ def spliced_programs(draw):
 # the README's example: a VPulse before the first WPhon flips the sign of a zero
 # that the WPhon then moves into a qubit row
 @example(program=(PulseSequence((Pulse("VPulse", 0), Pulse("WPhon", 0))), 1))
+# a row ends the first stretch on |g,1> with the VPulse's flip still pending,
+# and the OneQubit pulse mixes it into |e,1>
+@example(program=(PulseSequence((Pulse("WPhon", 0), Pulse("VPulse", 0),
+                                 Pulse("OneQubit", 0, GATE_MATRICES["U"]))), 1))
 @example(program=(PulseSequence((Pulse("VPulse", 1),) + compile_circuit(
     Circuit(2, (GateOp("CNOT", (1,), (0,)),))).pulses), 2))
 @settings(max_examples=60, deadline=None)
@@ -450,19 +463,18 @@ def test_spliced_programs_match_mask_gather_reference(program):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(pulse_programs(), compiled_programs(), spliced_programs()))
 def test_no_result_holds_a_nan(program):
-    """Whichever run gave the result, the unitary, the leakage and the
-    phonon residual hold no NaN, and the fixed region ran at most once."""
+    """On either set of rows, the unitary, the leakage and the phonon
+    residual hold no NaN."""
     seq, n = program
-    sim, fixed = fixed_runs(seq, n)
+    sim = fixed_runs(seq, n)[0]
     assert not np.isnan(sim.unitary).any()
     assert not np.isnan(sim.leakage) and not np.isnan(sim.phonon_residual)
-    assert fixed in (0, 1)
 
 
 def test_vpulse_before_the_first_wphon_takes_the_fixed_region():
     """The README's example on one ion: the whole space holds the VPulse's -0
     on |g,1>, and the WPhon swaps it with the qubit row |e,0>; the stretch
-    fails the check, and the fixed run prints +0 there."""
+    leaves the qubit corner, and the run on the fixed region prints +0 there."""
     seq = PulseSequence((Pulse("VPulse", 0), Pulse("WPhon", 0)))
     sim, fixed = fixed_runs(seq, 1)
     assert fixed == 1
@@ -471,7 +483,7 @@ def test_vpulse_before_the_first_wphon_takes_the_fixed_region():
 
 def test_ions_are_checked_before_any_pulse_runs():
     """The first out-of-range pulse in program order is named, before the
-    qubit-corner run starts."""
+    pulse loop starts."""
     seq = PulseSequence((Pulse("WPhon", 0), Pulse("VPhon", 5), Pulse("VPulse", 4)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(iontrap, "_run", lambda *args: pytest.fail("a run started"))
@@ -479,19 +491,25 @@ def test_ions_are_checked_before_any_pulse_runs():
             simulate_pulse_sequence(seq, 3)
 
 
-# --- the per-stretch check ------------------------------------------------------------
+# --- the per-stretch walk -------------------------------------------------------------
 
 
-def keeps_qubit_rows_reference(stretch: tuple, n: int) -> bool:
-    """Whether the mask/gather kernel, on the whole space, leaves every qubit
-    column's weight on the qubit rows."""
+def rows_in(n: int, shape: tuple) -> np.ndarray:
+    """Per trap basis index, whether the row is in ``shape``: fewer levels
+    than shape[k] on each ion k, and a phonon below shape[-1]."""
     levels, phonon = trap_index_tables(n)
-    qubit = (levels < 2).all(axis=1) & (phonon == 0)
-    cols = np.zeros((trap_dim(n), 2**n), dtype=complex)
-    cols[np.nonzero(qubit)[0], np.arange(2**n)] = 1.0
+    return (levels < np.array(shape[:-1])).all(axis=1) & (phonon < shape[-1])
+
+
+def keeps_rows_reference(stretch: tuple, n: int, shape: tuple) -> bool:
+    """Whether the mask/gather kernel, on the whole space, leaves every
+    column that starts on a row of ``shape`` with its weight on those rows."""
+    inside = np.nonzero(rows_in(n, shape))[0]
+    cols = np.zeros((trap_dim(n), inside.size), dtype=complex)
+    cols[inside, np.arange(inside.size)] = 1.0
     for kind, ion in stretch:
         cols = reference_pulse(cols, Pulse(kind, ion), n)
-    return not np.sum(np.abs(cols[~qubit]) ** 2, axis=0).any()
+    return not np.sum(np.abs(cols[~rows_in(n, shape)]) ** 2, axis=0).any()
 
 
 @st.composite
@@ -518,54 +536,78 @@ def stretches(draw):
 @given(stretches())
 def test_stretch_check_matches_mask_gather_reference(case):
     stretch, n = case
-    assert iontrap._keeps_qubit_rows(stretch, n) == keeps_qubit_rows_reference(stretch, n)
+    kept = iontrap._stretch_walk(stretch, corner(n)) is not None
+    assert kept == keeps_rows_reference(stretch, n, corner(n))
 
 
-def test_a_stray_wphon_stops_the_fast_run_before_its_stretch():
+def test_a_stray_wphon_runs_each_pulse_once_on_the_fixed_region():
     """A WPhon(0) before the shipped encoder moves ion 0's |e,0> rows onto the
-    phonon, so the first stretch fails the check: the fast run applies no
-    pulse, and the fixed run applies each pulse once."""
+    phonon, so the first stretch leaves the qubit corner: the program runs
+    on the fixed region, each pulse once and in order, in its stretch's map
+    or through the OneQubit kernel."""
     seq = PulseSequence((Pulse("WPhon", 0),) + compile_circuit(five_qubit_encoder()).pulses)
-    simulate_pulse_sequence(seq, 5)     # from here on, the stretches' checks are cached
-    runs = []
+    simulate_pulse_sequence(seq, 5)     # from here on, the stretches' maps are cached
+    ran = []
 
-    def run_spy(pulses, n_ions, region, fixed):
-        runs.append([fixed, 0])
-        return run(pulses, n_ions, region, fixed)
+    def map_spy(stretch, *args):
+        ran.extend(stretch)
+        return stretch_map(stretch, *args)
 
-    def apply_spy(*args):
-        runs[-1][1] += 1
-        return apply(*args)
+    def apply_spy(block, pulse, *args):
+        ran.append((pulse.kind, pulse.ion))
+        return apply(block, pulse, *args)
 
-    run, apply = iontrap._run, iontrap._pulse_apply
+    stretch_map, apply = iontrap._stretch_map, iontrap._pulse_apply
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(iontrap, "_run", run_spy)
+        patch.setattr(iontrap, "_stretch_map", map_spy)
         patch.setattr(iontrap, "_pulse_apply", apply_spy)
-        sim = simulate_pulse_sequence(seq, 5)
-    assert runs == [[False, 0], [True, len(seq)]]
+        sim, fixed = fixed_runs(seq, 5)
+    assert fixed == 1
+    assert ran == [(p.kind, p.ion) for p in seq.pulses]
     assert_matches_reference(sim, seq, 5)
 
 
 # --- the stretch maps -------------------------------------------------------------------
-# The fast run does a stretch in one cached map on the qubit corner: one gather,
-# the factors each group of rows meets, one gather into the next axis order.
+# A stretch runs as one cached map on the block's rows: one gather, the factors
+# each group of rows meets, one gather into the next axis order.
 
 
-def grow_run_cut(corner: np.ndarray, stretch: tuple, n: int, order_in: tuple,
+def grow_run_cut(block: np.ndarray, stretch: tuple, n: int, shape: tuple, order_in: tuple,
                  order_out: tuple) -> np.ndarray:
-    """The corner (rows in ``order_in``, by columns) grown with zeros to phonon
-    1 and e' of each ion the stretch VPhons, the stretch run through
-    ``_pulse_apply``, the rest cut off again and the axes moved to ``order_out``."""
-    cols = corner.shape[-1]
-    eprime = {ion for kind, ion in stretch if kind.startswith("VPhon")}
-    grown = np.zeros(tuple(LEVELS if k in eprime else 2 for k in order_in) + (PHONON_DIM, cols),
-                     dtype=complex)
-    qubit = (slice(0, 2),) * n + (slice(0, 1),)
-    grown[qubit] = corner.reshape((2,) * n + (1, cols))
+    """The rows of ``shape`` (ion axes in ``order_in``, by columns) grown with
+    zeros to the whole trap space, the stretch run through
+    ``reference_pulse``, the rows of ``shape`` cut out again and the axes
+    moved to ``order_out``."""
+    cols = block.shape[-1]
+    trap = block.reshape([shape[k] for k in order_in] + [shape[-1], cols]).transpose(
+        [order_in.index(k) for k in range(n)] + [n, n + 1])
+    inside = np.nonzero(rows_in(n, shape))[0]
+    whole = np.zeros((trap_dim(n), cols), dtype=complex)
+    whole[inside] = trap.reshape(-1, cols)
     for kind, ion in stretch:
-        _pulse_apply(grown, Pulse(kind, ion), grown.shape[:-1], order_in.index(ion))
-    moved = grown[qubit].transpose([order_in.index(k) for k in order_out] + [n, n + 1])
-    return np.ascontiguousarray(moved).reshape(2**n, cols)
+        whole = reference_pulse(whole, Pulse(kind, ion), n)
+    cut = whole[inside].reshape(shape + (cols,)).transpose(list(order_out) + [n, n + 1])
+    return np.ascontiguousarray(cut).reshape(-1, cols)
+
+
+def assert_map_matches_grow_run_cut(stretch, n, shape, order_in, order_out, seed, cols):
+    """On a random block of the rows of ``shape``, with zeros of both signs
+    planted in every row, the map gives the bits of the grown run, and the
+    walk is None exactly when the stretch moves a row out of ``shape``."""
+    rng = np.random.default_rng(seed)
+    rows = prod(shape)
+    block = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    parts = block.view(np.float64)
+    zeros = rng.random(parts.shape) < 0.3
+    zeros[np.arange(rows), rng.integers(2 * cols, size=rows)] = True
+    parts[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    walk = iontrap._stretch_walk(stretch, shape)
+    assert (walk is None) == (not keeps_rows_reference(stretch, n, shape))
+    if walk is not None:
+        expected = grow_run_cut(block, stretch, n, shape, order_in, order_out)
+        mapped = iontrap._stretch_map(stretch, shape, order_in, order_out)
+        assert same_bits(iontrap._map_rows(block.copy(), np.empty_like(block), mapped)[0],
+                         expected)
 
 
 @st.composite
@@ -582,18 +624,30 @@ def stretch_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(stretch_cases())
 def test_stretch_map_matches_grow_run_cut(case):
-    """On a random corner with zeros of both signs planted in it, in any axis
-    orders, the map gives the bits of the grown run, and is None exactly when
-    the stretch moves a qubit row off the qubit rows."""
+    """On the qubit corner, in any axis orders."""
     stretch, n, order_in, order_out, seed, cols = case
-    rng = np.random.default_rng(seed)
-    corner = rng.normal(size=(2**n, cols)) + 1j * rng.normal(size=(2**n, cols))
-    parts = corner.view(np.float64).reshape(-1)
-    zeros = rng.random(parts.size) < 0.3
-    parts[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
-    mapped = iontrap._stretch_map(stretch, n, order_in, order_out)
-    assert (mapped is None) == (not keeps_qubit_rows_reference(stretch, n))
-    if mapped is not None:
-        expected = grow_run_cut(corner, stretch, n, order_in, order_out)
-        block = iontrap._map_rows(corner.copy(), np.empty_like(corner), mapped)[0]
-        assert same_bits(block, expected)
+    assert_map_matches_grow_run_cut(stretch, n, corner(n), order_in, order_out, seed, cols)
+
+
+@st.composite
+def region_cases(draw):
+    """A stretch case on a random region: 2 or 3 levels per ion and 1 or 2
+    phonon states, in half of the cases widened by the fixed region of the
+    stretch, which it keeps."""
+    stretch, n, order_in, order_out, seed, cols = draw(stretch_cases())
+    shape = tuple(draw(st.sampled_from((2, 3))) for _ in range(n)) + (draw(st.sampled_from((1, 2))),)
+    if draw(st.booleans()):
+        eprime = {ion for kind, ion in stretch if kind.startswith("VPhon")}
+        shape = tuple(LEVELS if k in eprime else shape[k] for k in range(n)) + (PHONON_DIM,)
+    return stretch, n, shape, order_in, order_out, seed, cols
+
+
+# a row ends the stretch on |g,1> with the VPulse's flip still pending
+@example(case=((("WPhon", 0), ("VPulse", 0)), 1, (2, 2), (0,), (0,), 0, 2))
+# the README's example: the VPulse flips the sign of a zero that the WPhon moves
+@example(case=((("VPulse", 0), ("WPhon", 0)), 1, (2, 2), (0,), (0,), 1, 1))
+@settings(max_examples=100, deadline=None)
+@given(region_cases())
+def test_region_map_matches_grow_run_cut(case):
+    """On the fixed region and other sets of rows, in any axis orders."""
+    assert_map_matches_grow_run_cut(*case)

@@ -12,7 +12,9 @@ from qeclab.iontrap import (
     PHONON_DIM,
     Pulse,
     PulseSequence,
+    _map_rows,
     _pulse_apply,
+    _stretch_map,
     compile_cphase,
     compile_circuit,
     compile_op,
@@ -34,10 +36,15 @@ def single_ion_state(level: int, phonon: int) -> np.ndarray:
 
 
 def run_pulse(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
-    """The simulator's kernel on a copy of a one-ion block."""
+    """The simulator's step on a copy of a one-ion (3, 2) block: the
+    OneQubit kernel, or the pulse as a stretch's map on the one-ion region."""
     out = amps.copy()
-    _pulse_apply(out, pulse, out.shape, 0)
-    return out
+    if pulse.kind == "OneQubit":
+        _pulse_apply(out, pulse, out.shape, 0)
+        return out
+    rows = out.reshape(-1, 1)
+    mapped = _stretch_map(((pulse.kind, 0),), out.shape, (0,), (0,))
+    return _map_rows(rows, np.empty_like(rows), mapped)[0].reshape(out.shape)
 
 
 class TestPulsePrimitives:
