@@ -56,7 +56,7 @@ from .noise import (
     mc_coherence,
     scheme_coherence,
 )
-from .search import SearchConfig, is_valid_perfect_code, pulse_cost, search
+from .search import VALIDITY_MODES, SearchConfig, is_valid_perfect_code, pulse_cost, search
 from .states import PureState, fidelity
 
 EXIT_OK = 0
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--start", help="'reference' or a circuit file to seed the climb")
     p.add_argument("--alphabet", help="comma-separated gate kinds")
-    p.add_argument("--mode", choices=("auto", "exact", "kl"), default="auto")
+    p.add_argument("--mode", choices=VALIDITY_MODES, default="auto")
     p.add_argument("--out", help="write the best valid circuit here (.qc.json)")
     p.set_defaults(func=cmd_search)
     return parser

@@ -104,15 +104,15 @@ class PulseSequence:
         return len(self.pulses)
 
 
-def _pulse_apply(block: np.ndarray, pulse: Pulse, shape: tuple, axis: int) -> None:
+def _pulse_apply(block: np.ndarray, pulse: Pulse, levels: int) -> None:
     """Apply a OneQubit pulse in place to a C-contiguous block whose leading
-    axes begin with ``shape``: ions of the trap basis, 2 (g, e) or 3 (and e')
-    levels each, in any order. ``axis`` is the pulsed ion's. The other axes
-    (later ions, the phonon, columns) are carried; e' is left alone."""
-    v = block.reshape(prod(shape[:axis]), shape[axis], -1)
+    axis is the pulsed ion's, with ``levels`` levels: 2 (g, e) or 3 (and e').
+    The other axes (other ions, the phonon, columns) are carried; e' is left
+    alone."""
+    v = block.reshape(levels, -1)
     # r00 a_g + r01 a_e and r10 a_g + r11 a_e; the matrix entry stays the
     # first factor of every product, so the rounding never depends on order
-    rot, a_g, a_e = pulse.matrix, v[:, G], v[:, E]
+    rot, a_g, a_e = pulse.matrix, v[G], v[E]
     from_e, from_g = rot[0, 1] * a_e, rot[1, 0] * a_g
     np.multiply(rot[0, 0], a_g, out=a_g)
     a_g += from_e
@@ -378,7 +378,7 @@ def _run(pulses: tuple, n_ions: int) -> tuple:
             block, spare = _map_rows(block, spare, _stretch_map(key, shape, order, new))
             order = new
         if pulse is not None:
-            _pulse_apply(block, pulse, (shape[pulse.ion],), 0)
+            _pulse_apply(block, pulse, shape[pulse.ion])
     return block.reshape(shape + (nq,)), shape
 
 

@@ -1,11 +1,11 @@
 """Randomized search for cheap encoder circuits.
 
 Hill climbing with random restarts over op-level moves (insert, delete,
-replace, swap two ops). A candidate is scored lexicographically: validity
-first, then pulse cost (the ion-trap cost law) for valid circuits or the
-worst correction-condition violation for invalid ones, then op count, then a
-stable textual encoding. The best *valid* candidate can only improve over the
-run, and every reported-valid candidate is re-checked independently.
+replace, swap two ops) on the five-qubit register. A candidate is scored
+lexicographically: validity first, then pulse cost (the ion-trap cost law)
+for valid circuits or the worst correction-condition violation for invalid
+ones, then op count. The best *valid* candidate can only improve over the
+run, and it is re-checked from scratch at the end.
 
 Restarts are keyed by (seed, restart index), so a run is reproducible and
 restarts could execute in any order.
@@ -13,11 +13,9 @@ restarts could execute in any order.
 
 from __future__ import annotations
 
-import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +32,8 @@ from .iontrap import op_pulse_cost
 from .states import PureState
 
 DEFAULT_ALPHABET = SINGLE_QUBIT_KINDS + ("CNOT", "CPHASE")
+N_QUBITS = 5        # the register of every circuit the search proposes or checks
+VALIDITY_MODES = ("auto", "exact", "kl")
 MAX_OPS = 1000      # bounds max_ops and the start circuit: the climber keeps one
                     # codeword block, about 1.1 KB, per op prefix
 
@@ -48,7 +48,7 @@ class ValidityResult:
         return self.valid
 
 
-_FIVE_QUBIT_ERRORS = single_qubit_error_classes(5)
+_FIVE_QUBIT_ERRORS = single_qubit_error_classes(N_QUBITS)
 
 
 def is_valid_perfect_code(circuit: Circuit, mode: str = "auto", *,
@@ -60,8 +60,10 @@ def is_valid_perfect_code(circuit: Circuit, mode: str = "auto", *,
     distance-3 code; ``"auto"`` reports the strongest property that holds.
     ``block``, when given, must be the circuit's ``codeword_block``.
     """
-    if circuit.n_qubits != 5:
-        raise ValueError("the perfect-code check applies to 5-qubit circuits")
+    if mode not in VALIDITY_MODES:
+        raise ValueError(f"unknown validity mode {mode!r}; expected one of {', '.join(VALIDITY_MODES)}")
+    if circuit.n_qubits != N_QUBITS:
+        raise ValueError(f"the perfect-code check applies to {N_QUBITS}-qubit circuits")
     block = codeword_block(circuit) if block is None else block
     overlap = abs(np.vdot(block[:, 0], block[:, 1]))
     if overlap > 1e-10:
@@ -104,7 +106,6 @@ def pulse_cost(circuit: Circuit) -> int:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    n_qubits: int = 5
     alphabet: tuple = DEFAULT_ALPHABET
     max_ops: int = 40
     budget: int = 2000
@@ -118,9 +119,9 @@ class SearchConfig:
             raise ValueError("budget must be >= 1")
         if not 1 <= self.max_ops <= MAX_OPS:
             raise ValueError(f"max_ops must be in 1..{MAX_OPS}, got {self.max_ops}")
-        if self.start is not None and self.start.n_qubits != self.n_qubits:
+        if self.start is not None and self.start.n_qubits != N_QUBITS:
             raise ValueError(f"start circuit has {self.start.n_qubits} qubits; "
-                             f"the search runs on {self.n_qubits}-qubit circuits")
+                             f"the search runs on {N_QUBITS}-qubit circuits")
         if self.start is not None and len(self.start.ops) > MAX_OPS:
             raise ValueError(f"start circuit has {len(self.start.ops)} ops; at most {MAX_OPS} are allowed")
         if not 1 <= self.restarts <= self.budget:
@@ -131,6 +132,9 @@ class SearchConfig:
         bad = [k for k in self.alphabet if k not in DEFAULT_ALPHABET]
         if bad:
             raise ValueError(f"unknown gate kinds in alphabet: {bad}")
+        if self.validity_mode not in VALIDITY_MODES:
+            raise ValueError(f"unknown validity mode {self.validity_mode!r}; "
+                             f"expected one of {', '.join(VALIDITY_MODES)}")
 
 
 @dataclass(frozen=True)
@@ -212,61 +216,51 @@ def mutate(circuit: Circuit, cfg: SearchConfig, rng: np.random.Generator) -> Cir
     moves = ["insert", "replace", "swap", "delete"]
     move = moves[rng.integers(len(moves))]
     if move == "insert" and len(ops) < cfg.max_ops:
-        ops.insert(int(rng.integers(len(ops) + 1)), random_op(cfg.n_qubits, cfg.alphabet, rng))
+        ops.insert(int(rng.integers(len(ops) + 1)), random_op(N_QUBITS, cfg.alphabet, rng))
     elif move == "delete" and ops:
         ops.pop(int(rng.integers(len(ops))))
     elif move == "replace" and ops:
-        ops[int(rng.integers(len(ops)))] = random_op(cfg.n_qubits, cfg.alphabet, rng)
+        ops[int(rng.integers(len(ops)))] = random_op(N_QUBITS, cfg.alphabet, rng)
     elif move == "swap" and len(ops) >= 2:
         i, j = rng.choice(len(ops), size=2, replace=False)
         ops[i], ops[j] = ops[j], ops[i]
     elif len(ops) < cfg.max_ops:
-        ops.append(random_op(cfg.n_qubits, cfg.alphabet, rng))
+        ops.append(random_op(N_QUBITS, cfg.alphabet, rng))
     else:                          # at or over the cap: shrink rather than grow
         ops.pop(int(rng.integers(len(ops))))
-    return Circuit._trusted(cfg.n_qubits, tuple(ops))      # SearchConfig checks the start's register
+    return Circuit._trusted(N_QUBITS, tuple(ops))      # SearchConfig checks the start's register
 
 
 def _candidate(circuit: Circuit, res: ValidityResult) -> Candidate:
     return Candidate(circuit, pulse_cost(circuit), res.valid, res.mode, res.violation)
 
 
-def _score(cand: Candidate):
-    lex = json.dumps([[op.kind, list(op.controls), list(op.targets)] for op in cand.circuit.ops])
-    return _accept_key(cand) + (lex,)
-
-
 def _accept_key(cand: Candidate):
-    """Acceptance ignores the textual tie-breaker so equal-quality proposals
-    are taken; walking plateaus is what gets the climb off flat regions."""
+    """A proposal is taken when its key is no worse than the current one's,
+    so equal-quality proposals are taken too; walking plateaus is what gets
+    the climb off flat regions."""
     penalty = float(cand.cost) if cand.valid else 1e6 + cand.violation
     return (0 if cand.valid else 1, penalty, len(cand.circuit.ops))
 
 
-def search(cfg: SearchConfig,
-           validator: Optional[Callable[[Circuit], ValidityResult]] = None) -> SearchResult:
+def search(cfg: SearchConfig) -> SearchResult:
     """Hill-climb from the start circuit (or a random one per restart).
 
     Returns the cheapest valid candidate found, plus the full cost trace.
     When the budget runs out without a valid candidate the result carries the
     least-violating circuit as a diagnostic instead.
     """
-    def check(circuit: Circuit, block: Optional[np.ndarray] = None) -> ValidityResult:
-        """The custom validator, or the built-in check (from ``block`` when given)."""
-        if validator is not None:
-            return validator(circuit)
-        return is_valid_perfect_code(circuit, cfg.validity_mode, block=block)
-
     def evaluate(circuit: Circuit, parent_ops: tuple = (), parent_blocks: Optional[list] = None):
         """The candidate and its codeword blocks after each op prefix: the
         parent's up to the first op that is not the parent's very object."""
         ops, k = circuit.ops, 0
         while k < len(ops) and k < len(parent_ops) and ops[k] is parent_ops[k]:
             k += 1
-        blocks = (parent_blocks or [codeword_block(Circuit(circuit.n_qubits))])[:k + 1]
+        blocks = (parent_blocks or [codeword_block(Circuit(N_QUBITS))])[:k + 1]
         for op in ops[k:]:
-            blocks.append(_apply_op_array(blocks[-1], op, circuit.n_qubits))
-        return _candidate(circuit, check(circuit, blocks[-1])), blocks
+            blocks.append(_apply_op_array(blocks[-1], op, N_QUBITS))
+        res = is_valid_perfect_code(circuit, cfg.validity_mode, block=blocks[-1])   # by name: tracers patch it
+        return _candidate(circuit, res), blocks
 
     best_valid: Optional[Candidate] = None
     best_invalid: Optional[Candidate] = None
@@ -277,7 +271,7 @@ def search(cfg: SearchConfig,
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,)))
         start = cfg.start if cfg.start is not None else random_circuit(
-            cfg.n_qubits, int(rng.integers(1, cfg.max_ops + 1)), rng, cfg.alphabet)
+            N_QUBITS, int(rng.integers(1, cfg.max_ops + 1)), rng, cfg.alphabet)
         current, blocks = evaluate(start)
 
         for it in range(per_restart):
@@ -297,44 +291,9 @@ def search(cfg: SearchConfig,
                 history.append(HistoryEntry(restart, it, current.cost, False, None))
 
     if best_valid is not None:
-        if not check(best_valid.circuit).valid:   # with no block: recomputed from scratch
+        if not is_valid_perfect_code(best_valid.circuit, cfg.validity_mode).valid:   # no block: from scratch
             raise AssertionError("search bookkeeping reported an invalid circuit as valid")
         best_invalid = None
     return SearchResult(best_valid, best_invalid, tuple(history), cfg.seed, iterations,
                         accepted, valid_proposals)
 
-
-def exhaustive_search(cfg: SearchConfig,
-                      validator: Optional[Callable[[Circuit], ValidityResult]] = None) -> SearchResult:
-    """Enumerate every circuit up to ``max_ops`` ops over the alphabet.
-
-    Only feasible for tiny alphabets and very short circuits; used as an
-    oracle to sanity-check the randomized search on toy problems.
-    """
-    if validator is None:
-        validator = lambda c: is_valid_perfect_code(c, cfg.validity_mode)
-    if cfg.max_ops > 4:
-        raise ValueError("exhaustive search is limited to max_ops <= 4")
-
-    all_ops = []
-    n = cfg.n_qubits
-    for kind in cfg.alphabet:
-        if kind in SINGLE_QUBIT_KINDS:
-            all_ops += [GateOp(kind, (q,)) for q in range(n)]
-        else:  # CNOT or CPHASE with one control and one target
-            all_ops += [GateOp(kind, (t,), (c,)) for c in range(n) for t in range(n) if c != t]
-
-    best_valid = None
-    count = n_valid = 0
-    for length in range(cfg.max_ops + 1):
-        for combo in itertools.product(all_ops, repeat=length):
-            count += 1
-            circuit = Circuit(n, combo)
-            cand = _candidate(circuit, validator(circuit))
-            n_valid += cand.valid
-            if cand.valid and (best_valid is None or _score(cand) < _score(best_valid)):
-                best_valid = cand
-    history = ()
-    if best_valid is not None:
-        history = (HistoryEntry(0, count, best_valid.cost, True, best_valid.cost),)
-    return SearchResult(best_valid, None, history, cfg.seed, count, valid_proposals=n_valid)

@@ -46,6 +46,9 @@ def write_circuit(tmp_path, circuit, name="circuit.qc.json"):
     return str(path)
 
 
+ENCODER_24 = str(Path(__file__).resolve().parent / "data" / "encoder_24.qc.json")
+
+
 class TestVerifyCode:
     def test_five_qubit_report(self, capsys):
         code, out, _ = run_cli(capsys, "verify-code", "--code", "five-qubit", "--trials", "2")
@@ -56,6 +59,13 @@ class TestVerifyCode:
         assert len(doc["syndrome_table"]) == 16
         assert doc["worst_fidelity"] >= 1 - 1e-10
         assert doc["encoder_pulse_cost"] == 59
+
+    def test_24_pulse_encoder_is_valid(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-code", "--code", "five-qubit", "--encoder", ENCODER_24)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["valid"] is True
+        assert doc["encoder_pulse_cost"] == 24
 
     def test_zeno2_detection_notice(self, capsys):
         code, out, _ = run_cli(capsys, "verify-code", "--code", "zeno2")
@@ -148,6 +158,14 @@ class TestCompile:
         assert doc["verified"] is True
         assert doc["per_gate"][0]["pulses"] == 5
         assert len(doc["pulses"]) == 5
+
+    def test_24_pulse_encoder_compiles_to_24_verified_pulses(self, capsys):
+        code, out, _ = run_cli(capsys, "compile", "--circuit", ENCODER_24, "--report", "full")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["total_pulses"] == len(doc["pulses"]) == 24
+        assert doc["verified"] is True
+        assert doc["max_deviation"] == pytest.approx(8.3e-18, rel=0.02)
 
     def test_empty_circuit_costs_zero(self, capsys, tmp_path):
         path = write_circuit(tmp_path, Circuit(2))

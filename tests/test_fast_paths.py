@@ -218,13 +218,17 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @given(n=st.integers(1, 6), seed=seeds, columns=st.integers(0, 3), length=st.integers(1, 12))
 def test_in_place_pulse_kernel_matches_mask_gather_kernel(n, seed, columns, length):
     """Random OneQubit pulses on any ion of a random block (a vector when
-    columns == 0); the other kinds run only in row maps."""
+    columns == 0), each run with the pulsed ion's axis moved to the front, as
+    the simulator runs it; the other kinds run only in row maps."""
     rng = np.random.default_rng(seed)
     shape = (trap_dim(n),) if columns == 0 else (trap_dim(n), columns)
+    axes = (LEVELS,) * n + (PHONON_DIM,) + shape[1:]
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     expected = amps.copy()
     for pulse in random_pulses(n, rng, ("OneQubit",), length):
-        _pulse_apply(amps, pulse, (LEVELS,) * n + (PHONON_DIM,), pulse.ion)
+        front = np.moveaxis(amps.reshape(axes), pulse.ion, 0).copy()
+        _pulse_apply(front, pulse, LEVELS)
+        amps = np.moveaxis(front, 0, pulse.ion).reshape(shape)
         expected = reference_pulse(expected, pulse, n)
         assert same_bits(amps, expected), pulse
 

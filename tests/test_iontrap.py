@@ -40,7 +40,7 @@ def run_pulse(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
     OneQubit kernel, or the pulse as a stretch's map on the one-ion region."""
     out = amps.copy()
     if pulse.kind == "OneQubit":
-        _pulse_apply(out, pulse, out.shape, 0)
+        _pulse_apply(out, pulse, out.shape[0])
         return out
     rows = out.reshape(-1, 1)
     mapped = _stretch_map(((pulse.kind, 0),), out.shape, (0,), (0,))

@@ -1,18 +1,19 @@
 import importlib
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qeclab.circuits import Circuit, GateOp, apply_circuit
+from qeclab.circuits import Circuit, GateOp, parse_circuit
 from qeclab.codes import check_knill_laflamme, codeword_block, CodeSpec, single_qubit_error_classes
 from qeclab.search import (
     Candidate,
     SearchConfig,
     ValidityResult,
     circuit_codewords,
-    exhaustive_search,
     is_valid_perfect_code,
     mutate,
     pulse_cost,
@@ -20,9 +21,9 @@ from qeclab.search import (
     search,
 )
 from qeclab.codes import five_qubit_code
-from qeclab.states import PureState, fidelity
 
 search_module = importlib.import_module("qeclab.search")   # the package exports search() itself
+ENCODER_24 = Path(__file__).resolve().parent / "data" / "encoder_24.qc.json"
 
 
 def kl_recheck(circuit: Circuit) -> bool:
@@ -73,6 +74,10 @@ class TestValidity:
     def test_wrong_register_size(self):
         with pytest.raises(ValueError):
             is_valid_perfect_code(Circuit(3))
+
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="'exakt'; expected one of auto, exact, kl"):
+            is_valid_perfect_code(five_qubit_code().encoder, "exakt")
 
 
 class TestSearch:
@@ -137,6 +142,10 @@ class TestSearch:
         with pytest.raises(ValueError):
             SearchConfig(alphabet=("U", "RX"))
 
+    def test_unknown_validity_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="'exakt'; expected one of auto, exact, kl"):
+            SearchConfig(validity_mode="exakt")
+
     @pytest.mark.parametrize("n", [3, 6])
     def test_start_register_must_match(self, n):
         start = Circuit(n, (GateOp("CNOT", (n - 1,), (0,)),))
@@ -185,39 +194,33 @@ class TestMutate:
             assert sum(any(op is old for old in start.ops) for op in ops) >= len(ops) - 1
 
 
-class TestToyProblem:
-    """Sanity-check randomized search against exhaustive enumeration on a
-    two-qubit target: encode |a> into the parity codewords."""
+class TestFromThe24PulseEncoder:
+    """The climb started at the 24-pulse exact encoder (qubit 0 the input)."""
 
-    @staticmethod
-    def _bell_validator(circuit: Circuit) -> ValidityResult:
-        from qeclab.codes import two_qubit_zeno_code
+    @pytest.fixture(scope="class")
+    def encoder(self):
+        return parse_circuit(ENCODER_24.read_text(encoding="utf-8"))
 
-        code = two_qubit_zeno_code()
-        w0 = apply_circuit(circuit, PureState.basis(2, 0))
-        w1 = apply_circuit(circuit, PureState.basis(2, 2))
-        f0 = fidelity(w0, code.logical_zero)
-        f1 = fidelity(w1, code.logical_one)
-        miss = (1 - f0) + (1 - f1)
-        return ValidityResult(miss < 1e-10, "exact" if miss < 1e-10 else None, miss)
+    def test_is_exact_at_24_pulses(self, encoder):
+        assert is_valid_perfect_code(encoder, "exact").mode == "exact"
+        assert pulse_cost(encoder) == 24
 
-    def test_exhaustive_finds_known_minimum(self):
-        cfg = SearchConfig(n_qubits=2, alphabet=("U", "CNOT"), max_ops=2,
-                           budget=1, restarts=1, seed=0)
-        result = exhaustive_search(cfg, validator=self._bell_validator)
-        assert result.best is not None
-        assert result.best.cost == 6  # one rotation + one CNOT
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exact_climb_never_reports_above_24(self, encoder, seed):
+        doc = search(SearchConfig(start=encoder, budget=1000, restarts=2, seed=seed,
+                                  validity_mode="exact")).to_dict()
+        assert (doc["best_cost"], doc["validity_mode"]) == (24, "exact")
+        assert max(h["cost"] for h in doc["cost_trace"]) <= 24
 
-    def test_hill_climb_matches_exhaustive_optimum(self):
-        cfg = SearchConfig(n_qubits=2, alphabet=("U", "CNOT"), max_ops=4,
-                           budget=4000, restarts=6, seed=1)
-        result = search(cfg, validator=self._bell_validator)
-        assert result.best is not None
-        assert result.best.cost == 6
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_auto_climb_reaches_21_in_kl_mode(self, encoder, seed):
+        """21 is the KL minimum of a 16,384-circuit family, not a proven bound."""
+        doc = search(SearchConfig(start=encoder, budget=1000, restarts=2, seed=seed)).to_dict()
+        assert (doc["best_cost"], doc["validity_mode"]) == (21, "kl")
 
-    def test_exhaustive_refuses_large_depth(self):
-        with pytest.raises(ValueError):
-            exhaustive_search(SearchConfig(max_ops=5))
+    def test_kl_and_auto_run_the_same_check(self, encoder):
+        cfg = SearchConfig(start=encoder, budget=300, restarts=2, seed=0)
+        assert search(cfg).to_dict() == search(replace(cfg, validity_mode="kl")).to_dict()
 
 
 class TestRandomCircuit:
@@ -305,6 +308,8 @@ def _audited_search(cfg: SearchConfig):
 def _assert_matches_uncached(cfg: SearchConfig):
     result, candidates, calls = _audited_search(cfg)
     assert len(candidates) == result.iterations + cfg.restarts
+    # one check per start and per proposal, then the final recheck
+    assert len(calls) == result.iterations + cfg.restarts + (result.best is not None)
     for circuit, mode, block, res in calls:
         if block is not None:
             assert block.tobytes() == codeword_block(circuit).tobytes()
@@ -338,18 +343,6 @@ class TestPrefixCache:
                                                        restarts=1, seed=0))
         assert 0 < result.accepted < result.iterations
         assert result.valid_proposals > 0
-
-    def test_custom_validator_sees_every_circuit(self):
-        seen = []
-
-        def validator(circuit):
-            seen.append(circuit)
-            return is_valid_perfect_code(circuit)
-
-        cfg = SearchConfig(start=five_qubit_code().encoder, budget=20, restarts=1, seed=4)
-        result = search(cfg, validator=validator)
-        assert len(seen) == result.iterations + 2
-        assert result.to_dict() == search(cfg).to_dict()
 
 
 # `search --start reference --budget 500 --restarts 2 --mode auto --seed 0`:

@@ -5,7 +5,7 @@ Usage, from anywhere:
     python3 tools/same_outputs.py --base ../parent --change . --seeds 3 7 11 --programs 3000
 
 In each checkout, one child process imports ``qeclab`` from the checkout's
-``src`` and runs ``qeclab.cli.main`` in-process over two sets of inputs:
+``src`` and runs ``qeclab.cli.main`` in-process over three sets of inputs:
 
 * every command of the ``verify_suite`` benchmark workload at each seed (its
   warm-up batch, then its timed batch), then ``simulate-pulses --unitary``
@@ -13,7 +13,11 @@ In each checkout, one child process imports ``qeclab`` from the checkout's
 * ``--programs`` pulse programs, in turn compiled (``compile --out`` of a
   random circuit on 2-6 qubits), spliced (that program with 1-3 random
   pulses inserted) and leaky (0-40 random pulses of a random subset of kinds,
-  on 1-6 ions), each run through ``simulate-pulses --unitary``.
+  on 1-6 ions), each run through ``simulate-pulses --unitary``;
+* at each seed, the ``encoder_search`` benchmark workload's commands (its
+  warm-up, then its timed command), then ``search --start`` this
+  repository's ``tests/data/encoder_24.qc.json`` at budget 1000 and 2
+  restarts in each of the modes ``exact``, ``auto`` and ``kl``.
 
 Both children run in the same work directory, since paths appear in the
 output, with one BLAS thread and no ``*SEED*`` variable in the environment,
@@ -21,9 +25,9 @@ as ``perfbench/run.py`` runs commands. For each command the sha-256 of
 stdout, of stderr and of the file it writes (``--out``), and the exit code,
 must be equal. JSON floats keep every bit and the sign of zero, so equal text
 means equal bits. The summary and up to 20 differences are printed; the exit
-code is 1 on any difference. The ``verify_suite`` commands come from this
-repository's ``perfbench/workloads.py``, which is imported and not changed.
-Standard library and NumPy only.
+code is 1 on any difference. The ``verify_suite`` and ``encoder_search``
+commands come from this repository's ``perfbench/workloads.py``, which is
+imported and not changed. Standard library and NumPy only.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+ENCODER_24 = ROOT / "tests" / "data" / "encoder_24.qc.json"
+SEARCH_MODES = ("exact", "auto", "kl")
 PROGRAM_SEED = 2026
 FAMILIES = ("compiled", "spliced", "leaky")
 PULSE_KINDS = ("WPhon", "VPulse", "VPhon", "OneQubit")     # each with a ``dag`` flag
@@ -117,10 +123,10 @@ def child(src: str, workdir: str, seeds: str, programs: str, records: str) -> No
     write the records, as a JSON object of lists, to ``records``."""
     sys.path[:0] = [src, str(ROOT)]
     import qeclab.cli
-    from perfbench.workloads import verify_suite
+    from perfbench.workloads import encoder_search, verify_suite
     if not Path(qeclab.cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"same_outputs: imported {qeclab.cli.__file__}, not from {src}")
-    done = {"verify_suite": [], "programs": []}
+    done = {"verify_suite": [], "programs": [], "search": []}
     for seed in json.loads(seeds):
         folder = Path(workdir) / f"verify_suite_seed{seed}"
         folder.mkdir(parents=True)
@@ -135,6 +141,15 @@ def child(src: str, workdir: str, seeds: str, programs: str, records: str) -> No
     folder.mkdir(parents=True)
     for i in range(int(programs)):
         program_commands(i, folder, lambda argv: done["programs"].append(run_command(qeclab.cli.main, argv)))
+    for seed in json.loads(seeds):
+        folder = Path(workdir) / f"search_seed{seed}"
+        folder.mkdir(parents=True)
+        wl = encoder_search(seed, folder)
+        argvs = [op.argv for op in wl.warmup + wl.unit] + [
+            ["search", "--start", str(ENCODER_24), "--budget", "1000", "--restarts", "2",
+             "--seed", str(seed), "--mode", mode, "--out", str(folder / f"{mode}.qc.json")]
+            for mode in SEARCH_MODES]
+        done["search"] += [run_command(qeclab.cli.main, argv) for argv in argvs]
     Path(records).write_text(json.dumps(done), encoding="utf-8")
 
 
@@ -184,7 +199,7 @@ def main(argv=None) -> int:
                                    Path(tmp) / f"{side}.json")
             seconds[side] = time.perf_counter() - start
     diffs, counts = [], []
-    for part in ("verify_suite", "programs"):
+    for part in ("verify_suite", "programs", "search"):
         found = compare(sides["base"][part], sides["change"][part])
         diffs += [f"{part} {line}" for line in found]
         counts.append(f"{len(sides['change'][part])} {part} commands, {len(found)} differ")
