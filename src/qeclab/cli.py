@@ -53,7 +53,7 @@ from .noise import (
     Scheme,
     curves_to_csv,
     figure5_data,
-    mc_coherence,
+    mc_estimates,
     scheme_coherence,
 )
 from .search import VALIDITY_MODES, SearchConfig, is_valid_perfect_code, pulse_cost, search
@@ -364,12 +364,13 @@ def _psi_from_args(args) -> PureState:
 def cmd_noise(args) -> int:
     psi = _psi_from_args(args)
     scheme = Scheme(args.scheme, args.n)
+    estimates = None
+    if args.shots is not None:
+        estimates = mc_estimates([(scheme, psi, t, args.seed) for t in args.t], args.shots)
     samples = []
     for t in args.t:
         c_exact = scheme_coherence(scheme, psi, t)
-        c_mc = stderr = None
-        if args.shots is not None:
-            c_mc, stderr = mc_coherence(scheme, psi, t, args.shots, seed=args.seed)
+        c_mc, stderr = (None, None) if estimates is None else next(estimates)
         samples.append(CurveSample(t, c_exact, c_mc, stderr))
     print(curves_to_csv([CoherenceCurve(scheme.kind, scheme.repetitions, tuple(samples))]), end="")
     return EXIT_OK

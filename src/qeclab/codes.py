@@ -388,6 +388,7 @@ def _collapse(amps: np.ndarray, draws: np.ndarray) -> tuple:
     sq = amps.real * amps.real                              # x**2 is slower on these strided views
     sq += amps.imag * amps.imag
     probs = sq[0::2] + sq[1::2]                             # (K, B)
+    del sq                                                  # freed early: a lower peak per MC block
     # running row sums in row order; np.cumsum(axis=0) is ~10x slower on wide blocks
     cum = np.array(list(itertools.accumulate(probs)))
     chosen = (cum[:-1] <= draws * cum[-1]).sum(axis=0)      # first s with cum[s] > draws * total

@@ -21,12 +21,18 @@ seeded Monte-Carlo trajectory route are provided. Both read the same recovery
 operators and compute on arrays; ``run_scheme`` wraps the exact route's
 output in a checked ``DensityMatrix`` for the Python API. Trajectories are
 drawn in blocks of ``MC_BLOCK``, each keyed by (seed, block index), so results
-do not depend on execution order.
+do not depend on execution order. Every MC command runs its points' blocks
+through one path: on a small thread pool when BLAS runs one thread, else in
+the caller, one by one; the outputs have the same bits either way.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
+import os
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -49,10 +55,11 @@ IPLUS = PureState(1, np.array([1, 1j], dtype=complex) / np.sqrt(2))
 
 # Bounds on the memory one call may ask for: a block's phases take
 # 8 * repetitions * n bytes per trajectory (about 100 MB at the cap), and the
-# MC route holds about 70 bytes per shot (about 700 MB at the cap).
+# MC route holds 72 bytes per shot of the point it reduces (tracemalloc's peak;
+# about 720 MB at the cap), besides the few blocks in flight.
 MAX_REPETITIONS = 1000
 MAX_SHOTS = 10**7
-MAX_STEPS = 10_000      # figure5_data runs 4 * (steps + 1) exact points first
+MAX_STEPS = 10_000      # figure5_data runs 4 * (steps + 1) exact points
 
 
 @dataclass(frozen=True)
@@ -133,6 +140,77 @@ def _phase_width(t: float, slices: int) -> float:
     return sigma
 
 
+# --- running blocks: in the caller, or on a small thread pool -------------------
+
+# Threads that run MC blocks, at most; fewer when the process may use fewer CPUs.
+_MAX_WORKERS = 4
+# Blocks submitted and not yet read, per worker: one running and one done
+# keep every worker busy while the caller reads, and bound what waits.
+_WINDOW_PER_WORKER = 2
+
+
+def _blas_threads(environ) -> int:
+    """The thread count OpenBLAS takes from ``environ`` when it loads: the
+    leading integer of the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS
+    and OMP_NUM_THREADS that reads positive, else 0 (a thread per CPU)."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        lead = re.match(r"\s*[+-]?\d+", environ.get(name, ""))
+        if lead and int(lead.group()) > 0:
+            return int(lead.group())
+    return 0
+
+
+# OpenBLAS read its variables when NumPy loaded, before this module; read them once too.
+_ONE_BLAS_THREAD = _blas_threads(os.environ) == 1
+
+
+def _workers() -> int:
+    """Threads that run MC blocks: with one BLAS thread, the CPUs this process
+    may use, at most ``_MAX_WORKERS``; else 1, the caller itself, since every
+    pool thread would run BLAS's own threads on top of the pool's."""
+    if not _ONE_BLAS_THREAD:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+@lru_cache(maxsize=None)
+def _pool(workers: int):
+    """The pool of ``workers`` threads, made on first use: ``concurrent.futures``
+    loads only then, and a command with no MC starts no thread."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(workers, thread_name_prefix="qeclab-mc")
+
+
+def _in_order(fn, jobs):
+    """Yield ``fn(*job)`` for each job, in job order.
+
+    With one worker (``_workers``) the caller runs each job as its result is
+    read. With more, the jobs run on the pool, at most ``_WINDOW_PER_WORKER``
+    per worker submitted and not yet read. A job's exception is raised to the
+    reader when its result is read; the jobs behind it are then cancelled, or
+    waited for when already running, so none outlives the call.
+    """
+    workers = _workers()
+    if workers == 1:
+        for job in jobs:
+            yield fn(*job)
+        return
+    from concurrent.futures import wait
+    pool, window, pending = _pool(workers), _WINDOW_PER_WORKER * workers, collections.deque()
+    try:
+        for job in jobs:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, *job))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
+
+
 # --- scheme execution -----------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -160,43 +238,77 @@ def _run_exact(scheme: Scheme, psi: PureState, t: float) -> np.ndarray:
     return rho
 
 
-def _run_trajectories(scheme: Scheme, psi: PureState, t: float, shots: int, seed) -> np.ndarray:
-    """Final one-qubit pure states, one row per trajectory.
-
-    Each block of ``MC_BLOCK`` trajectories draws its phases, shape
-    (block, repetitions, n), then its Born-sampling uniforms, shape
-    (block, repetitions), from ``block_rng(seed, block)``. Inside a block the
-    trajectories run along the last axis, so every array operation walks
-    rows of ``block`` values, and qubit q's phase e^{i phi_q} multiplies the
-    half of the code block where that qubit reads 1 (qubit 0 is the most
-    significant bit).
-    """
+def _trajectory_point(scheme: Scheme, psi: PureState, t: float, shots: int, seed) -> tuple:
+    """One MC point, checked: (scheme, psi, phase width, seed). The time is
+    checked before the shot count, the order ``noise`` met them in when it
+    ran each time's exact value before its MC estimate."""
+    _check_time(t)
     if shots < 2:
         raise ValueError(f"shots must be >= 2 (got {shots}); one trajectory has no error bar")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be <= {MAX_SHOTS} (got {shots})")
+    _model(scheme.kind)                 # built here, so that no pool thread builds it
+    return scheme, psi, _phase_width(t, scheme.repetitions), seed
+
+
+def _trajectory_block(scheme: Scheme, psi: PureState, sigma: float, seed, block: int,
+                      size: int) -> np.ndarray:
+    """Final (2, size) one-qubit pure states of trajectories
+    [block * MC_BLOCK, block * MC_BLOCK + size) of one point.
+
+    The block draws its phases, shape (size, repetitions, n), then its
+    Born-sampling uniforms, shape (size, repetitions), from
+    ``block_rng(seed, block)``. The trajectories run along the last axis, so
+    every array operation walks rows of ``size`` values, and qubit q's phase
+    e^{i phi_q} multiplies the half of the code block where that qubit reads 1
+    (qubit 0 is the most significant bit).
+    """
     n, isometry, recovery = _model(scheme.kind)
     n_reps = scheme.repetitions
-    sigma = _phase_width(t, n_reps)
     recovery = recovery.reshape(-1, 2**n)                       # row 2s + a: outcome s, amplitude a
+    rng = block_rng(seed, block)
+    phases = rng.normal(0.0, sigma, size=(size, n_reps, n))
+    draws = rng.uniform(size=(size, n_reps))
+    kick = np.empty((n, size), dtype=complex)
+    states = np.broadcast_to(psi.amplitudes[:, None], (2, size))
+    for rep in range(n_reps):
+        # each array is dropped once used up: blocks on the pool run at once,
+        # and their peaks add up
+        full = isometry @ states                                # (2**n, size)
+        del states
+        np.cos(phases[:, rep].T, out=kick.real)
+        np.sin(phases[:, rep].T, out=kick.imag)
+        for q in range(n):
+            full.reshape(2**q, 2, -1, size)[:, 1] *= kick[q]
+        amps = recovery @ full
+        del full
+        states = _collapse(amps, draws[:, rep])[1]             # Born sampling, collapse
+        del amps
+    return states
 
-    out = np.empty((shots, 2), dtype=complex)
-    for block, start in enumerate(range(0, shots, MC_BLOCK)):
-        size = min(MC_BLOCK, shots - start)
-        rng = block_rng(seed, block)
-        phases = rng.normal(0.0, sigma, size=(size, n_reps, n))
-        draws = rng.uniform(size=(size, n_reps))
-        kick = np.empty((n, size), dtype=complex)
-        states = np.broadcast_to(psi.amplitudes[:, None], (2, size))
-        for rep in range(n_reps):
-            full = isometry @ states                            # (2**n, size)
-            np.cos(phases[:, rep].T, out=kick.real)
-            np.sin(phases[:, rep].T, out=kick.imag)
-            for q in range(n):
-                full.reshape(2**q, 2, -1, size)[:, 1] *= kick[q]
-            _, states, _ = _collapse(recovery @ full, draws[:, rep])   # Born sampling, collapse
-        out[start:start + size] = states.T
-    return out
+
+def _trajectory_rows(points: list, shots: int):
+    """Yield each point's final one-qubit pure states, shape (shots, 2), one
+    row per trajectory, in point order.
+
+    A point is a ``_trajectory_point``; its block b holds trajectories
+    [b * MC_BLOCK, (b + 1) * MC_BLOCK), whatever the shot count. Every point's
+    blocks run in turn through ``_in_order``, so on the pool the next blocks
+    run while the caller reads a point's rows, and only one point's rows are
+    held here at a time.
+    """
+    jobs = ((*point, block, min(MC_BLOCK, shots - start))
+            for point in points for block, start in enumerate(range(0, shots, MC_BLOCK)))
+    with contextlib.closing(_in_order(_trajectory_block, jobs)) as blocks:
+        for _ in points:
+            yield _gather(blocks, shots)
+
+
+def _gather(blocks, shots: int) -> np.ndarray:
+    rows = np.empty((shots, 2), dtype=complex)
+    for start in range(0, shots, MC_BLOCK):
+        rows[start:start + MC_BLOCK] = next(blocks).T
+    return rows
 
 
 def run_scheme(scheme: Scheme, psi: PureState, t: float) -> DensityMatrix:
@@ -238,8 +350,25 @@ def mc_coherence(scheme: Scheme, psi: PureState, t: float, shots: int, seed=None
     elements z is the delta method's: the spread of z projected on the
     direction of the mean, over sqrt(shots).
     """
-    z0 = _off_diagonal(psi)
-    states = _run_trajectories(scheme, psi, t, shots, seed)
+    return next(mc_estimates([(scheme, psi, t, seed)], shots))
+
+
+def mc_estimates(points: Sequence[tuple], shots: int):
+    """``mc_coherence`` of each (scheme, psi, t, seed) point, in order, as an
+    iterator: every point is checked before any trajectory runs, and the
+    blocks of all points run through one ``_trajectory_rows``, so a caller
+    can compute other values between reads while the pool runs ahead."""
+    refs, checked = [], []
+    for scheme, psi, t, seed in points:
+        refs.append(_off_diagonal(psi))
+        checked.append(_trajectory_point(scheme, psi, t, shots, seed))
+    rows = _trajectory_rows(checked, shots)
+    return (_estimate(next(rows), z0) for z0 in refs)
+
+
+def _estimate(states: np.ndarray, z0: complex) -> tuple:
+    """(coherence, standard error) of one point from its final states."""
+    shots = len(states)
     z = states[:, 1] * states[:, 0].conj()
     mean = z.mean()
     if abs(mean) < 1e-300:
@@ -318,19 +447,21 @@ def figure5_data(t_max: float, steps: int, shots: Optional[int] = None, seed=0):
         raise ValueError("need at least 2 steps")
     if steps > MAX_STEPS:
         raise ValueError(f"steps must be <= {MAX_STEPS} (got {steps})")
-    grid = np.linspace(0.0, t_max, steps + 1)
+    grid = np.linspace(0.0, t_max, steps + 1).tolist()
+    schemes = [Scheme(kind, reps) for kind, reps in DEFAULT_CURVES]
+    estimates = None
+    if shots is not None:
+        estimates = mc_estimates(
+            [(scheme, IPLUS, t, np.random.SeedSequence(entropy=seed, spawn_key=(curve_idx, t_idx)))
+             for curve_idx, scheme in enumerate(schemes) for t_idx, t in enumerate(grid)], shots)
     curves = []
-    for curve_idx, (kind, reps) in enumerate(DEFAULT_CURVES):
-        scheme = Scheme(kind, reps)
+    for scheme in schemes:
         samples = []
-        for t_idx, t in enumerate(grid):
-            c_exact = scheme_coherence(scheme, IPLUS, float(t))
-            c_mc = stderr = None
-            if shots is not None:
-                point_seed = np.random.SeedSequence(entropy=seed, spawn_key=(curve_idx, t_idx))
-                c_mc, stderr = mc_coherence(scheme, IPLUS, float(t), shots, seed=point_seed)
-            samples.append(CurveSample(float(t), c_exact, c_mc, stderr))
-        curves.append(CoherenceCurve(kind, reps, tuple(samples)))
+        for t in grid:
+            c_exact = scheme_coherence(scheme, IPLUS, t)        # while the pool runs ahead
+            c_mc, stderr = (None, None) if estimates is None else next(estimates)
+            samples.append(CurveSample(t, c_exact, c_mc, stderr))
+        curves.append(CoherenceCurve(scheme.kind, scheme.repetitions, tuple(samples)))
     return curves
 
 

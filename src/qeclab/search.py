@@ -33,7 +33,7 @@ from .states import PureState
 
 DEFAULT_ALPHABET = SINGLE_QUBIT_KINDS + ("CNOT", "CPHASE")
 N_QUBITS = 5        # the register of every circuit the search proposes or checks
-VALIDITY_MODES = ("auto", "exact", "kl")
+VALIDITY_MODES = ("auto", "exact")
 MAX_OPS = 1000      # bounds max_ops and the start circuit: the climber keeps one
                     # codeword block, about 1.1 KB, per op prefix
 
@@ -56,8 +56,9 @@ def is_valid_perfect_code(circuit: Circuit, mode: str = "auto", *,
     """Does the circuit encode a code correcting every single-qubit error?
 
     ``mode="exact"`` also demands the generated codewords match the reference
-    five-qubit codewords up to one common global phase; ``"kl"`` accepts any
-    distance-3 code; ``"auto"`` reports the strongest property that holds.
+    five-qubit codewords up to one common global phase; ``"auto"`` accepts any
+    distance-3 code and reports the strongest property that holds: ``"exact"``,
+    else ``"kl"``.
     ``block``, when given, must be the circuit's ``codeword_block``.
     """
     if mode not in VALIDITY_MODES:

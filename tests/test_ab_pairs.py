@@ -1,7 +1,10 @@
 """``tools/ab_pairs.summarise`` on synthetic runs: spreads, win counts and the
-verdict each declared end-to-end metric gets from its bound."""
+verdict each declared end-to-end metric gets from its bound; and the host
+state that ``main`` records with each run."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
@@ -88,3 +91,32 @@ def test_only_the_claimed_metric_gets_a_claim():
     runs = runs_of("cmd_ms", [10, 11, 12], [5, 6, 7])
     assert "claim" not in ab_pairs.summarise(runs, DECLARED)["cmd_ms"]
     assert "claim" not in ab_pairs.summarise(runs, DECLARED, claim="work_per_s")["cmd_ms"]
+
+
+def test_each_run_records_the_cpus_and_the_load_just_before_it(monkeypatch, tmp_path):
+    """A thread-pool gain depends on free cores, so the record keeps them."""
+    loads = [1.5, 2.5, 3.5, 4.5]
+    last = {}
+
+    def getloadavg():
+        last["load"] = loads.pop(0)
+        return last["load"], 0.0, 0.0
+
+    def fake_run(cmd, cwd=None, capture_output=True, text=True):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 1, "", "")
+        metrics = {"work_per_s": {"value": last["load"], "unit": "1/s"}}   # the load read before it
+        return subprocess.CompletedProcess(cmd, 0, json.dumps({"metrics": metrics}) + "\n", "")
+
+    monkeypatch.setattr(ab_pairs.os, "getloadavg", getloadavg)
+    monkeypatch.setattr(ab_pairs.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    for side in ("base", "change"):
+        (tmp_path / side).mkdir()
+    assert ab_pairs.main(["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"),
+                          "--workload", "figure5_mc", "--seed", "11", "--pairs", "2",
+                          "--label", "t", "--out", str(tmp_path)]) == 0
+    runs = json.loads((tmp_path / "BENCH_t.json").read_text())["runs"]
+    assert [(r["cpus"], r["load_1min"]) for r in runs] == [(3, 1.5), (3, 2.5), (3, 3.5), (3, 4.5)]
+    assert [r["result"]["metrics"]["work_per_s"]["value"] for r in runs] == [1.5, 2.5, 3.5, 4.5]

@@ -265,6 +265,25 @@ class TestNoise:
             "1,phase3,3,0.707008034678,0.71216101209,0.0174526591222\n"
         )
 
+    def test_mc_rows_are_the_same_at_any_worker_count(self, capsys, monkeypatch):
+        """Several times in one command share one MC path and its pool."""
+        import qeclab.noise as noise
+
+        outs = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(noise, "_workers", lambda: workers)
+            outs.add(run_cli(capsys, "noise", "--scheme", "phase3", "--n", "3", "--t", "0", "0.5", "1.5",
+                             "--shots", str(2 * noise.MC_BLOCK + 17), "--seed", "7"))
+        assert len(outs) == 1 and next(iter(outs))[0] == 0
+
+    @pytest.mark.parametrize("times,message", [(("-1", "1"), "exposure time"), (("1", "-1"), "shots")])
+    def test_the_first_time_is_checked_before_the_shot_count(self, capsys, times, message):
+        """Every MC point is checked before any runs, in the order the rows
+        were once computed: each time's exact value, then its MC estimate."""
+        code, out, err = run_cli(capsys, "noise", "--scheme", "phase3", "--t", *times, "--shots", "1")
+        assert_one_error_line(code, out, err)
+        assert message in err
+
     def test_qecc_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("QECC_SEED", "123")
         _, out1, _ = run_cli(capsys, "noise", "--scheme", "zeno2", "--t", "1", "--shots", "200")
@@ -409,6 +428,13 @@ class TestSearchCommand:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: restarts must be between 1 and the budget (3), got 10")
+
+    def test_kl_mode_is_an_argument_error(self, capsys):
+        """``kl`` was ``auto`` under another name; ``auto`` reports it."""
+        code, out, err = run_cli(capsys, "search", "--budget", "3", "--mode", "kl")
+        assert_one_error_line(code, out, err)
+        assert err == ("error: qeclab search: argument --mode: invalid choice: 'kl' "
+                       "(choose from 'auto', 'exact')\n")
 
     def test_zero_restarts_is_rejected(self, capsys):
         code, _, err = run_cli(capsys, "search", "--budget", "3", "--restarts", "0")
@@ -668,6 +694,36 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "t,scheme,n,C_exact,C_mc,mc_stderr\n0,phase3,1,1,,\n"
+
+
+THREAD_PROBE = """
+import contextlib, io, sys, threading
+import qeclab.cli, qeclab.noise
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qeclab.cli.main(list(argv)) == 0
+    return threading.active_count(), "concurrent.futures" in sys.modules
+print(qeclab.noise._workers(), threading.active_count())
+print(*run("noise", "--scheme", "phase3", "--n", "3", "--t", "0", "0.5", "1.5"))
+print(*run("figure5", "--steps", "2", "--out", sys.argv[1]))
+print(*run("noise", "--scheme", "phase3", "--n", "3", "--t", "0", "0.5", "1.5", "--shots", "9000", "--seed", "1"))
+"""
+
+
+def test_commands_without_shots_start_no_thread(tmp_path):
+    """With one BLAS thread MC blocks run on a pool, made on first use: a
+    command without ``--shots`` neither loads ``concurrent.futures`` nor
+    starts a thread."""
+    src = str(Path(qeclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", THREAD_PROBE, str(tmp_path / "f.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (workers, threads), no_mc, figure5, with_mc = [line.split() for line in proc.stdout.splitlines()]
+    assert threads == "1" and no_mc == figure5 == ["1", "False"]
+    if int(workers) > 1:
+        assert int(with_mc[0]) > 1 and with_mc[1] == "True"
 
 
 def test_readme_commands_parse():

@@ -1,10 +1,14 @@
 import io
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qeclab import noise
 from qeclab.circuits import circuit_to_unitary, invert_circuit
 from qeclab.codes import (
     CORRECTION_MATRICES,
@@ -20,7 +24,8 @@ from qeclab.noise import (
     PLUS,
     SCHEME_KINDS,
     Scheme,
-    _run_trajectories,
+    _trajectory_point,
+    _trajectory_rows,
     block_rng,
     curves_to_csv,
     dephase_channel,
@@ -40,6 +45,11 @@ from qeclab.states import PureState, X, basis_bits
 from conftest import random_pure_state
 
 TIME_GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 3.0)
+
+
+def _run_trajectories(scheme, psi, t, shots, seed) -> np.ndarray:
+    """One point's (shots, 2) final states, through the MC route's checks and blocks."""
+    return next(_trajectory_rows([_trajectory_point(scheme, psi, t, shots, seed)], shots))
 
 
 def gaussian_char_quadrature(t: float) -> float:
@@ -465,6 +475,92 @@ class TestFigure5:
         assert zero_rows
         for row in zero_rows + [row for row in rows if row[0] == "0"]:
             assert row[4] == row[3], row
+
+
+class TestBlocksOnAPool:
+    """With one BLAS thread, MC blocks run on a thread pool; ``noise._workers``
+    is the one hook that forces the worker count (1: the caller runs them)."""
+
+    SHOTS = 2 * MC_BLOCK + 17           # two full blocks and a partial one per point
+
+    @staticmethod
+    def force(monkeypatch, workers):
+        monkeypatch.setattr(noise, "_workers", lambda: workers)
+
+    def test_every_worker_count_gives_the_same_bits(self, monkeypatch):
+        results = []
+        for workers in (1, 2, 3):
+            self.force(monkeypatch, workers)
+            results.append((figure5_data(3.0, 2, shots=self.SHOTS, seed=5),
+                            mc_coherence(Scheme("phase3", 3), IPLUS, 0.7, self.SHOTS, seed=9)))
+        assert results[0] == results[1] == results[2]       # float fields compare bit for bit
+        assert any(t.name.startswith("qeclab-mc") for t in threading.enumerate())
+
+    def test_a_failing_block_raises_its_exception_and_the_next_call_works(self, monkeypatch):
+        expected = figure5_data(3.0, 2, shots=self.SHOTS, seed=5)
+        self.force(monkeypatch, 2)
+        failure = RuntimeError("block 1 of curve 0, t index 2")
+        calls = []
+        real = noise._trajectory_block
+
+        def failing(scheme, psi, sigma, seed, block, size):
+            calls.append(block)
+            if seed.spawn_key == (0, 2) and block == 1:
+                raise failure
+            return real(scheme, psi, sigma, seed, block, size)
+
+        monkeypatch.setattr(noise, "_trajectory_block", failing)
+        with pytest.raises(RuntimeError) as caught:
+            figure5_data(3.0, 2, shots=self.SHOTS, seed=5)
+        assert caught.value is failure
+        ran = len(calls)
+        time.sleep(0.05)
+        assert len(calls) == ran                # no job of the failed call runs after it
+        monkeypatch.setattr(noise, "_trajectory_block", real)
+        assert figure5_data(3.0, 2, shots=self.SHOTS, seed=5) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_waiting_never_exceed_the_window(self, monkeypatch, workers):
+        self.force(monkeypatch, workers)
+        window = noise._WINDOW_PER_WORKER * workers if workers > 1 else 1
+        lock = threading.Lock()
+        count = {"started": 0, "read": 0, "most": 0}
+
+        def job(i):
+            with lock:
+                count["started"] += 1
+                count["most"] = max(count["most"], count["started"] - count["read"])
+            return i
+
+        got = []
+        for value in noise._in_order(job, ((i,) for i in range(40))):
+            time.sleep(0.002)                   # a slow reader: the pool runs ahead as far as it may
+            with lock:
+                count["read"] += 1
+            got.append(value)
+        assert got == list(range(40))
+        assert count["most"] <= window
+        assert (count["most"] > 1) == (workers > 1)
+
+    @pytest.mark.parametrize("environ,threads", [
+        ({}, 0),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OMP_NUM_THREADS": "1"}, 1),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),      # not positive: read on
+        ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": " 1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1x"}, 1),
+        ({"OMP_NUM_THREADS": "-1"}, 0),
+    ])
+    def test_blas_threads_are_read_as_openblas_reads_them(self, environ, threads):
+        assert noise._blas_threads(environ) == threads
+
+    @pytest.mark.parametrize("one_blas_thread", [False, True])
+    def test_the_pool_runs_only_when_blas_runs_one_thread(self, monkeypatch, one_blas_thread):
+        monkeypatch.setattr(noise, "_ONE_BLAS_THREAD", one_blas_thread)
+        cpus = len(os.sched_getaffinity(0))
+        assert noise._workers() == (min(cpus, noise._MAX_WORKERS) if one_blas_thread else 1)
 
 
 class TestClosedForms:

@@ -1,5 +1,4 @@
 import importlib
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +11,7 @@ from qeclab.codes import check_knill_laflamme, codeword_block, CodeSpec, single_
 from qeclab.search import (
     Candidate,
     SearchConfig,
+    VALIDITY_MODES,
     ValidityResult,
     circuit_codewords,
     is_valid_perfect_code,
@@ -67,8 +67,8 @@ class TestValidity:
         if res.valid:
             assert res.mode in ("exact", "kl")
         strict = is_valid_perfect_code(relabeled, mode="exact")
-        loose = is_valid_perfect_code(relabeled, mode="kl")
-        assert loose.valid
+        loose = is_valid_perfect_code(relabeled, mode="auto")
+        assert (loose.valid, loose.mode) == (True, "kl")
         assert not strict.valid
 
     def test_wrong_register_size(self):
@@ -76,8 +76,9 @@ class TestValidity:
             is_valid_perfect_code(Circuit(3))
 
     def test_unknown_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="'exakt'; expected one of auto, exact, kl"):
-            is_valid_perfect_code(five_qubit_code().encoder, "exakt")
+        for mode in ("exakt", "kl"):        # kl is what auto reports, not a mode
+            with pytest.raises(ValueError, match=f"'{mode}'; expected one of auto, exact$"):
+                is_valid_perfect_code(five_qubit_code().encoder, mode)
 
 
 class TestSearch:
@@ -143,8 +144,9 @@ class TestSearch:
             SearchConfig(alphabet=("U", "RX"))
 
     def test_unknown_validity_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="'exakt'; expected one of auto, exact, kl"):
-            SearchConfig(validity_mode="exakt")
+        for mode in ("exakt", "kl"):
+            with pytest.raises(ValueError, match=f"'{mode}'; expected one of auto, exact$"):
+                SearchConfig(validity_mode=mode)
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_start_register_must_match(self, n):
@@ -218,9 +220,12 @@ class TestFromThe24PulseEncoder:
         doc = search(SearchConfig(start=encoder, budget=1000, restarts=2, seed=seed)).to_dict()
         assert (doc["best_cost"], doc["validity_mode"]) == (21, "kl")
 
-    def test_kl_and_auto_run_the_same_check(self, encoder):
-        cfg = SearchConfig(start=encoder, budget=300, restarts=2, seed=0)
-        assert search(cfg).to_dict() == search(replace(cfg, validity_mode="kl")).to_dict()
+    def test_auto_reports_kl_where_only_the_kl_check_holds(self, encoder):
+        """``kl`` is no mode of its own: ``auto`` runs that check and names it."""
+        result = search(SearchConfig(start=encoder, budget=300, restarts=2, seed=0))
+        assert (result.best.mode, result.to_dict()["validity_mode"]) == ("kl", "kl")
+        assert kl_recheck(result.best.circuit)
+        assert not is_valid_perfect_code(result.best.circuit, "exact")
 
 
 class TestRandomCircuit:
@@ -328,7 +333,7 @@ class TestPrefixCache:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), start=st.none() | st.just(-1) | st.integers(1, 12),
-           mode=st.sampled_from(["auto", "kl", "exact"]), budget=st.integers(4, 40),
+           mode=st.sampled_from(VALIDITY_MODES), budget=st.integers(4, 40),
            restarts=st.integers(1, 2), max_ops=st.integers(1, 40))
     def test_cached_evaluation_matches_uncached(self, seed, start, mode, budget, restarts, max_ops):
         if start == -1:

@@ -12,9 +12,11 @@ sides alike. The run length defaults to ``run_seconds`` in the change
 checkout's ``BENCHMARK.json``, so both sides run as the benchmark does.
 
 The file ``BENCH_<label>.json`` (in ``--out``, the current directory by
-default) holds every run's result line and, per metric, the median and
-quartiles of each side and the number of pairs the change won. A metric's
-direction and bound come from ``BENCHMARK.json`` too, and give it a verdict:
+default) holds every run's result line, with the CPUs the process may use
+and the 1-minute load average just before the run, and, per metric, the
+median and quartiles of each side and the number of pairs the change won. A
+metric's direction and bound come from ``BENCHMARK.json`` too, and give it a
+verdict:
 
 * ``regressed``: the change's median is worse than the base's by more than
   ``bound`` times the base median;
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -42,17 +45,26 @@ import time
 from pathlib import Path
 
 
+def host_state() -> dict:
+    """The CPUs this process may use and the 1-minute load average: a gain
+    from threads depends on the cores left free."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"cpus": cpus, "load_1min": os.getloadavg()[0]}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One perfbench run; its last stdout line is the result object."""
+    """One perfbench run, with the host's state just before it; the run's
+    last stdout line is the result object."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    host = host_state()
     start = time.time()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"ab_pairs: {' '.join(cmd)} in {checkout} exited {proc.returncode}: "
                          f"{proc.stderr.strip()[-400:]}")
-    return {"started": start, "result": json.loads(lines[-1])}
+    return {"started": start, **host, "result": json.loads(lines[-1])}
 
 
 def revision(checkout: Path) -> str:

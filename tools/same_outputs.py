@@ -17,7 +17,11 @@ In each checkout, one child process imports ``qeclab`` from the checkout's
 * at each seed, the ``encoder_search`` benchmark workload's commands (its
   warm-up, then its timed command), then ``search --start`` this
   repository's ``tests/data/encoder_24.qc.json`` at budget 1000 and 2
-  restarts in each of the modes ``exact``, ``auto`` and ``kl``.
+  restarts in each of the modes ``exact`` and ``auto``;
+* at each seed, the ``figure5_mc`` benchmark workload's commands (its
+  warm-up, then its timed command), then ``noise --scheme phase3 --n 3
+  --t 0 0.5 1.5 --shots 9000``, whose points span two full MC blocks and a
+  partial one.
 
 Both children run in the same work directory, since paths appear in the
 output, with one BLAS thread and no ``*SEED*`` variable in the environment,
@@ -25,9 +29,9 @@ as ``perfbench/run.py`` runs commands. For each command the sha-256 of
 stdout, of stderr and of the file it writes (``--out``), and the exit code,
 must be equal. JSON floats keep every bit and the sign of zero, so equal text
 means equal bits. The summary and up to 20 differences are printed; the exit
-code is 1 on any difference. The ``verify_suite`` and ``encoder_search``
-commands come from this repository's ``perfbench/workloads.py``, which is
-imported and not changed. Standard library and NumPy only.
+code is 1 on any difference. The ``verify_suite``, ``encoder_search`` and
+``figure5_mc`` commands come from this repository's ``perfbench/workloads.py``,
+which is imported and not changed. Standard library and NumPy only.
 """
 
 from __future__ import annotations
@@ -49,7 +53,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 ENCODER_24 = ROOT / "tests" / "data" / "encoder_24.qc.json"
-SEARCH_MODES = ("exact", "auto", "kl")
+SEARCH_MODES = ("exact", "auto")
+MC_NOISE = ["noise", "--scheme", "phase3", "--n", "3", "--psi", "iplus", "--t", "0", "0.5", "1.5",
+            "--shots", "9000"]
 PROGRAM_SEED = 2026
 FAMILIES = ("compiled", "spliced", "leaky")
 PULSE_KINDS = ("WPhon", "VPulse", "VPhon", "OneQubit")     # each with a ``dag`` flag
@@ -123,10 +129,10 @@ def child(src: str, workdir: str, seeds: str, programs: str, records: str) -> No
     write the records, as a JSON object of lists, to ``records``."""
     sys.path[:0] = [src, str(ROOT)]
     import qeclab.cli
-    from perfbench.workloads import encoder_search, verify_suite
+    from perfbench.workloads import encoder_search, figure5_mc, verify_suite
     if not Path(qeclab.cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"same_outputs: imported {qeclab.cli.__file__}, not from {src}")
-    done = {"verify_suite": [], "programs": [], "search": []}
+    done = {"verify_suite": [], "programs": [], "search": [], "mc": []}
     for seed in json.loads(seeds):
         folder = Path(workdir) / f"verify_suite_seed{seed}"
         folder.mkdir(parents=True)
@@ -150,6 +156,12 @@ def child(src: str, workdir: str, seeds: str, programs: str, records: str) -> No
              "--seed", str(seed), "--mode", mode, "--out", str(folder / f"{mode}.qc.json")]
             for mode in SEARCH_MODES]
         done["search"] += [run_command(qeclab.cli.main, argv) for argv in argvs]
+    for seed in json.loads(seeds):
+        folder = Path(workdir) / f"mc_seed{seed}"
+        folder.mkdir(parents=True)
+        wl = figure5_mc(seed, folder)
+        argvs = [op.argv for op in wl.warmup + wl.unit] + [MC_NOISE + ["--seed", str(seed)]]
+        done["mc"] += [run_command(qeclab.cli.main, argv) for argv in argvs]
     Path(records).write_text(json.dumps(done), encoding="utf-8")
 
 
@@ -199,7 +211,7 @@ def main(argv=None) -> int:
                                    Path(tmp) / f"{side}.json")
             seconds[side] = time.perf_counter() - start
     diffs, counts = [], []
-    for part in ("verify_suite", "programs", "search"):
+    for part in ("verify_suite", "programs", "search", "mc"):
         found = compare(sides["base"][part], sides["change"][part])
         diffs += [f"{part} {line}" for line in found]
         counts.append(f"{len(sides['change'][part])} {part} commands, {len(found)} differ")
