@@ -305,6 +305,7 @@ def _trajectory_rows(points: list, shots: int):
 
 
 def _gather(blocks, shots: int) -> np.ndarray:
+    """One point's (shots, 2) rows, from its next blocks in order."""
     rows = np.empty((shots, 2), dtype=complex)
     for start in range(0, shots, MC_BLOCK):
         rows[start:start + MC_BLOCK] = next(blocks).T

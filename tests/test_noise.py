@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import sys
 import threading
 import time
 
@@ -495,6 +496,19 @@ class TestBlocksOnAPool:
                             mc_coherence(Scheme("phase3", 3), IPLUS, 0.7, self.SHOTS, seed=9)))
         assert results[0] == results[1] == results[2]       # float fields compare bit for bit
         assert any(t.name.startswith("qeclab-mc") for t in threading.enumerate())
+
+    def test_bits_hold_with_more_workers_than_cores_and_fast_switching(self, monkeypatch):
+        """A stress run: the blocks share only read-only inputs, so no switch
+        of threads can change a result."""
+        expected = mc_coherence(Scheme("phase3", 10), IPLUS, 1.5, self.SHOTS, seed=2)
+        self.force(monkeypatch, len(os.sched_getaffinity(0)) + 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = [mc_coherence(Scheme("phase3", 10), IPLUS, 1.5, self.SHOTS, seed=2) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [expected] * 3
 
     def test_a_failing_block_raises_its_exception_and_the_next_call_works(self, monkeypatch):
         expected = figure5_data(3.0, 2, shots=self.SHOTS, seed=5)
