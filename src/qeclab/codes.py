@@ -392,10 +392,19 @@ def _collapse(amps: np.ndarray, draws: np.ndarray) -> tuple:
     # running row sums in row order; np.cumsum(axis=0) is ~10x slower on wide blocks
     cum = np.array(list(itertools.accumulate(probs)))
     chosen = (cum[:-1] <= draws * cum[-1]).sum(axis=0)      # first s with cum[s] > draws * total
-    pick = chosen * size + np.arange(size)                  # (chosen, col) in probs
-    first = pick + chosen * size                            # (chosen, 0, col) in amps
-    branch = amps.reshape(-1).take(np.stack((first, first + size)))
+    offset = chosen * size
+    pick = offset + _columns(size)                          # (chosen, col) in probs
+    offset += pick                                          # (chosen, 0, col) in amps
+    branch = amps.reshape(-1).take(offset + np.array([[0], [size]]))   # both data rows
     return chosen, branch / np.sqrt(probs.reshape(-1).take(pick)), probs
+
+
+@lru_cache(maxsize=16)
+def _columns(size: int) -> np.ndarray:
+    """``np.arange(size)``, read-only: the column index of a block of width ``size``."""
+    cols = np.arange(size)
+    cols.flags.writeable = False
+    return cols
 
 
 def build_syndrome_table(code: CodeSpec) -> SyndromeTable:

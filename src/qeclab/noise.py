@@ -21,9 +21,11 @@ seeded Monte-Carlo trajectory route are provided. Both read the same recovery
 operators and compute on arrays; ``run_scheme`` wraps the exact route's
 output in a checked ``DensityMatrix`` for the Python API. Trajectories are
 drawn in blocks of ``MC_BLOCK``, each keyed by (seed, block index), so results
-do not depend on execution order. Every MC command runs its points' blocks
-through one path: on a small thread pool when BLAS runs one thread, else in
-the caller, one by one; the outputs have the same bits either way.
+do not depend on execution order. Every MC command runs its points through
+one path, as jobs of whole blocks (a partial last block rides with the full
+block before it), heaviest point first: on a small thread pool when BLAS runs
+one thread, else in the caller, one by one; the outputs have the same bits
+either way, and come back in input order.
 """
 
 from __future__ import annotations
@@ -53,10 +55,11 @@ SCHEME_KINDS = ("uncoded", "zeno2", "phase3")
 PLUS = PureState(1, np.array([1, 1], dtype=complex) / np.sqrt(2))
 IPLUS = PureState(1, np.array([1, 1j], dtype=complex) / np.sqrt(2))
 
-# Bounds on the memory one call may ask for: a block's phases take
-# 8 * repetitions * n bytes per trajectory (about 100 MB at the cap), and the
-# MC route holds 72 bytes per shot of the point it reduces (tracemalloc's peak;
-# about 720 MB at the cap), besides the few blocks in flight.
+# Bounds on the memory one call may ask for: a job's phases take
+# 8 * repetitions * n bytes per trajectory, for at most 2 * MC_BLOCK - 1
+# trajectories (about 200 MB at the cap), and the MC route holds 72 bytes per
+# shot of the point it reduces (tracemalloc's peak; about 720 MB at the cap),
+# besides the few jobs in flight.
 MAX_REPETITIONS = 1000
 MAX_SHOTS = 10**7
 MAX_STEPS = 10_000      # figure5_data runs 4 * (steps + 1) exact points
@@ -140,13 +143,16 @@ def _phase_width(t: float, slices: int) -> float:
     return sigma
 
 
-# --- running blocks: in the caller, or on a small thread pool -------------------
+# --- running jobs: in the caller, or on a small thread pool ---------------------
 
-# Threads that run MC blocks, at most; fewer when the process may use fewer CPUs.
+# Threads that run MC jobs, at most; fewer when the process may use fewer CPUs.
 _MAX_WORKERS = 4
-# Blocks submitted and not yet read, per worker: one running and one done
-# keep every worker busy while the caller reads, and bound what waits.
-_WINDOW_PER_WORKER = 2
+# Jobs submitted and not yet read, per worker. The reader waits on the oldest
+# job while the other workers run on through the window, so a worker waits
+# only when the oldest job outlasts the jobs behind it more than eight times
+# over; a result waiting to be read is at most (2, 2 * MC_BLOCK - 1)
+# amplitudes, 256 KB.
+_WINDOW_PER_WORKER = 8
 
 
 def _blas_threads(environ) -> int:
@@ -165,7 +171,7 @@ _ONE_BLAS_THREAD = _blas_threads(os.environ) == 1
 
 
 def _workers() -> int:
-    """Threads that run MC blocks: with one BLAS thread, the CPUs this process
+    """Threads that run MC jobs: with one BLAS thread, the CPUs this process
     may use, at most ``_MAX_WORKERS``; else 1, the caller itself, since every
     pool thread would run BLAS's own threads on top of the pool's."""
     if not _ONE_BLAS_THREAD:
@@ -251,35 +257,39 @@ def _trajectory_point(scheme: Scheme, psi: PureState, t: float, shots: int, seed
     return scheme, psi, _phase_width(t, scheme.repetitions), seed
 
 
-def _trajectory_block(scheme: Scheme, psi: PureState, sigma: float, seed, block: int,
-                      size: int) -> np.ndarray:
-    """Final (2, size) one-qubit pure states of trajectories
-    [block * MC_BLOCK, block * MC_BLOCK + size) of one point.
+def _trajectory_job(scheme: Scheme, psi: PureState, sigma: float, seed, start: int,
+                    stop: int) -> np.ndarray:
+    """Final (2, stop - start) one-qubit pure states of trajectories
+    [start, stop) of one point, ``start`` a multiple of ``MC_BLOCK``.
 
-    The block draws its phases, shape (size, repetitions, n), then its
-    Born-sampling uniforms, shape (size, repetitions), from
-    ``block_rng(seed, block)``. The trajectories run along the last axis, so
-    every array operation walks rows of ``size`` values, and qubit q's phase
-    e^{i phi_q} multiplies the half of the code block where that qubit reads 1
-    (qubit 0 is the most significant bit).
+    Each block b in the range draws its phases, shape (size, repetitions, n),
+    then its Born-sampling uniforms, shape (size, repetitions), from
+    ``block_rng(seed, b)``, straight into its rows of the job's arrays; then
+    one pass of the repetition loop runs every column. The trajectories run
+    along the last axis, so every array operation walks rows of
+    ``stop - start`` values, and qubit q's phase e^{i phi_q} multiplies the
+    half of the code block where that qubit reads 1 (qubit 0 is the most
+    significant bit).
     """
     n, isometry, recovery = _model(scheme.kind)
-    n_reps = scheme.repetitions
+    n_reps, cols = scheme.repetitions, stop - start
     recovery = recovery.reshape(-1, 2**n)                       # row 2s + a: outcome s, amplitude a
-    rng = block_rng(seed, block)
-    phases = rng.normal(0.0, sigma, size=(size, n_reps, n))
-    draws = rng.uniform(size=(size, n_reps))
-    kick = np.empty((n, size), dtype=complex)
-    states = np.broadcast_to(psi.amplitudes[:, None], (2, size))
+    phases = np.empty((cols, n_reps, n))
+    draws = np.empty((cols, n_reps))
+    for lo in range(0, cols, MC_BLOCK):
+        _draw(block_rng(seed, (start + lo) // MC_BLOCK), sigma,
+              phases[lo:lo + MC_BLOCK], draws[lo:lo + MC_BLOCK])
+    kick = np.empty((n, cols), dtype=complex)
+    states = np.broadcast_to(psi.amplitudes[:, None], (2, cols))
     for rep in range(n_reps):
-        # each array is dropped once used up: blocks on the pool run at once,
+        # each array is dropped once used up: jobs on the pool run at once,
         # and their peaks add up
-        full = isometry @ states                                # (2**n, size)
+        full = isometry @ states                                # (2**n, cols)
         del states
         np.cos(phases[:, rep].T, out=kick.real)
         np.sin(phases[:, rep].T, out=kick.imag)
         for q in range(n):
-            full.reshape(2**q, 2, -1, size)[:, 1] *= kick[q]
+            full.reshape(2**q, 2, -1, cols)[:, 1] *= kick[q]
         amps = recovery @ full
         del full
         states = _collapse(amps, draws[:, rep])[1]             # Born sampling, collapse
@@ -287,29 +297,51 @@ def _trajectory_block(scheme: Scheme, psi: PureState, sigma: float, seed, block:
     return states
 
 
+def _draw(rng: np.random.Generator, sigma: float, phases: np.ndarray, draws: np.ndarray) -> None:
+    """Fill ``phases`` and then ``draws`` in place with the bits of
+    ``rng.normal(0.0, sigma, phases.shape)`` and ``rng.uniform(size=draws.shape)``."""
+    rng.standard_normal(out=phases)
+    phases *= sigma
+    phases += 0.0                       # normal adds its mean: at sigma 0, -0.0 reads +0.0
+    rng.random(out=draws)
+
+
+def _job_spans(shots: int) -> list:
+    """The [start, stop) trajectory ranges of one point's jobs: each full
+    block on its own, except that a partial last block rides with the full
+    block before it, so a job holds at most 2 * MC_BLOCK - 1 trajectories."""
+    starts = list(range(0, shots - MC_BLOCK + 1, MC_BLOCK)) or [0]
+    return list(zip(starts, starts[1:] + [shots]))
+
+
+def _weight(scheme: Scheme) -> int:
+    """Work per trajectory of a scheme: repetitions times the code block's
+    2**n amplitudes."""
+    return scheme.repetitions * 2 ** _model(scheme.kind)[0]
+
+
 def _trajectory_rows(points: list, shots: int):
-    """Yield each point's final one-qubit pure states, shape (shots, 2), one
-    row per trajectory, in point order.
+    """Yield (index, final one-qubit pure states) for each point, heaviest
+    first: its states have shape (shots, 2), one row per trajectory.
 
     A point is a ``_trajectory_point``; its block b holds trajectories
-    [b * MC_BLOCK, (b + 1) * MC_BLOCK), whatever the shot count. Every point's
-    blocks run in turn through ``_in_order``, so on the pool the next blocks
-    run while the caller reads a point's rows, and only one point's rows are
-    held here at a time.
+    [b * MC_BLOCK, (b + 1) * MC_BLOCK), whatever the shot count, and its jobs
+    are ``_job_spans(shots)``. The points run by their scheme's ``_weight``,
+    largest first (a stable sort: equal weights keep their order), so the
+    longest jobs do not finish last. Every point's jobs run in turn through
+    ``_in_order``, so on the pool the next jobs run while the caller reads a
+    point's rows, and only one point's rows are held here at a time.
     """
-    jobs = ((*point, block, min(MC_BLOCK, shots - start))
-            for point in points for block, start in enumerate(range(0, shots, MC_BLOCK)))
-    with contextlib.closing(_in_order(_trajectory_block, jobs)) as blocks:
-        for _ in points:
-            yield _gather(blocks, shots)
-
-
-def _gather(blocks, shots: int) -> np.ndarray:
-    """One point's (shots, 2) rows, from its next blocks in order."""
-    rows = np.empty((shots, 2), dtype=complex)
-    for start in range(0, shots, MC_BLOCK):
-        rows[start:start + MC_BLOCK] = next(blocks).T
-    return rows
+    order = sorted(range(len(points)), key=lambda i: -_weight(points[i][0]))
+    spans = _job_spans(shots)
+    jobs = ((*points[i], start, stop) for i in order for start, stop in spans)
+    with contextlib.closing(_in_order(_trajectory_job, jobs)) as results:
+        for i in order:
+            rows = np.empty((shots, 2), dtype=complex)
+            for start, stop in spans:
+                rows[start:stop] = next(results).T
+            yield i, rows
+            del rows                    # freed before the next point's rows are made
 
 
 def run_scheme(scheme: Scheme, psi: PureState, t: float) -> DensityMatrix:
@@ -356,15 +388,27 @@ def mc_coherence(scheme: Scheme, psi: PureState, t: float, shots: int, seed=None
 
 def mc_estimates(points: Sequence[tuple], shots: int):
     """``mc_coherence`` of each (scheme, psi, t, seed) point, in order, as an
-    iterator: every point is checked before any trajectory runs, and the
-    blocks of all points run through one ``_trajectory_rows``, so a caller
-    can compute other values between reads while the pool runs ahead."""
+    iterator: every point is checked before any trajectory runs, and the jobs
+    of all points run through one ``_trajectory_rows``, heaviest point first.
+    Each point's rows are reduced as they come, and an estimate waits, as two
+    floats, until the points before it are read."""
     refs, checked = [], []
     for scheme, psi, t, seed in points:
         refs.append(_off_diagonal(psi))
         checked.append(_trajectory_point(scheme, psi, t, shots, seed))
-    rows = _trajectory_rows(checked, shots)
-    return (_estimate(next(rows), z0) for z0 in refs)
+    return _in_input_order(_trajectory_rows(checked, shots), refs)
+
+
+def _in_input_order(rows, refs: list):
+    """The estimates of ``rows``' (index, states) pairs, in index order."""
+    done = {}
+    with contextlib.closing(rows):
+        for i in range(len(refs)):
+            while i not in done:
+                j, states = next(rows)
+                done[j] = _estimate(states, refs[j])
+                del states                      # one point's rows alive at a time
+            yield done.pop(i)
 
 
 def _estimate(states: np.ndarray, z0: complex) -> tuple:
@@ -459,7 +503,7 @@ def figure5_data(t_max: float, steps: int, shots: Optional[int] = None, seed=0):
     for scheme in schemes:
         samples = []
         for t in grid:
-            c_exact = scheme_coherence(scheme, IPLUS, t)        # while the pool runs ahead
+            c_exact = scheme_coherence(scheme, IPLUS, t)        # while the pool runs on
             c_mc, stderr = (None, None) if estimates is None else next(estimates)
             samples.append(CurveSample(t, c_exact, c_mc, stderr))
         curves.append(CoherenceCurve(scheme.kind, scheme.repetitions, tuple(samples)))

@@ -50,7 +50,7 @@ TIME_GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 3.0)
 
 def _run_trajectories(scheme, psi, t, shots, seed) -> np.ndarray:
     """One point's (shots, 2) final states, through the MC route's checks and blocks."""
-    return next(_trajectory_rows([_trajectory_point(scheme, psi, t, shots, seed)], shots))
+    return next(_trajectory_rows([_trajectory_point(scheme, psi, t, shots, seed)], shots))[1]
 
 
 def gaussian_char_quadrature(t: float) -> float:
@@ -139,6 +139,22 @@ class TestTrajectoryPhases:
         point = np.random.SeedSequence(entropy=5, spawn_key=(1, 2))
         expected = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(1, 2, 3)))
         np.testing.assert_array_equal(block_rng(point, 3).normal(size=8), expected.normal(size=8))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.83])
+    @pytest.mark.parametrize("size", [MC_BLOCK, 904])
+    def test_drawing_in_place_gives_the_bytes_of_normal_then_uniform(self, sigma, size):
+        """A job draws each block into its rows of the job's arrays; sigma 0
+        must still give +0.0 everywhere, as ``normal(0.0, 0.0)`` does."""
+        seed, block, reps, n = np.random.SeedSequence(entropy=7, spawn_key=(3, 1)), 2, 4, 3
+        ref = block_rng(seed, block)
+        phases_ref = ref.normal(0.0, sigma, size=(size, reps, n))
+        draws_ref = ref.uniform(size=(size, reps))
+        phases, draws = np.empty((size + 5, reps, n)), np.empty((size + 5, reps))
+        noise._draw(block_rng(seed, block), sigma, phases[5:], draws[5:])
+        assert phases[5:].tobytes() == phases_ref.tobytes()
+        assert draws[5:].tobytes() == draws_ref.tobytes()
+        if sigma == 0.0:
+            assert not np.signbit(phases[5:]).any()
 
 
 class TestRunSchemeExact:
@@ -515,23 +531,78 @@ class TestBlocksOnAPool:
         self.force(monkeypatch, 2)
         failure = RuntimeError("block 1 of curve 0, t index 2")
         calls = []
-        real = noise._trajectory_block
+        real = noise._trajectory_job
 
-        def failing(scheme, psi, sigma, seed, block, size):
-            calls.append(block)
-            if seed.spawn_key == (0, 2) and block == 1:
+        def failing(scheme, psi, sigma, seed, start, stop):
+            calls.append(start)
+            if seed.spawn_key == (0, 2) and start == MC_BLOCK:
                 raise failure
-            return real(scheme, psi, sigma, seed, block, size)
+            return real(scheme, psi, sigma, seed, start, stop)
 
-        monkeypatch.setattr(noise, "_trajectory_block", failing)
+        monkeypatch.setattr(noise, "_trajectory_job", failing)
         with pytest.raises(RuntimeError) as caught:
             figure5_data(3.0, 2, shots=self.SHOTS, seed=5)
         assert caught.value is failure
         ran = len(calls)
         time.sleep(0.05)
         assert len(calls) == ran                # no job of the failed call runs after it
-        monkeypatch.setattr(noise, "_trajectory_block", real)
+        monkeypatch.setattr(noise, "_trajectory_job", real)
         assert figure5_data(3.0, 2, shots=self.SHOTS, seed=5) == expected
+
+    MIXED = (("uncoded", 1), ("phase3", 10), ("zeno2", 1), ("phase3", 1), ("phase3", 10), ("uncoded", 1))
+
+    def mixed_points(self):
+        return [(Scheme(kind, reps), IPLUS, 0.3 * i + 0.2, np.random.SeedSequence(entropy=4, spawn_key=(i,)))
+                for i, (kind, reps) in enumerate(self.MIXED)]
+
+    @pytest.mark.parametrize("shots", [MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 5])
+    def test_mixed_curves_give_each_point_its_own_floats_in_input_order(self, monkeypatch, shots):
+        """Heaviest first and joined jobs, at 1, 2 and 3 workers: every
+        estimate has the bits of its point run alone, in input order."""
+        points = self.mixed_points()
+        self.force(monkeypatch, 1)
+        alone = [mc_coherence(scheme, psi, t, shots, seed) for scheme, psi, t, seed in points]
+        for workers in (1, 2, 3):
+            self.force(monkeypatch, workers)
+            assert list(noise.mc_estimates(points, shots)) == alone
+
+    @pytest.mark.parametrize("shots", [MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 5])
+    def test_joined_jobs_keep_the_columns_of_their_blocks(self, shots):
+        """A job's columns are its blocks' columns, run one block at a time.
+        A lone trajectory (shots one past a block) run by itself takes
+        NumPy's matrix-vector product, which rounds differently: within 1e-15."""
+        point = _trajectory_point(Scheme("phase3", 3), PLUS, 0.9, shots, 6)
+        rows = next(_trajectory_rows([point], shots))[1]
+        blocks = np.concatenate([noise._trajectory_job(*point, start, min(start + MC_BLOCK, shots))
+                                 for start in range(0, shots, MC_BLOCK)], axis=1).T
+        lone = 1 if shots % MC_BLOCK == 1 and shots > MC_BLOCK else 0
+        np.testing.assert_array_equal(rows[:shots - lone], blocks[:shots - lone])
+        assert np.abs(rows[shots - lone:] - blocks[shots - lone:]).max(initial=0.0) < 1e-15
+
+    @pytest.mark.parametrize("shots", [2, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK - 1,
+                                       2 * MC_BLOCK, 3 * MC_BLOCK + 5, 6 * MC_BLOCK - 1])
+    def test_each_job_is_one_full_block_or_the_last_full_block_and_the_rest(self, shots):
+        spans = noise._job_spans(shots)
+        assert [start for start, _ in spans] == [b * MC_BLOCK for b in range(len(spans))]
+        assert [stop for _, stop in spans] == [start for start, _ in spans[1:]] + [shots]
+        for start, stop in spans:
+            assert stop - start <= 2 * MC_BLOCK - 1
+            assert stop - start >= MC_BLOCK or shots < MC_BLOCK
+        assert len(spans) == max(shots // MC_BLOCK, 1)
+
+    def test_points_run_heaviest_first_and_equal_weights_keep_their_order(self, monkeypatch):
+        self.force(monkeypatch, 1)              # the caller runs the jobs in the order the pool gets them
+        started = []
+        real = noise._trajectory_job
+
+        def recording(scheme, psi, sigma, seed, start, stop):
+            started.append((seed.spawn_key[0], start))
+            return real(scheme, psi, sigma, seed, start, stop)
+
+        monkeypatch.setattr(noise, "_trajectory_job", recording)
+        shots = 2 * MC_BLOCK + 3
+        list(noise.mc_estimates(self.mixed_points(), shots))
+        assert started == [(i, start) for i in (1, 4, 3, 2, 0, 5) for start in (0, MC_BLOCK)]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_results_waiting_never_exceed_the_window(self, monkeypatch, workers):

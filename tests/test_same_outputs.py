@@ -48,7 +48,7 @@ def test_the_repository_matches_itself(capsys):
     args = ["--base", str(ROOT), "--change", str(ROOT), "--seeds", "3", "--programs", "20"]
     assert same_outputs.main(args) == 0
     verify, verify_diffs, programs, program_diffs, searches, search_diffs, mc, mc_diffs = summary(capsys)
-    assert verify > 0 and programs >= 20 and searches == 4 and mc == 3
+    assert verify > 0 and programs >= 20 and searches == 4 and mc == 5
     assert verify_diffs == program_diffs == search_diffs == mc_diffs == 0
 
 
@@ -62,4 +62,4 @@ def test_a_changed_output_is_reported(tmp_path, capsys):
     assert same_outputs.main(args) == 1
     verify, verify_diffs, programs, program_diffs, searches, search_diffs, mc, mc_diffs = summary(capsys)
     assert verify_diffs > 0 and program_diffs == 6       # every simulate-pulses command
-    assert searches == 4 and search_diffs == 0 and mc == 3 and mc_diffs == 0
+    assert searches == 4 and search_diffs == 0 and mc == 5 and mc_diffs == 0

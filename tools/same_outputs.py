@@ -19,9 +19,12 @@ In each checkout, one child process imports ``qeclab`` from the checkout's
   repository's ``tests/data/encoder_24.qc.json`` at budget 1000 and 2
   restarts in each of the modes ``exact`` and ``auto``;
 * at each seed, the ``figure5_mc`` benchmark workload's commands (its
-  warm-up, then its timed command), then ``noise --scheme phase3 --n 3
-  --t 0 0.5 1.5 --shots 9000``, whose points span two full MC blocks and a
-  partial one.
+  warm-up, then its timed command), then three MC commands at the job
+  boundaries: ``noise --scheme phase3 --n 3 --t 0 0.5 1.5 --shots 9000``,
+  whose points span two full MC blocks and a partial one; ``figure5
+  --steps 3 --shots 4097``, where one trajectory rides with a full block;
+  and ``noise --scheme phase3 --n 10 --t 1 --shots 20000``, one point of
+  several jobs.
 
 Both children run in the same work directory, since paths appear in the
 output, with one BLAS thread and no ``*SEED*`` variable in the environment,
@@ -56,6 +59,8 @@ ENCODER_24 = ROOT / "tests" / "data" / "encoder_24.qc.json"
 SEARCH_MODES = ("exact", "auto")
 MC_NOISE = ["noise", "--scheme", "phase3", "--n", "3", "--psi", "iplus", "--t", "0", "0.5", "1.5",
             "--shots", "9000"]
+MC_FIGURE5_RIDER = ["figure5", "--steps", "3", "--shots", "4097"]
+MC_ONE_POINT = ["noise", "--scheme", "phase3", "--n", "10", "--t", "1", "--shots", "20000"]
 PROGRAM_SEED = 2026
 FAMILIES = ("compiled", "spliced", "leaky")
 PULSE_KINDS = ("WPhon", "VPulse", "VPhon", "OneQubit")     # each with a ``dag`` flag
@@ -160,7 +165,10 @@ def child(src: str, workdir: str, seeds: str, programs: str, records: str) -> No
         folder = Path(workdir) / f"mc_seed{seed}"
         folder.mkdir(parents=True)
         wl = figure5_mc(seed, folder)
-        argvs = [op.argv for op in wl.warmup + wl.unit] + [MC_NOISE + ["--seed", str(seed)]]
+        argvs = [op.argv for op in wl.warmup + wl.unit] + [
+            MC_NOISE + ["--seed", str(seed)],
+            MC_FIGURE5_RIDER + ["--seed", str(seed), "--out", str(folder / "rider.csv")],
+            MC_ONE_POINT + ["--seed", str(seed)]]
         done["mc"] += [run_command(qeclab.cli.main, argv) for argv in argvs]
     Path(records).write_text(json.dumps(done), encoding="utf-8")
 
