@@ -50,6 +50,7 @@ from .noise import (
     n_shot_coherence,
     run_scheme,
     scheme_coherence,
+    scheme_coherences,
 )
 from .search import Candidate, SearchConfig, is_valid_perfect_code, search
 

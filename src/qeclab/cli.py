@@ -54,7 +54,7 @@ from .noise import (
     curves_to_csv,
     figure5_data,
     mc_estimates,
-    scheme_coherence,
+    scheme_coherences,
 )
 from .search import VALIDITY_MODES, SearchConfig, is_valid_perfect_code, pulse_cost, search
 from .states import PureState, fidelity
@@ -97,8 +97,12 @@ def _load(path: str, max_bytes: int, parse):
     the recursion limit is an input error, not a traceback."""
     try:
         with open(path, "rb") as fh:
-            # a pipe has no size: read it to at most one byte past the cap
-            data = fh.read(max_bytes + 1) if os.fstat(fh.fileno()).st_size <= max_bytes else None
+            size = os.fstat(fh.fileno()).st_size
+            data = fh.read(size + 1) if size <= max_bytes else None
+            # a pipe reads size 0, and a file may have grown since: read on,
+            # to at most one byte past the cap
+            if data is not None and (size == 0 or len(data) > size):
+                data += fh.read(max_bytes - size)
     except OSError as exc:
         raise _IOFailure(f"cannot read {path}: {exc}") from None
     if data is None or len(data) > max_bytes:
@@ -368,8 +372,7 @@ def cmd_noise(args) -> int:
     if args.shots is not None:
         estimates = mc_estimates([(scheme, psi, t, args.seed) for t in args.t], args.shots)
     samples = []
-    for t in args.t:
-        c_exact = scheme_coherence(scheme, psi, t)
+    for t, c_exact in zip(args.t, scheme_coherences(scheme, psi, args.t).tolist()):
         c_mc, stderr = (None, None) if estimates is None else next(estimates)
         samples.append(CurveSample(t, c_exact, c_mc, stderr))
     print(curves_to_csv([CoherenceCurve(scheme.kind, scheme.repetitions, tuple(samples))]), end="")

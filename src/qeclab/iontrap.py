@@ -84,6 +84,15 @@ class Pulse:
         elif self.matrix is not None:
             raise ValueError(f"{self.kind} pulse carries no matrix")
 
+    @classmethod
+    def _trusted(cls, ion: int, matrix: np.ndarray, label: Optional[str]) -> "Pulse":
+        """A ``OneQubit`` pulse on the read-only matrix of a pulse already
+        built, without checking it again."""
+        pulse = object.__new__(cls)
+        for name, value in (("kind", "OneQubit"), ("ion", ion), ("matrix", matrix), ("label", label)):
+            object.__setattr__(pulse, name, value)
+        return pulse
+
     def dagger(self) -> "Pulse":
         """The inverse of a phonon pulse (``compile_cphase``'s closing pass)."""
         return Pulse(_DAGGER[self.kind], self.ion)
@@ -476,8 +485,11 @@ def _matrix_bits(matrix) -> Optional[bytes]:
         return None
 
 
-def _parse_entry(doc: dict, kind: str, ion: int, dag: bool, i: int) -> Pulse:
-    """The ``Pulse`` of entry ``i``, whose kind, ion and dag are checked."""
+def _parse_entry(doc: dict, kind: str, ion: int, dag: bool, i: int, checked: dict) -> Pulse:
+    """The ``Pulse`` of entry ``i``, whose kind, ion and dag are checked.
+    ``checked`` maps the shape and bytes of each ``OneQubit`` matrix already
+    checked, daggered where its entry says so, to the pulse matrix made of
+    it; an entry with the same shape and bytes shares that matrix."""
     if kind != "OneQubit":
         full = kind + "Dag" if dag and kind != "VPulse" else kind
         if full not in PULSE_KINDS:
@@ -491,24 +503,33 @@ def _parse_entry(doc: dict, kind: str, ion: int, dag: bool, i: int) -> Pulse:
     label = doc.get("label")
     if label is not None and type(label) is not str:
         raise ValueError(f"pulse entry at position {i} has a 'label' that is not a string")
+    if dag:
+        mat = mat.conj().T
+    bits = (mat.shape, mat.tobytes())
+    if bits in checked:
+        return Pulse._trusted(ion, checked[bits], label)
     try:
-        return Pulse("OneQubit", ion, mat.conj().T if dag else mat, label=label)
+        pulse = Pulse("OneQubit", ion, mat, label=label)
     except ValueError as exc:
         raise ValueError(f"pulse entry at position {i}: {exc}") from None
+    checked[bits] = pulse.matrix
+    return pulse
 
 
 def pulses_from_json(docs: Sequence[dict]) -> PulseSequence:
     """Parse a pulse program of at most ``MAX_PULSES`` entries, reporting the
-    first malformed entry by position. Each distinct entry is built, and a
-    ``OneQubit`` matrix checked, once per call: a repeat of (kind, ion, dag),
-    with the same label and matrix numbers for ``OneQubit``, shares that
-    ``Pulse`` without building its matrix again."""
+    first malformed entry by position. Each distinct entry is built once per
+    call: a repeat of (kind, ion, dag), with the same label and matrix
+    numbers for ``OneQubit``, shares that ``Pulse`` without building its
+    matrix again. Each distinct ``OneQubit`` matrix, daggered where its entry
+    says so, is checked once per call, and the entries that have its bits,
+    on any ion and with any label, share its read-only array."""
     if not isinstance(docs, list):
         raise ValueError("a pulse program is a list of pulse entries")
     if len(docs) > MAX_PULSES:
         raise ValueError(f"pulse program has {len(docs)} entries; at most {MAX_PULSES} are allowed")
     pulses = []
-    built = {}
+    built, checked = {}, {}
     for i, doc in enumerate(docs):
         try:
             kind = doc["kind"]
@@ -528,7 +549,7 @@ def pulses_from_json(docs: Sequence[dict]) -> PulseSequence:
                 label is None or type(label) is str) else None
         pulse = built.get(key)
         if pulse is None:
-            pulse = _parse_entry(doc, kind, ion, dag, i)
+            pulse = _parse_entry(doc, kind, ion, dag, i, checked)
             if key is not None:
                 built[key] = pulse
         pulses.append(pulse)

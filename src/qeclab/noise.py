@@ -23,7 +23,7 @@ output in a checked ``DensityMatrix`` for the Python API. Trajectories are
 drawn in blocks of ``MC_BLOCK``, each keyed by (seed, block index), so results
 do not depend on execution order. Every MC command runs its points through
 one path, as jobs of whole blocks (a partial last block rides with the full
-block before it), heaviest point first: on a small thread pool when BLAS runs
+block before it, unless that would leave a worker idle), heaviest point first: on a small thread pool when BLAS runs
 one thread, else in the caller, one by one; the outputs have the same bits
 either way, and come back in input order.
 """
@@ -104,9 +104,11 @@ def _hamming_mask(n_qubits: int, qubits: tuple) -> np.ndarray:
     return ham
 
 
-def _dephase(mat: np.ndarray, n_qubits: int, t: float, qubits: tuple) -> np.ndarray:
-    """Exact dephasing of ``qubits`` for time t: element (i, j) times exp(-t)**d(i, j)."""
-    return mat * math.exp(-t) ** _hamming_mask(n_qubits, qubits)
+def _dephase(mats: np.ndarray, n_qubits: int, times: Sequence[float], qubits: tuple) -> np.ndarray:
+    """Exact dephasing of ``qubits`` on a (T, N, N) stack, slice k for time
+    ``times[k]``: element (i, j) times exp(-t)**d(i, j)."""
+    mask = _hamming_mask(n_qubits, qubits)
+    return mats * np.stack([math.exp(-t) ** mask for t in times])
 
 
 def dephase_channel(rho: DensityMatrix, qubit: int, t: float) -> DensityMatrix:
@@ -114,7 +116,7 @@ def dephase_channel(rho: DensityMatrix, qubit: int, t: float) -> DensityMatrix:
     _check_time(t)
     if not 0 <= qubit < rho.n_qubits:
         raise ValueError(f"qubit index {qubit} out of range")
-    return DensityMatrix(rho.n_qubits, _dephase(rho.matrix, rho.n_qubits, t, (qubit,)))
+    return DensityMatrix(rho.n_qubits, _dephase(rho.matrix[None], rho.n_qubits, [t], (qubit,))[0])
 
 
 # --- stochastic trajectories ---------------------------------------------------
@@ -231,17 +233,33 @@ def _model(kind: str) -> tuple:
     return code.n_physical, code.isometry(), recovery_operators(code, table)
 
 
-def _run_exact(scheme: Scheme, psi: PureState, t: float) -> np.ndarray:
+# Times the exact route runs at once: a chunk's stacks hold at most this many
+# matrices, 1 MB for phase3's (1024, 8, 8) code blocks, however many times a
+# command asks for.
+_EXACT_CHUNK = 1024
+
+
+def _run_exact(scheme: Scheme, psi: PureState, times: Sequence[float]):
+    """Yield the final (T, 2, 2) density matrices of ``times``, in order, in
+    chunks of at most ``_EXACT_CHUNK`` times.
+
+    Each repetition runs once per chunk, on the whole stack: slice k holds
+    time k, and every product, dephasing and recovery sum acts on it as the
+    2-D route acted on one time's matrix (a stacked matmul makes the same
+    2-D product per slice), so each slice has that route's bits.
+    """
     n, isometry, recovery = _model(scheme.kind)
     n_reps = scheme.repetitions
-    step = t / n_reps
     qubits = tuple(range(n))
-    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    for _ in range(n_reps):
-        full = isometry @ rho @ isometry.conj().T
-        full = _dephase(full, n, step, qubits)
-        rho = sum(A @ full @ A.conj().T for A in recovery)
-    return rho
+    rho0 = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    for lo in range(0, len(times), _EXACT_CHUNK):
+        steps = [t / n_reps for t in times[lo:lo + _EXACT_CHUNK]]
+        rho = np.broadcast_to(rho0, (len(steps), 2, 2))
+        for _ in range(n_reps):
+            full = isometry @ rho @ isometry.conj().T
+            full = _dephase(full, n, steps, qubits)
+            rho = sum(A @ full @ A.conj().T for A in recovery)
+        yield rho
 
 
 def _trajectory_point(scheme: Scheme, psi: PureState, t: float, shots: int, seed) -> tuple:
@@ -306,11 +324,17 @@ def _draw(rng: np.random.Generator, sigma: float, phases: np.ndarray, draws: np.
     rng.random(out=draws)
 
 
-def _job_spans(shots: int) -> list:
+def _job_spans(shots: int, min_jobs: int = 1) -> list:
     """The [start, stop) trajectory ranges of one point's jobs: each full
     block on its own, except that a partial last block rides with the full
-    block before it, so a job holds at most 2 * MC_BLOCK - 1 trajectories."""
+    block before it, so a job holds at most 2 * MC_BLOCK - 1 trajectories.
+    When that makes fewer than ``min_jobs`` jobs, a partial last block of 2
+    or more trajectories is a job of its own; one trajectory always rides,
+    since a one-column job takes NumPy's matrix-vector product, which rounds
+    differently."""
     starts = list(range(0, shots - MC_BLOCK + 1, MC_BLOCK)) or [0]
+    if len(starts) < min_jobs and shots - starts[-1] - MC_BLOCK >= 2:
+        starts.append(starts[-1] + MC_BLOCK)
     return list(zip(starts, starts[1:] + [shots]))
 
 
@@ -326,14 +350,16 @@ def _trajectory_rows(points: list, shots: int):
 
     A point is a ``_trajectory_point``; its block b holds trajectories
     [b * MC_BLOCK, (b + 1) * MC_BLOCK), whatever the shot count, and its jobs
-    are ``_job_spans(shots)``. The points run by their scheme's ``_weight``,
+    are ``_job_spans(shots)``, or, when all points together would have
+    fewer jobs than ``_workers()``, with each partial last block of 2 or more
+    trajectories a job of its own. The points run by their scheme's ``_weight``,
     largest first (a stable sort: equal weights keep their order), so the
     longest jobs do not finish last. Every point's jobs run in turn through
     ``_in_order``, so on the pool the next jobs run while the caller reads a
     point's rows, and only one point's rows are held here at a time.
     """
     order = sorted(range(len(points)), key=lambda i: -_weight(points[i][0]))
-    spans = _job_spans(shots)
+    spans = _job_spans(shots, -(-_workers() // max(len(points), 1)))
     jobs = ((*points[i], start, stop) for i in order for start, stop in spans)
     with contextlib.closing(_in_order(_trajectory_job, jobs)) as results:
         for i in order:
@@ -350,7 +376,7 @@ def run_scheme(scheme: Scheme, psi: PureState, t: float) -> DensityMatrix:
     if psi.n_qubits != 1:
         raise ValueError("schemes protect a single qubit")
     _check_time(t)
-    return DensityMatrix(1, _run_exact(scheme, psi, t))
+    return DensityMatrix(1, next(_run_exact(scheme, psi, [t]))[0])
 
 
 def _off_diagonal(psi: PureState) -> complex:
@@ -371,9 +397,23 @@ def _off_diagonal(psi: PureState) -> complex:
 
 def scheme_coherence(scheme: Scheme, psi: PureState, t: float) -> float:
     """Exact coherence C = |<1|rho|0> / <1|rho_0|0>| of the scheme at time t."""
+    return float(scheme_coherences(scheme, psi, [t])[0])
+
+
+def scheme_coherences(scheme: Scheme, psi: PureState, times: Sequence[float]) -> np.ndarray:
+    """``scheme_coherence`` at each of ``times``, as a float array, in one run
+    of the exact route: the input is checked first, then every time in order.
+    Besides the array, the call holds one chunk of the route at a time."""
     z0 = _off_diagonal(psi)
-    _check_time(t)
-    return float(abs(_run_exact(scheme, psi, t)[1, 0] / z0))
+    for t in times:
+        _check_time(t)
+    coherences = np.empty(len(times))
+    lo = 0
+    for rho in _run_exact(scheme, psi, times):
+        # element by element, in NumPy's scalar arithmetic, as for one time
+        coherences[lo:lo + len(rho)] = [abs(z / z0) for z in rho[:, 1, 0]]
+        lo += len(rho)
+    return coherences
 
 
 def mc_coherence(scheme: Scheme, psi: PureState, t: float, shots: int, seed=None):
@@ -501,9 +541,9 @@ def figure5_data(t_max: float, steps: int, shots: Optional[int] = None, seed=0):
              for curve_idx, scheme in enumerate(schemes) for t_idx, t in enumerate(grid)], shots)
     curves = []
     for scheme in schemes:
+        exact = scheme_coherences(scheme, IPLUS, grid).tolist()    # while the pool runs on
         samples = []
-        for t in grid:
-            c_exact = scheme_coherence(scheme, IPLUS, t)        # while the pool runs on
+        for t, c_exact in zip(grid, exact):
             c_mc, stderr = (None, None) if estimates is None else next(estimates)
             samples.append(CurveSample(t, c_exact, c_mc, stderr))
         curves.append(CoherenceCurve(scheme.kind, scheme.repetitions, tuple(samples)))

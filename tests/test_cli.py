@@ -793,6 +793,52 @@ class TestUpperBounds:
         assert (code, err) == (0, "")
         assert json.loads(out)
 
+    @staticmethod
+    def stat_reading(monkeypatch, size):
+        """``os.fstat`` as ``_load`` sees it: ``st_size`` reads ``size``, as
+        for a file that grew after its size was read (0: a pipe)."""
+        real = os.fstat
+        monkeypatch.setattr(cli.os, "fstat", lambda fd: os.stat_result(
+            real(fd)[:6] + (size,) + tuple(real(fd)[7:10])))
+
+    @pytest.mark.parametrize("size", [0, 1, 40])
+    def test_file_that_grew_past_its_size_is_read_whole(self, capsys, tmp_path, monkeypatch, size):
+        monkeypatch.setattr(cli, "MAX_PULSE_BYTES", 64)
+        path = tmp_path / "grown.json"
+        path.write_text('[{"kind": "VPulse", "ion": 0}]'.ljust(64))
+        argv = ("simulate-pulses", "--ions", "1", "--pulses", str(path))
+        expected = run_cli(capsys, *argv)
+        self.stat_reading(monkeypatch, size)
+        assert run_cli(capsys, *argv) == expected
+        assert expected[0] == 0 and expected[2] == ""
+
+    @pytest.mark.parametrize("size", [0, 1, 64])
+    def test_file_that_grew_past_the_cap_is_refused(self, capsys, tmp_path, monkeypatch, size):
+        monkeypatch.setattr(cli, "MAX_PULSE_BYTES", 64)
+        path = tmp_path / "grown.json"
+        path.write_text('[{"kind": "VPulse", "ion": 0}]'.ljust(65))
+        self.stat_reading(monkeypatch, size)
+        code, out, err = run_cli(capsys, "simulate-pulses", "--ions", "1", "--pulses", str(path))
+        assert_one_error_line(code, out, err)
+        assert "more than 64 bytes" in err
+
+    def test_a_file_is_read_to_its_size_not_to_the_cap(self, tmp_path, monkeypatch):
+        """A file whose size holds is read in one call of size + 1 bytes."""
+        sizes = []
+        real_open = open
+
+        class Recording(io.BufferedReader):
+            def read(self, size=-1):
+                sizes.append(size)
+                return super().read(size)
+
+        monkeypatch.setattr(cli, "open", lambda path, mode: Recording(real_open(path, mode, buffering=0)),
+                            raising=False)
+        path = tmp_path / "small.json"
+        path.write_text('[{"kind": "VPulse", "ion": 0}]')
+        assert cli._load(str(path), cli.MAX_PULSE_BYTES, json.loads) == [{"kind": "VPulse", "ion": 0}]
+        assert sizes == [path.stat().st_size + 1]
+
     def test_byte_caps_hold_every_file_qeclab_writes_within_the_op_cap(self):
         """A circuit of MAX_CIRCUIT_OPS copies of the op with the longest
         spelling, as ``serialize_circuit`` writes it or re-indented by four,

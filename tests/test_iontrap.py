@@ -344,13 +344,18 @@ class TestPulseJson:
             pulses_from_json([valid, valid, {**valid, "matrix": later}, {**valid, "matrix": later}])
 
     def test_each_distinct_one_qubit_entry_is_checked_once(self, monkeypatch):
+        """One check per distinct matrix bit pattern, taken after the dagger:
+        entries that differ only in ion or label share the checked array."""
         import qeclab.iontrap as iontrap
 
-        calls = []
+        calls, passed = [], set()
 
         def counting(mat):
             calls.append(mat)
-            return is_unitary(mat)
+            if is_unitary(mat):
+                passed.add(np.asarray(mat, dtype=complex).tobytes())
+                return True
+            return False
 
         monkeypatch.setattr(iontrap, "is_unitary", counting)
         identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -359,10 +364,18 @@ class TestPulseJson:
         distinct = [entry, {**entry, "ion": 1}, {**entry, "dag": True}, {**entry, "label": "I"},
                     {**entry, "matrix": signed}]
         seq = pulses_from_json(distinct + [{"kind": "WPhon", "ion": 0}] + distinct[::-1] + distinct)
-        assert len(calls) == len(distinct)
+        # the identity, its dagger (imaginary parts -0.0) and the signed zero
+        assert len(calls) == 3
         assert len(seq) == 3 * len(distinct) + 1
         assert seq.pulses[0] is seq.pulses[-5] and seq.pulses[0] is not seq.pulses[4]
-        assert np.signbit(seq.pulses[4].matrix[0, 1].real) and not np.signbit(seq.pulses[0].matrix[0, 1].real)
+        plain, other_ion, dagger, labelled, signed_zero = seq.pulses[:5]
+        assert (other_ion.ion, labelled.label) == (1, "I")
+        assert other_ion.matrix is plain.matrix and labelled.matrix is plain.matrix
+        assert dagger.matrix is not plain.matrix and signed_zero.matrix is not plain.matrix
+        assert np.signbit(dagger.matrix.imag).all() and not np.signbit(plain.matrix.imag).any()
+        assert np.signbit(signed_zero.matrix[0, 1].real) and not np.signbit(plain.matrix[0, 1].real)
+        one_qubit = [p for p in seq.pulses if p.kind == "OneQubit"]
+        assert all(p.matrix.tobytes() in passed and not p.matrix.flags.writeable for p in one_qubit)
 
     def test_each_distinct_entry_is_built_once(self, monkeypatch):
         """A repeat of (kind, ion, dag), with the same label and matrix

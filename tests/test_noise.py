@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from qeclab.noise import (
     phase3_worst_coherence_closed_form,
     run_scheme,
     scheme_coherence,
+    scheme_coherences,
     uncoded_coherence_closed_form,
     zeno2_coherence_closed_form,
 )
@@ -256,6 +258,83 @@ class TestCoherence:
         h = 1e-6
         slope = (scheme_coherence(Scheme("zeno2"), IPLUS, h) - 1.0) / h
         assert abs(slope + 1.0) < 1e-3
+
+
+def reference_exact(scheme: Scheme, psi: PureState, t: float) -> np.ndarray:
+    """The exact route one time at a time, in 2-D products: the reference
+    the stacked route must match bit for bit."""
+    n, isometry, recovery = noise._model(scheme.kind)
+    mask = noise._hamming_mask(n, tuple(range(n)))
+    step = t / scheme.repetitions
+    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    for _ in range(scheme.repetitions):
+        full = isometry @ rho @ isometry.conj().T
+        full = full * math.exp(-step) ** mask
+        rho = sum(A @ full @ A.conj().T for A in recovery)
+    return rho
+
+
+def reference_coherences(scheme: Scheme, psi: PureState, times) -> np.ndarray:
+    z0 = psi.density().matrix[1, 0]
+    return np.array([abs(reference_exact(scheme, psi, t)[1, 0] / z0) for t in times])
+
+
+class TestExactStack:
+    """The exact route runs all of a call's times at once, in chunks of
+    ``noise._EXACT_CHUNK``, with the bits of one time at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(SCHEME_KINDS), reps=st.integers(1, 12), psi_seed=st.integers(0, 2**32 - 1),
+           times=st.lists(st.one_of(st.floats(0.0, 20.0), st.sampled_from([0.0, -0.0, 1e3, 1e300, 1.7e308])),
+                          min_size=1, max_size=70))
+    def test_stacked_route_has_the_bits_of_the_per_time_loop(self, kind, reps, psi_seed, times):
+        scheme = Scheme(kind, reps)
+        psi = random_pure_state(1, np.random.default_rng(psi_seed))
+        expected = np.array([reference_exact(scheme, psi, t) for t in times])
+        assert np.concatenate(list(noise._run_exact(scheme, psi, times))).tobytes() == expected.tobytes()
+        assert scheme_coherences(scheme, psi, times).tobytes() == reference_coherences(scheme, psi, times).tobytes()
+        for t in times[:3]:
+            assert run_scheme(scheme, psi, t).matrix.tobytes() == reference_exact(scheme, psi, t).tobytes()
+            assert scheme_coherence(scheme, psi, t) == reference_coherences(scheme, psi, [t])[0]
+
+    @pytest.mark.parametrize("count,chunks", [(1023, [1023]), (1024, [1024]), (1025, [1024, 1]),
+                                              (2049, [1024, 1024, 1])])
+    def test_chunk_edges(self, count, chunks):
+        assert noise._EXACT_CHUNK == 1024
+        times = np.linspace(0.0, 3.0, count).tolist()
+        scheme = Scheme("phase3", 2)
+        assert [len(rho) for rho in noise._run_exact(scheme, PLUS, times)] == chunks
+        got = scheme_coherences(scheme, IPLUS, times)
+        assert got.tobytes() == reference_coherences(scheme, IPLUS, times).tobytes()
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        """100,000 times, as ``noise --t`` may pass them, hold one chunk's
+        stacks and the result array: within twice a 1,024-time call."""
+        def peak(count):
+            times = np.linspace(0.0, 3.0, count).tolist()
+            tracemalloc.start()
+            try:
+                scheme_coherences(Scheme("phase3"), IPLUS, times)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(100_000) <= 2 * peak(1024)
+
+    def test_the_first_bad_time_is_named_after_the_input_is_checked(self, capsys):
+        from qeclab.cli import main
+
+        with pytest.raises(ValueError, match=r"\(got -1\)"):
+            scheme_coherences(Scheme("phase3"), IPLUS, [1, -1, math.nan])
+        with pytest.raises(ValueError, match=r"\(got nan\)"):
+            scheme_coherences(Scheme("phase3"), IPLUS, [1, math.nan, -1])
+        with pytest.raises(ValueError, match="off-diagonal"):
+            scheme_coherences(Scheme("phase3"), PureState.from_bits("0"), [-1])
+        assert main(["noise", "--scheme", "phase3", "--t", "1", "-1", "2"]) == 2
+        assert capsys.readouterr().err == "error: exposure time must be finite and nonnegative (got -1.0)\n"
+
+    def test_no_times_give_no_coherences(self):
+        assert scheme_coherences(Scheme("zeno2"), IPLUS, []).shape == (0,)
 
 
 class TestNShot:
@@ -504,12 +583,16 @@ class TestBlocksOnAPool:
     def force(monkeypatch, workers):
         monkeypatch.setattr(noise, "_workers", lambda: workers)
 
-    def test_every_worker_count_gives_the_same_bits(self, monkeypatch):
+    @pytest.mark.parametrize("shots", [SHOTS, 2 * MC_BLOCK - 1, MC_BLOCK + 1])
+    def test_every_worker_count_gives_the_same_bits(self, monkeypatch, shots):
+        """A lone point's partial last block is a job of its own when a
+        worker would idle (2 * MC_BLOCK - 1 shots), never one of one
+        trajectory (MC_BLOCK + 1): the bits do not change."""
         results = []
         for workers in (1, 2, 3):
             self.force(monkeypatch, workers)
-            results.append((figure5_data(3.0, 2, shots=self.SHOTS, seed=5),
-                            mc_coherence(Scheme("phase3", 3), IPLUS, 0.7, self.SHOTS, seed=9)))
+            results.append((figure5_data(3.0, 2, shots=shots, seed=5),
+                            mc_coherence(Scheme("phase3", 3), IPLUS, 0.7, shots, seed=9)))
         assert results[0] == results[1] == results[2]       # float fields compare bit for bit
         assert any(t.name.startswith("qeclab-mc") for t in threading.enumerate())
 
@@ -579,16 +662,44 @@ class TestBlocksOnAPool:
         np.testing.assert_array_equal(rows[:shots - lone], blocks[:shots - lone])
         assert np.abs(rows[shots - lone:] - blocks[shots - lone:]).max(initial=0.0) < 1e-15
 
-    @pytest.mark.parametrize("shots", [2, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK - 1,
-                                       2 * MC_BLOCK, 3 * MC_BLOCK + 5, 6 * MC_BLOCK - 1])
-    def test_each_job_is_one_full_block_or_the_last_full_block_and_the_rest(self, shots):
-        spans = noise._job_spans(shots)
+    @pytest.mark.parametrize("shots", [2, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, MC_BLOCK + 2,
+                                       2 * MC_BLOCK - 1, 2 * MC_BLOCK, 3 * MC_BLOCK + 5, 6 * MC_BLOCK - 1])
+    @pytest.mark.parametrize("min_jobs", [1, 2, 4, 7])
+    def test_each_job_is_one_full_block_or_the_last_full_block_and_the_rest(self, shots, min_jobs):
+        """The rest rides with the last full block, unless that makes fewer
+        than ``min_jobs`` jobs and the rest is 2 or more trajectories."""
+        spans = noise._job_spans(shots, min_jobs)
         assert [start for start, _ in spans] == [b * MC_BLOCK for b in range(len(spans))]
         assert [stop for _, stop in spans] == [start for start, _ in spans[1:]] + [shots]
-        for start, stop in spans:
-            assert stop - start <= 2 * MC_BLOCK - 1
-            assert stop - start >= MC_BLOCK or shots < MC_BLOCK
-        assert len(spans) == max(shots // MC_BLOCK, 1)
+        full, rest = divmod(shots, MC_BLOCK)
+        alone = full >= 1 and rest >= 2 and full < min_jobs
+        for start, stop in spans[:-1]:
+            assert stop - start == MC_BLOCK
+        last = spans[-1][1] - spans[-1][0]
+        assert last == (rest if alone else MC_BLOCK + rest if full else shots)
+        assert len(spans) == max(full, 1) + alone
+        assert noise._job_spans(shots) == noise._job_spans(shots, 1)
+
+    @pytest.mark.parametrize("points,workers,spans", [
+        (1, 1, [(0, 2 * MC_BLOCK - 1)]),
+        (1, 2, [(0, MC_BLOCK), (MC_BLOCK, 2 * MC_BLOCK - 1)]),
+        (2, 2, [(0, 2 * MC_BLOCK - 1)]),
+        (2, 3, [(0, MC_BLOCK), (MC_BLOCK, 2 * MC_BLOCK - 1)]),
+        (12, 4, [(0, 2 * MC_BLOCK - 1)]),
+    ])
+    def test_a_call_with_fewer_jobs_than_workers_splits_the_rest(self, monkeypatch, points, workers, spans):
+        self.force(monkeypatch, workers)
+        ran = []
+        real = noise._trajectory_job
+
+        def recording(scheme, psi, sigma, seed, start, stop):
+            ran.append((start, stop))
+            return real(scheme, psi, sigma, seed, start, stop)
+
+        monkeypatch.setattr(noise, "_trajectory_job", recording)
+        shots = 2 * MC_BLOCK - 1
+        list(noise.mc_estimates([(Scheme("uncoded"), IPLUS, 0.5, i) for i in range(points)], shots))
+        assert sorted(ran) == sorted(spans * points)
 
     def test_points_run_heaviest_first_and_equal_weights_keep_their_order(self, monkeypatch):
         self.force(monkeypatch, 1)              # the caller runs the jobs in the order the pool gets them

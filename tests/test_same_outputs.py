@@ -1,7 +1,7 @@
 """``tools/same_outputs.py``: its comparison step on synthetic records, and
 whole runs on this repository, against itself and against a copy whose
-``simulate-pulses`` prints one number differently (its ``search`` and MC
-commands stay equal)."""
+``simulate-pulses`` prints one number differently (its ``search``, MC and
+exact-noise commands stay equal)."""
 
 import importlib.util
 import re
@@ -14,7 +14,8 @@ same_outputs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(same_outputs)
 
 SUMMARY = re.compile(r"(\d+) verify_suite commands, (\d+) differ; (\d+) programs commands, (\d+) differ; "
-                     r"(\d+) search commands, (\d+) differ; (\d+) mc commands, (\d+) differ")
+                     r"(\d+) search commands, (\d+) differ; (\d+) mc commands, (\d+) differ; "
+                     r"(\d+) exact commands, (\d+) differ")
 
 
 def record(argv: list, **fields) -> dict:
@@ -47,9 +48,10 @@ def summary(capsys) -> tuple:
 def test_the_repository_matches_itself(capsys):
     args = ["--base", str(ROOT), "--change", str(ROOT), "--seeds", "3", "--programs", "20"]
     assert same_outputs.main(args) == 0
-    verify, verify_diffs, programs, program_diffs, searches, search_diffs, mc, mc_diffs = summary(capsys)
-    assert verify > 0 and programs >= 20 and searches == 4 and mc == 5
-    assert verify_diffs == program_diffs == search_diffs == mc_diffs == 0
+    verify, verify_diffs, programs, program_diffs, searches, search_diffs, mc, mc_diffs, exact, exact_diffs = (
+        summary(capsys))
+    assert verify > 0 and programs >= 20 and searches == 4 and mc == 7 and exact == 2
+    assert verify_diffs == program_diffs == search_diffs == mc_diffs == exact_diffs == 0
 
 
 def test_a_changed_output_is_reported(tmp_path, capsys):
@@ -60,6 +62,8 @@ def test_a_changed_output_is_reported(tmp_path, capsys):
     cli.write_text(text.replace('"n_pulses": seq.cost,', '"n_pulses": seq.cost + 1,'), encoding="utf-8")
     args = ["--base", str(ROOT), "--change", str(tmp_path), "--seeds", "3", "--programs", "6"]
     assert same_outputs.main(args) == 1
-    verify, verify_diffs, programs, program_diffs, searches, search_diffs, mc, mc_diffs = summary(capsys)
+    verify, verify_diffs, programs, program_diffs, searches, search_diffs, mc, mc_diffs, exact, exact_diffs = (
+        summary(capsys))
     assert verify_diffs > 0 and program_diffs == 6       # every simulate-pulses command
-    assert searches == 4 and search_diffs == 0 and mc == 5 and mc_diffs == 0
+    assert searches == 4 and search_diffs == 0 and mc == 7 and mc_diffs == 0
+    assert exact == 2 and exact_diffs == 0

@@ -24,7 +24,13 @@ In each checkout, one child process imports ``qeclab`` from the checkout's
   whose points span two full MC blocks and a partial one; ``figure5
   --steps 3 --shots 4097``, where one trajectory rides with a full block;
   and ``noise --scheme phase3 --n 10 --t 1 --shots 20000``, one point of
-  several jobs.
+  several jobs; and two lone points, ``noise --scheme phase3 --n 3 --t 0.7``
+  at ``--shots 8191``, whose partial block is a job of its own when a
+  worker would idle, and at ``--shots 4097``, whose one extra trajectory
+  never is;
+* two exact-only commands: ``noise --scheme phase3 --n 10`` at 1,500 evenly
+  spaced times in [0, 3], which cross a chunk of the exact route, and
+  ``figure5 --steps 60`` without shots.
 
 Both children run in the same work directory, since paths appear in the
 output, with one BLAS thread and no ``*SEED*`` variable in the environment,
@@ -61,6 +67,11 @@ MC_NOISE = ["noise", "--scheme", "phase3", "--n", "3", "--psi", "iplus", "--t", 
             "--shots", "9000"]
 MC_FIGURE5_RIDER = ["figure5", "--steps", "3", "--shots", "4097"]
 MC_ONE_POINT = ["noise", "--scheme", "phase3", "--n", "10", "--t", "1", "--shots", "20000"]
+MC_LONE_POINTS = [["noise", "--scheme", "phase3", "--n", "3", "--t", "0.7", "--shots", shots]
+                  for shots in ("8191", "4097")]
+EXACT_NOISE = ["noise", "--scheme", "phase3", "--n", "10", "--t",
+               *map(repr, np.linspace(0.0, 3.0, 1500).tolist())]
+EXACT_FIGURE5 = ["figure5", "--steps", "60"]
 PROGRAM_SEED = 2026
 FAMILIES = ("compiled", "spliced", "leaky")
 PULSE_KINDS = ("WPhon", "VPulse", "VPhon", "OneQubit")     # each with a ``dag`` flag
@@ -137,7 +148,7 @@ def child(src: str, workdir: str, seeds: str, programs: str, records: str) -> No
     from perfbench.workloads import encoder_search, figure5_mc, verify_suite
     if not Path(qeclab.cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"same_outputs: imported {qeclab.cli.__file__}, not from {src}")
-    done = {"verify_suite": [], "programs": [], "search": [], "mc": []}
+    done = {"verify_suite": [], "programs": [], "search": [], "mc": [], "exact": []}
     for seed in json.loads(seeds):
         folder = Path(workdir) / f"verify_suite_seed{seed}"
         folder.mkdir(parents=True)
@@ -168,8 +179,12 @@ def child(src: str, workdir: str, seeds: str, programs: str, records: str) -> No
         argvs = [op.argv for op in wl.warmup + wl.unit] + [
             MC_NOISE + ["--seed", str(seed)],
             MC_FIGURE5_RIDER + ["--seed", str(seed), "--out", str(folder / "rider.csv")],
-            MC_ONE_POINT + ["--seed", str(seed)]]
+            MC_ONE_POINT + ["--seed", str(seed)]] + [argv + ["--seed", str(seed)] for argv in MC_LONE_POINTS]
         done["mc"] += [run_command(qeclab.cli.main, argv) for argv in argvs]
+    folder = Path(workdir) / "exact"
+    folder.mkdir(parents=True)
+    for argv in (EXACT_NOISE, EXACT_FIGURE5 + ["--out", str(folder / "figure5.csv")]):
+        done["exact"].append(run_command(qeclab.cli.main, argv))
     Path(records).write_text(json.dumps(done), encoding="utf-8")
 
 
@@ -219,7 +234,7 @@ def main(argv=None) -> int:
                                    Path(tmp) / f"{side}.json")
             seconds[side] = time.perf_counter() - start
     diffs, counts = [], []
-    for part in ("verify_suite", "programs", "search", "mc"):
+    for part in ("verify_suite", "programs", "search", "mc", "exact"):
         found = compare(sides["base"][part], sides["change"][part])
         diffs += [f"{part} {line}" for line in found]
         counts.append(f"{len(sides['change'][part])} {part} commands, {len(found)} differ")
