@@ -89,8 +89,10 @@ class Pulse:
         """A ``OneQubit`` pulse on the read-only matrix of a pulse already
         built, without checking it again."""
         pulse = object.__new__(cls)
-        for name, value in (("kind", "OneQubit"), ("ion", ion), ("matrix", matrix), ("label", label)):
-            object.__setattr__(pulse, name, value)
+        object.__setattr__(pulse, "kind", "OneQubit")
+        object.__setattr__(pulse, "ion", ion)
+        object.__setattr__(pulse, "matrix", matrix)
+        object.__setattr__(pulse, "label", label)
         return pulse
 
     def dagger(self) -> "Pulse":

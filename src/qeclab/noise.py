@@ -19,13 +19,15 @@ decodes and corrects, and repeats n times. Coherence is measured as
 C = |<1|rho|0> / <1|rho_0|0>|. Both an exact density-matrix route and a
 seeded Monte-Carlo trajectory route are provided. Both read the same recovery
 operators and compute on arrays; ``run_scheme`` wraps the exact route's
-output in a checked ``DensityMatrix`` for the Python API. Trajectories are
-drawn in blocks of ``MC_BLOCK``, each keyed by (seed, block index), so results
-do not depend on execution order. Every MC command runs its points through
-one path, as jobs of whole blocks (a partial last block rides with the full
-block before it, unless that would leave a worker idle), heaviest point first: on a small thread pool when BLAS runs
-one thread, else in the caller, one by one; the outputs have the same bits
-either way, and come back in input order.
+output in a checked ``DensityMatrix`` for the Python API. The exact route
+runs all of a call's times at once, as a stack of density matrices, in
+chunks of ``_EXACT_CHUNK`` times. Trajectories are drawn in blocks of
+``MC_BLOCK``, each keyed by (seed, block index), so results do not depend on
+execution order. Every MC command runs its points through one path, as jobs
+of whole blocks (a partial last block rides with the full block before it,
+unless that would leave a worker idle), heaviest point first: on a small
+thread pool when BLAS runs one thread, else in the caller, one by one; the
+outputs have the same bits either way, and come back in input order.
 """
 
 from __future__ import annotations
@@ -244,9 +246,9 @@ def _run_exact(scheme: Scheme, psi: PureState, times: Sequence[float]):
     chunks of at most ``_EXACT_CHUNK`` times.
 
     Each repetition runs once per chunk, on the whole stack: slice k holds
-    time k, and every product, dephasing and recovery sum acts on it as the
-    2-D route acted on one time's matrix (a stacked matmul makes the same
-    2-D product per slice), so each slice has that route's bits.
+    time k, and every product, dephasing and recovery sum acts on it as on
+    that time's matrix alone (a stacked matmul makes the same 2-D product
+    per slice), so each slice has the bits of its time run alone.
     """
     n, isometry, recovery = _model(scheme.kind)
     n_reps = scheme.repetitions
@@ -350,13 +352,14 @@ def _trajectory_rows(points: list, shots: int):
 
     A point is a ``_trajectory_point``; its block b holds trajectories
     [b * MC_BLOCK, (b + 1) * MC_BLOCK), whatever the shot count, and its jobs
-    are ``_job_spans(shots)``, or, when all points together would have
-    fewer jobs than ``_workers()``, with each partial last block of 2 or more
-    trajectories a job of its own. The points run by their scheme's ``_weight``,
-    largest first (a stable sort: equal weights keep their order), so the
-    longest jobs do not finish last. Every point's jobs run in turn through
-    ``_in_order``, so on the pool the next jobs run while the caller reads a
-    point's rows, and only one point's rows are held here at a time.
+    are ``_job_spans(shots)``; when all points together would have fewer
+    jobs than ``_workers()``, each partial last block of 2 or more
+    trajectories is a job of its own. The points run by their scheme's
+    ``_weight``, largest first (a stable sort: equal weights keep their
+    order), so the longest jobs do not finish last. Every point's jobs run in
+    turn through ``_in_order``, so on the pool the next jobs run while the
+    caller reads a point's rows, and only one point's rows are held here at
+    a time.
     """
     order = sorted(range(len(points)), key=lambda i: -_weight(points[i][0]))
     spans = _job_spans(shots, -(-_workers() // max(len(points), 1)))

@@ -292,7 +292,8 @@ class TestExactStack:
         psi = random_pure_state(1, np.random.default_rng(psi_seed))
         expected = np.array([reference_exact(scheme, psi, t) for t in times])
         assert np.concatenate(list(noise._run_exact(scheme, psi, times))).tobytes() == expected.tobytes()
-        assert scheme_coherences(scheme, psi, times).tobytes() == reference_coherences(scheme, psi, times).tobytes()
+        expected = reference_coherences(scheme, psi, times)
+        assert scheme_coherences(scheme, psi, times).tobytes() == expected.tobytes()
         for t in times[:3]:
             assert run_scheme(scheme, psi, t).matrix.tobytes() == reference_exact(scheme, psi, t).tobytes()
             assert scheme_coherence(scheme, psi, t) == reference_coherences(scheme, psi, [t])[0]

@@ -179,7 +179,8 @@ def child(src: str, workdir: str, seeds: str, programs: str, records: str) -> No
         argvs = [op.argv for op in wl.warmup + wl.unit] + [
             MC_NOISE + ["--seed", str(seed)],
             MC_FIGURE5_RIDER + ["--seed", str(seed), "--out", str(folder / "rider.csv")],
-            MC_ONE_POINT + ["--seed", str(seed)]] + [argv + ["--seed", str(seed)] for argv in MC_LONE_POINTS]
+            MC_ONE_POINT + ["--seed", str(seed)],
+            *(argv + ["--seed", str(seed)] for argv in MC_LONE_POINTS)]
         done["mc"] += [run_command(qeclab.cli.main, argv) for argv in argvs]
     folder = Path(workdir) / "exact"
     folder.mkdir(parents=True)
