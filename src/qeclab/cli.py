@@ -45,17 +45,7 @@ from .iontrap import (
     simulate_pulse_sequence,
     verify_compilation,
 )
-from .noise import (
-    IPLUS,
-    PLUS,
-    CoherenceCurve,
-    CurveSample,
-    Scheme,
-    curves_to_csv,
-    figure5_data,
-    mc_estimates,
-    scheme_coherences,
-)
+from .noise import IPLUS, MAX_STEPS, PLUS, Scheme, coherence_curves, curves_to_csv, figure5_data
 from .search import VALIDITY_MODES, SearchConfig, is_valid_perfect_code, pulse_cost, search
 from .states import PureState, fidelity
 
@@ -64,6 +54,7 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 MAX_TRIALS = 1000
+MAX_TIMES = MAX_STEPS + 1       # one figure5 curve's grid
 
 # Input files larger than these are refused before they are read. Per op,
 # serialize_circuit spells at most 157 bytes (a six-qubit CPHASE; 243
@@ -366,16 +357,11 @@ def _psi_from_args(args) -> PureState:
 
 
 def cmd_noise(args) -> int:
+    if len(args.t) > MAX_TIMES:
+        raise ValueError(f"--t takes at most {MAX_TIMES} times (got {len(args.t)})")
     psi = _psi_from_args(args)
-    scheme = Scheme(args.scheme, args.n)
-    estimates = None
-    if args.shots is not None:
-        estimates = mc_estimates([(scheme, psi, t, args.seed) for t in args.t], args.shots)
-    samples = []
-    for t, c_exact in zip(args.t, scheme_coherences(scheme, psi, args.t).tolist()):
-        c_mc, stderr = (None, None) if estimates is None else next(estimates)
-        samples.append(CurveSample(t, c_exact, c_mc, stderr))
-    print(curves_to_csv([CoherenceCurve(scheme.kind, scheme.repetitions, tuple(samples))]), end="")
+    curve = (Scheme(args.scheme, args.n), psi, args.t, [args.seed] * len(args.t))
+    print(curves_to_csv(coherence_curves([curve], args.shots)), end="")
     return EXIT_OK
 
 

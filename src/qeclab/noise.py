@@ -25,15 +25,17 @@ chunks of ``_EXACT_CHUNK`` times. Trajectories are drawn in blocks of
 ``MC_BLOCK``, each keyed by (seed, block index), so results do not depend on
 execution order. Every MC command runs its points through one path, as jobs
 of whole blocks (a partial last block rides with the full block before it,
-unless that would leave a worker idle), heaviest point first: on a small
-thread pool when BLAS runs one thread, else in the caller, one by one; the
-outputs have the same bits either way, and come back in input order.
+unless that would leave a worker idle), heaviest point first, on a small
+thread pool: a thread per usable CPU (at most four) when BLAS runs one
+thread, else one. The outputs have the same bits at any worker count, and
+come back in input order.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import itertools
 import math
 import os
 import re
@@ -147,7 +149,7 @@ def _phase_width(t: float, slices: int) -> float:
     return sigma
 
 
-# --- running jobs: in the caller, or on a small thread pool ---------------------
+# --- running jobs on a small thread pool ----------------------------------------
 
 # Threads that run MC jobs, at most; fewer when the process may use fewer CPUs.
 _MAX_WORKERS = 4
@@ -176,8 +178,8 @@ _ONE_BLAS_THREAD = _blas_threads(os.environ) == 1
 
 def _workers() -> int:
     """Threads that run MC jobs: with one BLAS thread, the CPUs this process
-    may use, at most ``_MAX_WORKERS``; else 1, the caller itself, since every
-    pool thread would run BLAS's own threads on top of the pool's."""
+    may use, at most ``_MAX_WORKERS``; else 1, since every further thread
+    would run BLAS's own threads on top of the others'."""
     if not _ONE_BLAS_THREAD:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -195,18 +197,14 @@ def _pool(workers: int):
 def _in_order(fn, jobs):
     """Yield ``fn(*job)`` for each job, in job order.
 
-    With one worker (``_workers``) the caller runs each job as its result is
-    read. With more, the jobs run on the pool, at most ``_WINDOW_PER_WORKER``
-    per worker submitted and not yet read. A job's exception is raised to the
-    reader when its result is read; the jobs behind it are then cancelled, or
-    waited for when already running, so none outlives the call.
+    The jobs run on the pool of ``_workers()`` threads, at most
+    ``_WINDOW_PER_WORKER`` per worker submitted and not yet read. A job's
+    exception is raised to the reader when its result is read; the jobs
+    behind it are then cancelled, or waited for when already running, so
+    none outlives the call.
     """
-    workers = _workers()
-    if workers == 1:
-        for job in jobs:
-            yield fn(*job)
-        return
     from concurrent.futures import wait
+    workers = _workers()
     pool, window, pending = _pool(workers), _WINDOW_PER_WORKER * workers, collections.deque()
     try:
         for job in jobs:
@@ -357,7 +355,7 @@ def _trajectory_rows(points: list, shots: int):
     trajectories is a job of its own. The points run by their scheme's
     ``_weight``, largest first (a stable sort: equal weights keep their
     order), so the longest jobs do not finish last. Every point's jobs run in
-    turn through ``_in_order``, so on the pool the next jobs run while the
+    turn through ``_in_order``, so the pool runs the next jobs while the
     caller reads a point's rows, and only one point's rows are held here at
     a time.
     """
@@ -426,32 +424,23 @@ def mc_coherence(scheme: Scheme, psi: PureState, t: float, shots: int, seed=None
     elements z is the delta method's: the spread of z projected on the
     direction of the mean, over sqrt(shots).
     """
-    return next(mc_estimates([(scheme, psi, t, seed)], shots))
+    return mc_estimates([(scheme, psi, t, seed)], shots)[0]
 
 
-def mc_estimates(points: Sequence[tuple], shots: int):
-    """``mc_coherence`` of each (scheme, psi, t, seed) point, in order, as an
-    iterator: every point is checked before any trajectory runs, and the jobs
-    of all points run through one ``_trajectory_rows``, heaviest point first.
-    Each point's rows are reduced as they come, and an estimate waits, as two
-    floats, until the points before it are read."""
+def mc_estimates(points: Sequence[tuple], shots: int) -> list:
+    """``mc_coherence`` of each (scheme, psi, t, seed) point, as a list in
+    input order: every point is checked before any trajectory runs, and the
+    jobs of all points run through one ``_trajectory_rows``, heaviest point
+    first. Each point's rows are reduced as they come, to two floats."""
     refs, checked = [], []
     for scheme, psi, t, seed in points:
         refs.append(_off_diagonal(psi))
         checked.append(_trajectory_point(scheme, psi, t, shots, seed))
-    return _in_input_order(_trajectory_rows(checked, shots), refs)
-
-
-def _in_input_order(rows, refs: list):
-    """The estimates of ``rows``' (index, states) pairs, in index order."""
-    done = {}
-    with contextlib.closing(rows):
-        for i in range(len(refs)):
-            while i not in done:
-                j, states = next(rows)
-                done[j] = _estimate(states, refs[j])
-                del states                      # one point's rows alive at a time
-            yield done.pop(i)
+    estimates = [None] * len(checked)
+    for i, states in _trajectory_rows(checked, shots):
+        estimates[i] = _estimate(states, refs[i])
+        del states                      # one point's rows alive at a time
+    return estimates
 
 
 def _estimate(states: np.ndarray, z0: complex) -> tuple:
@@ -523,6 +512,26 @@ class CoherenceCurve:
     samples: tuple
 
 
+def coherence_curves(curves: Sequence[tuple], shots: Optional[int] = None) -> list:
+    """A ``CoherenceCurve`` of each (scheme, psi, times, seeds) curve: the
+    exact coherence at each of ``times`` and, with ``shots`` set, the
+    ``mc_coherence`` of each time with its seed (``seeds`` is read only
+    then). The MC points of every curve are checked first and run in one
+    ``mc_estimates`` call; then each curve's exact values come from one
+    ``scheme_coherences`` call."""
+    if shots is None:
+        estimates = itertools.repeat((None, None))
+    else:
+        estimates = iter(mc_estimates([(scheme, psi, t, seed) for scheme, psi, times, seeds in curves
+                                       for t, seed in zip(times, seeds)], shots))
+    built = []
+    for scheme, psi, times, _ in curves:
+        samples = tuple(CurveSample(t, c_exact, *next(estimates))
+                        for t, c_exact in zip(times, scheme_coherences(scheme, psi, times).tolist()))
+        built.append(CoherenceCurve(scheme.kind, scheme.repetitions, samples))
+    return built
+
+
 def figure5_data(t_max: float, steps: int, shots: Optional[int] = None, seed=0):
     """Coherence curves of ``DEFAULT_CURVES`` from the input IPLUS, on a
     uniform grid of ``steps + 1`` points in [0, t_max].
@@ -536,21 +545,12 @@ def figure5_data(t_max: float, steps: int, shots: Optional[int] = None, seed=0):
     if steps > MAX_STEPS:
         raise ValueError(f"steps must be <= {MAX_STEPS} (got {steps})")
     grid = np.linspace(0.0, t_max, steps + 1).tolist()
-    schemes = [Scheme(kind, reps) for kind, reps in DEFAULT_CURVES]
-    estimates = None
-    if shots is not None:
-        estimates = mc_estimates(
-            [(scheme, IPLUS, t, np.random.SeedSequence(entropy=seed, spawn_key=(curve_idx, t_idx)))
-             for curve_idx, scheme in enumerate(schemes) for t_idx, t in enumerate(grid)], shots)
     curves = []
-    for scheme in schemes:
-        exact = scheme_coherences(scheme, IPLUS, grid).tolist()    # while the pool runs on
-        samples = []
-        for t, c_exact in zip(grid, exact):
-            c_mc, stderr = (None, None) if estimates is None else next(estimates)
-            samples.append(CurveSample(t, c_exact, c_mc, stderr))
-        curves.append(CoherenceCurve(scheme.kind, scheme.repetitions, tuple(samples)))
-    return curves
+    for curve_idx, (kind, reps) in enumerate(DEFAULT_CURVES):
+        seeds = None if shots is None else [
+            np.random.SeedSequence(entropy=seed, spawn_key=(curve_idx, t_idx)) for t_idx in range(len(grid))]
+        curves.append((Scheme(kind, reps), IPLUS, grid, seeds))
+    return coherence_curves(curves, shots)
 
 
 def curves_to_csv(curves: Sequence[CoherenceCurve]) -> str:

@@ -711,9 +711,8 @@ print(*run("noise", "--scheme", "phase3", "--n", "3", "--t", "0", "0.5", "1.5", 
 
 
 def test_commands_without_shots_start_no_thread(tmp_path):
-    """With one BLAS thread MC blocks run on a pool, made on first use: a
-    command without ``--shots`` neither loads ``concurrent.futures`` nor
-    starts a thread."""
+    """MC blocks run on a pool, made on first use: a command without
+    ``--shots`` neither loads ``concurrent.futures`` nor starts a thread."""
     src = str(Path(qeclab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
            "OPENBLAS_NUM_THREADS": "1"}
@@ -722,8 +721,45 @@ def test_commands_without_shots_start_no_thread(tmp_path):
     assert proc.returncode == 0, proc.stderr
     (workers, threads), no_mc, figure5, with_mc = [line.split() for line in proc.stdout.splitlines()]
     assert threads == "1" and no_mc == figure5 == ["1", "False"]
-    if int(workers) > 1:
-        assert int(with_mc[0]) > 1 and with_mc[1] == "True"
+    assert int(with_mc[0]) > 1 and with_mc[1] == "True"
+
+
+BLAS_PROBE = """
+import contextlib, io, json, sys, threading
+import qeclab.cli, qeclab.noise
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert qeclab.cli.main(list(argv)) == 0
+    return out.getvalue(), any(t.name.startswith("qeclab-mc") for t in threading.enumerate())
+noise = run("noise", "--scheme", "phase3", "--n", "3", "--t", "0", "0.5", "1.5",
+            "--shots", "9000", "--seed", "1")
+figure5 = run("figure5", "--steps", "2", "--shots", "5000", "--out", "f.csv")
+print(json.dumps([qeclab.noise._workers(), noise, figure5, open("f.csv").read()]))
+"""
+
+
+def test_mc_commands_give_the_same_bytes_at_either_blas_setting(tmp_path):
+    """With BLAS's own thread count the MC jobs run on a pool of one worker,
+    with one BLAS thread on a worker per usable CPU (at most four): the
+    stdout and the CSV bytes are the same, and both runs start the pool."""
+    src = str(Path(qeclab.__file__).resolve().parents[1])
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if "SEED" not in k.upper() and k not in blas}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    runs = {}
+    for name, extra in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        (tmp_path / name).mkdir()
+        proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], cwd=tmp_path / name, env={**base, **extra},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs[name] = json.loads(proc.stdout)
+    cpus = len(os.sched_getaffinity(0))
+    assert runs["default"][0] == 1 and runs["one"][0] == min(cpus, 4)
+    assert runs["default"][1:] == runs["one"][1:]
+    (noise_out, noise_thread), (figure5_out, figure5_thread), csv = runs["default"][1:]
+    assert noise_out.count("\n") == 4 and figure5_out == "wrote f.csv: 12 rows\n" and csv.count("\n") == 13
+    assert noise_thread and figure5_thread
 
 
 def test_readme_commands_parse():
@@ -769,6 +805,21 @@ class TestUpperBounds:
         assert_one_error_line(code, out, err)
         assert str(MAX_STEPS) in err
         assert not out_path.exists()
+
+    def test_times_at_the_cap_run(self, capsys):
+        assert cli.MAX_TIMES == MAX_STEPS + 1 == 10_001
+        times = [repr(3.0 * i / (cli.MAX_TIMES - 1)) for i in range(cli.MAX_TIMES)]
+        code, out, err = run_cli(capsys, "noise", "--scheme", "phase3", "--n", "10", "--t", *times)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + cli.MAX_TIMES
+
+    def test_times_one_past_the_cap(self, capsys):
+        """The count is checked first: a custom state without amplitudes
+        would be refused after it."""
+        code, out, err = run_cli(capsys, "noise", "--scheme", "phase3", "--psi", "custom",
+                                 "--t", *["1"] * (cli.MAX_TIMES + 1))
+        assert_one_error_line(code, out, err)
+        assert f"--t takes at most {cli.MAX_TIMES} times (got {cli.MAX_TIMES + 1})" in err
 
     @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=FILE_COMMAND_IDS)
     def test_file_past_the_byte_cap(self, capsys, tmp_path, monkeypatch, argv):

@@ -25,6 +25,7 @@ from qeclab.noise import (
     MC_BLOCK,
     PLUS,
     SCHEME_KINDS,
+    CurveSample,
     Scheme,
     _trajectory_point,
     _trajectory_rows,
@@ -574,9 +575,53 @@ class TestFigure5:
             assert row[4] == row[3], row
 
 
+class TestCoherenceCurves:
+    """``coherence_curves`` builds the curves of the ``noise`` and ``figure5`` commands."""
+
+    SHOTS = MC_BLOCK + 9
+
+    @staticmethod
+    def curves():
+        return [(Scheme("phase3", 3), PLUS, [0.0, 0.9], [4, 5]),
+                (Scheme("zeno2"), IPLUS, [0.4], [np.random.SeedSequence(entropy=6, spawn_key=(1,))])]
+
+    def test_each_sample_has_the_bits_of_its_point_run_alone(self):
+        built = noise.coherence_curves(self.curves(), self.SHOTS)
+        assert isinstance(built, list) and len(built) == 2
+        for (scheme, psi, times, seeds), curve in zip(self.curves(), built):
+            assert (curve.scheme, curve.repetitions) == (scheme.kind, scheme.repetitions)
+            assert curve.samples == tuple(
+                CurveSample(t, scheme_coherence(scheme, psi, t),
+                            *mc_coherence(scheme, psi, t, self.SHOTS, seed))
+                for t, seed in zip(times, seeds))
+
+    def test_without_shots_no_seed_is_read(self):
+        built = noise.coherence_curves([(Scheme("phase3"), IPLUS, [0.5, 1.0], None)])
+        assert [(s.c_mc, s.mc_stderr) for s in built[0].samples] == [(None, None)] * 2
+
+    def test_one_mc_call_for_every_point_then_one_exact_call_per_curve(self, monkeypatch):
+        calls = []
+        mc, exact = noise.mc_estimates, noise.scheme_coherences
+        monkeypatch.setattr(noise, "mc_estimates",
+                            lambda points, shots: calls.append(("mc", len(points))) or mc(points, shots))
+        monkeypatch.setattr(noise, "scheme_coherences",
+                            lambda scheme, psi, times: calls.append(("exact", len(times)))
+                            or exact(scheme, psi, times))
+        noise.coherence_curves(self.curves(), 50)
+        assert calls == [("mc", 3), ("exact", 2), ("exact", 1)]
+
+    def test_every_mc_point_is_checked_before_any_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(noise, "_trajectory_job", lambda *job: ran.append(job))
+        curves = self.curves() + [(Scheme("uncoded"), IPLUS, [0.2, -1.0], [0, 0])]
+        with pytest.raises(ValueError, match="exposure time"):
+            noise.coherence_curves(curves, 50)
+        assert ran == []
+
+
 class TestBlocksOnAPool:
-    """With one BLAS thread, MC blocks run on a thread pool; ``noise._workers``
-    is the one hook that forces the worker count (1: the caller runs them)."""
+    """MC blocks run on a thread pool, of one thread unless BLAS runs one
+    thread; ``noise._workers`` is the one hook that forces the worker count."""
 
     SHOTS = 2 * MC_BLOCK + 17           # two full blocks and a partial one per point
 
@@ -699,11 +744,11 @@ class TestBlocksOnAPool:
 
         monkeypatch.setattr(noise, "_trajectory_job", recording)
         shots = 2 * MC_BLOCK - 1
-        list(noise.mc_estimates([(Scheme("uncoded"), IPLUS, 0.5, i) for i in range(points)], shots))
+        noise.mc_estimates([(Scheme("uncoded"), IPLUS, 0.5, i) for i in range(points)], shots)
         assert sorted(ran) == sorted(spans * points)
 
     def test_points_run_heaviest_first_and_equal_weights_keep_their_order(self, monkeypatch):
-        self.force(monkeypatch, 1)              # the caller runs the jobs in the order the pool gets them
+        self.force(monkeypatch, 1)              # one worker runs the jobs in the order the pool gets them
         started = []
         real = noise._trajectory_job
 
@@ -713,13 +758,13 @@ class TestBlocksOnAPool:
 
         monkeypatch.setattr(noise, "_trajectory_job", recording)
         shots = 2 * MC_BLOCK + 3
-        list(noise.mc_estimates(self.mixed_points(), shots))
+        noise.mc_estimates(self.mixed_points(), shots)
         assert started == [(i, start) for i in (1, 4, 3, 2, 0, 5) for start in (0, MC_BLOCK)]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_results_waiting_never_exceed_the_window(self, monkeypatch, workers):
         self.force(monkeypatch, workers)
-        window = noise._WINDOW_PER_WORKER * workers if workers > 1 else 1
+        window = noise._WINDOW_PER_WORKER * workers
         lock = threading.Lock()
         count = {"started": 0, "read": 0, "most": 0}
 
@@ -737,7 +782,7 @@ class TestBlocksOnAPool:
             got.append(value)
         assert got == list(range(40))
         assert count["most"] <= window
-        assert (count["most"] > 1) == (workers > 1)
+        assert count["most"] > 1                # one worker, too, runs ahead of the reader
 
     @pytest.mark.parametrize("environ,threads", [
         ({}, 0),
@@ -754,7 +799,7 @@ class TestBlocksOnAPool:
         assert noise._blas_threads(environ) == threads
 
     @pytest.mark.parametrize("one_blas_thread", [False, True])
-    def test_the_pool_runs_only_when_blas_runs_one_thread(self, monkeypatch, one_blas_thread):
+    def test_the_pool_has_one_worker_unless_blas_runs_one_thread(self, monkeypatch, one_blas_thread):
         monkeypatch.setattr(noise, "_ONE_BLAS_THREAD", one_blas_thread)
         cpus = len(os.sched_getaffinity(0))
         assert noise._workers() == (min(cpus, noise._MAX_WORKERS) if one_blas_thread else 1)

@@ -4,8 +4,8 @@ Usage, from anywhere:
 
     python3 tools/same_outputs.py --base ../parent --change . --seeds 3 7 11 --programs 3000
 
-In each checkout, one child process imports ``qeclab`` from the checkout's
-``src`` and runs ``qeclab.cli.main`` in-process over three sets of inputs:
+In each checkout, a child process imports ``qeclab`` from the checkout's
+``src`` and runs ``qeclab.cli.main`` in-process over five parts:
 
 * every command of the ``verify_suite`` benchmark workload at each seed (its
   warm-up batch, then its timed batch), then ``simulate-pulses --unitary``
@@ -32,9 +32,13 @@ In each checkout, one child process imports ``qeclab`` from the checkout's
   spaced times in [0, 3], which cross a chunk of the exact route, and
   ``figure5 --steps 60`` without shots.
 
-Both children run in the same work directory, since paths appear in the
-output, with one BLAS thread and no ``*SEED*`` variable in the environment,
-as ``perfbench/run.py`` runs commands. For each command the sha-256 of
+The child runs with one BLAS thread and no ``*SEED*`` variable in the
+environment, as ``perfbench/run.py`` runs commands. A second child then runs
+the MC part again, as ``mc_default_blas``, with OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS and OMP_NUM_THREADS unset, so that BLAS picks its own thread
+count and qeclab runs its MC jobs on one worker. Every child runs in the
+same fresh work directory, since paths appear in the output. For each
+command the sha-256 of
 stdout, of stderr and of the file it writes (``--out``), and the exit code,
 must be equal. JSON floats keep every bit and the sign of zero, so equal text
 means equal bits. The summary and up to 20 differences are printed; the exit
@@ -76,6 +80,7 @@ PROGRAM_SEED = 2026
 FAMILIES = ("compiled", "spliced", "leaky")
 PULSE_KINDS = ("WPhon", "VPulse", "VPhon", "OneQubit")     # each with a ``dag`` flag
 SHOWN = 20
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); import same_outputs; "
          "same_outputs.child(*sys.argv[2:])")
 
@@ -140,40 +145,51 @@ def program_commands(i: int, folder: Path, run) -> None:
     run(["simulate-pulses", "--pulses", str(pulses), "--ions", str(n), "--unitary"])
 
 
-def child(src: str, workdir: str, seeds: str, programs: str, records: str) -> None:
-    """The child process: run every command on the ``qeclab`` in ``src`` and
-    write the records, as a JSON object of lists, to ``records``."""
-    sys.path[:0] = [src, str(ROOT)]
-    import qeclab.cli
-    from perfbench.workloads import encoder_search, figure5_mc, verify_suite
-    if not Path(qeclab.cli.__file__).resolve().is_relative_to(Path(src).resolve()):
-        raise SystemExit(f"same_outputs: imported {qeclab.cli.__file__}, not from {src}")
-    done = {"verify_suite": [], "programs": [], "search": [], "mc": [], "exact": []}
-    for seed in json.loads(seeds):
-        folder = Path(workdir) / f"verify_suite_seed{seed}"
+def verify_suite_commands(main, workdir: Path, seeds: list, programs: int) -> list:
+    from perfbench.workloads import verify_suite
+    records = []
+    for seed in seeds:
+        folder = workdir / f"verify_suite_seed{seed}"
         folder.mkdir(parents=True)
         wl = verify_suite(seed, folder)
         for op in wl.warmup + wl.unit:
-            done["verify_suite"].append(run_command(qeclab.cli.main, op.argv))
+            records.append(run_command(main, op.argv))
         for pulses in sorted(folder.glob("*.pulses.json")):
             circuit = json.loads(pulses.with_name(pulses.name.replace(".pulses", ".qc")).read_text())
             argv = ["simulate-pulses", "--pulses", str(pulses), "--ions", str(circuit["n"]), "--unitary"]
-            done["verify_suite"].append(run_command(qeclab.cli.main, argv))
-    folder = Path(workdir) / "programs"
+            records.append(run_command(main, argv))
+    return records
+
+
+def program_set_commands(main, workdir: Path, seeds: list, programs: int) -> list:
+    records = []
+    folder = workdir / "programs"
     folder.mkdir(parents=True)
-    for i in range(int(programs)):
-        program_commands(i, folder, lambda argv: done["programs"].append(run_command(qeclab.cli.main, argv)))
-    for seed in json.loads(seeds):
-        folder = Path(workdir) / f"search_seed{seed}"
+    for i in range(programs):
+        program_commands(i, folder, lambda argv: records.append(run_command(main, argv)))
+    return records
+
+
+def search_commands(main, workdir: Path, seeds: list, programs: int) -> list:
+    from perfbench.workloads import encoder_search
+    records = []
+    for seed in seeds:
+        folder = workdir / f"search_seed{seed}"
         folder.mkdir(parents=True)
         wl = encoder_search(seed, folder)
         argvs = [op.argv for op in wl.warmup + wl.unit] + [
             ["search", "--start", str(ENCODER_24), "--budget", "1000", "--restarts", "2",
              "--seed", str(seed), "--mode", mode, "--out", str(folder / f"{mode}.qc.json")]
             for mode in SEARCH_MODES]
-        done["search"] += [run_command(qeclab.cli.main, argv) for argv in argvs]
-    for seed in json.loads(seeds):
-        folder = Path(workdir) / f"mc_seed{seed}"
+        records += [run_command(main, argv) for argv in argvs]
+    return records
+
+
+def mc_commands(main, workdir: Path, seeds: list, programs: int) -> list:
+    from perfbench.workloads import figure5_mc
+    records = []
+    for seed in seeds:
+        folder = workdir / f"mc_seed{seed}"
         folder.mkdir(parents=True)
         wl = figure5_mc(seed, folder)
         argvs = [op.argv for op in wl.warmup + wl.unit] + [
@@ -181,26 +197,59 @@ def child(src: str, workdir: str, seeds: str, programs: str, records: str) -> No
             MC_FIGURE5_RIDER + ["--seed", str(seed), "--out", str(folder / "rider.csv")],
             MC_ONE_POINT + ["--seed", str(seed)],
             *(argv + ["--seed", str(seed)] for argv in MC_LONE_POINTS)]
-        done["mc"] += [run_command(qeclab.cli.main, argv) for argv in argvs]
-    folder = Path(workdir) / "exact"
+        records += [run_command(main, argv) for argv in argvs]
+    return records
+
+
+def exact_commands(main, workdir: Path, seeds: list, programs: int) -> list:
+    folder = workdir / "exact"
     folder.mkdir(parents=True)
-    for argv in (EXACT_NOISE, EXACT_FIGURE5 + ["--out", str(folder / "figure5.csv")]):
-        done["exact"].append(run_command(qeclab.cli.main, argv))
+    argvs = (EXACT_NOISE, EXACT_FIGURE5 + ["--out", str(folder / "figure5.csv")])
+    return [run_command(main, argv) for argv in argvs]
+
+
+# The parts of a run, in the order the child runs them.
+PARTS = {"verify_suite": verify_suite_commands, "programs": program_set_commands,
+         "search": search_commands, "mc": mc_commands, "exact": exact_commands}
+
+
+def child(src: str, workdir: str, seeds: str, programs: str, parts: str, records: str) -> None:
+    """The child process: run the commands of each of ``parts`` on the
+    ``qeclab`` in ``src`` and write the records, as a JSON object of lists,
+    to ``records``."""
+    sys.path[:0] = [src, str(ROOT)]
+    import qeclab.cli
+    if not Path(qeclab.cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"same_outputs: imported {qeclab.cli.__file__}, not from {src}")
+    done = {part: PARTS[part](qeclab.cli.main, Path(workdir), json.loads(seeds), int(programs))
+            for part in json.loads(parts)}
     Path(records).write_text(json.dumps(done), encoding="utf-8")
 
 
-def run_side(checkout: Path, workdir: Path, seeds: list, programs: int, records: Path) -> dict:
+def run_child(checkout: Path, workdir: Path, seeds: list, programs: int, parts: list, records: Path,
+              env: dict) -> dict:
     """Run the child for one checkout in a fresh ``workdir``; its records."""
     shutil.rmtree(workdir, ignore_errors=True)
-    env = {k: v for k, v in os.environ.items() if "SEED" not in k.upper() and k != "PYTHONPATH"}
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     argv = [sys.executable, "-c", CHILD, str(Path(__file__).resolve().parent),
-            str(checkout.resolve() / "src"), str(workdir), json.dumps(seeds), str(programs), str(records)]
+            str(checkout.resolve() / "src"), str(workdir), json.dumps(seeds), str(programs),
+            json.dumps(parts), str(records)]
     proc = subprocess.run(argv, cwd=workdir.parent, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"same_outputs: the run in {checkout} exited {proc.returncode}: "
                          f"{proc.stderr.strip()[-600:]}")
     return json.loads(records.read_text(encoding="utf-8"))
+
+
+def run_side(checkout: Path, workdir: Path, seeds: list, programs: int, records: Path) -> dict:
+    """Every part's records for one checkout, with one BLAS thread, and the
+    ``mc`` part's again as ``mc_default_blas``, with BLAS's own thread count."""
+    env = {k: v for k, v in os.environ.items() if "SEED" not in k.upper() and k != "PYTHONPATH"}
+    default_blas = {k: v for k, v in env.items() if k not in BLAS_THREAD_VARIABLES}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = run_child(checkout, workdir, seeds, programs, list(PARTS), records, env)
+    again = run_child(checkout, workdir, seeds, programs, ["mc"], records, default_blas)
+    done["mc_default_blas"] = again["mc"]
+    return done
 
 
 def compare(base: list, change: list) -> list:
@@ -235,7 +284,7 @@ def main(argv=None) -> int:
                                    Path(tmp) / f"{side}.json")
             seconds[side] = time.perf_counter() - start
     diffs, counts = [], []
-    for part in ("verify_suite", "programs", "search", "mc", "exact"):
+    for part in (*PARTS, "mc_default_blas"):
         found = compare(sides["base"][part], sides["change"][part])
         diffs += [f"{part} {line}" for line in found]
         counts.append(f"{len(sides['change'][part])} {part} commands, {len(found)} differ")
