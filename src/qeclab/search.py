@@ -8,11 +8,18 @@ ones, then op count. The best *valid* candidate can only improve over the
 run, and it is re-checked from scratch at the end.
 
 Restarts are keyed by (seed, restart index), so a run is reproducible and
-restarts could execute in any order.
+restarts can execute in any order. They are cut into contiguous ranges, one
+per worker process of a small pool (a process per usable CPU, at most four,
+made on first use), and a lone range climbs in the caller. Each climb
+returns the iterations where it beat its own bests; the caller replays
+them in restart order, so the result has the same bytes at any worker count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -244,12 +251,24 @@ def _accept_key(cand: Candidate):
     return (0 if cand.valid else 1, penalty, len(cand.circuit.ops))
 
 
-def search(cfg: SearchConfig) -> SearchResult:
-    """Hill-climb from the start circuit (or a random one per restart).
+def _improves(cand: Candidate, best_valid: Optional[Candidate],
+              best_invalid: Optional[Candidate]) -> bool:
+    """Does ``cand`` beat the bests so far: a lower cost when valid, a lower
+    violation when invalid while nothing valid has been found?"""
+    if cand.valid:
+        return best_valid is None or cand.cost < best_valid.cost
+    return best_valid is None and (best_invalid is None or cand.violation < best_invalid.violation)
 
-    Returns the cheapest valid candidate found, plus the full cost trace.
-    When the budget runs out without a valid candidate the result carries the
-    least-violating circuit as a diagnostic instead.
+
+def _climb(cfg: SearchConfig, restart: int) -> tuple:
+    """One restart's hill climb: its generator, its start, then
+    ``cfg.budget // cfg.restarts`` proposals.
+
+    Returns ``(accepted, valid_proposals, records)``, where ``records`` holds
+    ``(iteration, current)`` at each iteration where the current candidate
+    beat this restart's own bests (``_improves``). The search's bests are
+    never worse than one restart's, so these are the only iterations at
+    which they can change.
     """
     def evaluate(circuit: Circuit, parent_ops: tuple = (), parent_blocks: Optional[list] = None):
         """The candidate and its codeword blocks after each op prefix: the
@@ -263,38 +282,142 @@ def search(cfg: SearchConfig) -> SearchResult:
         res = is_valid_perfect_code(circuit, cfg.validity_mode, block=blocks[-1])   # by name: tracers patch it
         return _candidate(circuit, res), blocks
 
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,)))
+    start = cfg.start if cfg.start is not None else random_circuit(
+        N_QUBITS, int(rng.integers(1, cfg.max_ops + 1)), rng, cfg.alphabet)
+    current, blocks = evaluate(start)
+    best_valid: Optional[Candidate] = None
+    best_invalid: Optional[Candidate] = None
+    records = []
+    accepted = valid_proposals = 0
+
+    for it in range(cfg.budget // cfg.restarts):
+        proposal, proposal_blocks = evaluate(mutate(current.circuit, cfg, rng),
+                                             current.circuit.ops, blocks)
+        valid_proposals += proposal.valid
+        if _accept_key(proposal) <= _accept_key(current):
+            current, blocks = proposal, proposal_blocks
+            accepted += 1
+        if _improves(current, best_valid, best_invalid):
+            if current.valid:
+                best_valid = current
+            else:
+                best_invalid = current
+            records.append((it, current))
+    return accepted, valid_proposals, records
+
+
+def _climbs(cfg: SearchConfig, first: int, stop: int) -> list:
+    """The climbs of restarts ``first .. stop - 1``, in order."""
+    return [_climb(cfg, restart) for restart in range(first, stop)]
+
+
+# --- climbing restarts on a small process pool ------------------------------------
+
+# Processes that climb restarts, at most; fewer when the process may use fewer CPUs.
+_MAX_WORKERS = 4
+# How often, in seconds, a worker checks that the process that made it still runs.
+_PARENT_CHECK_S = 0.5
+
+
+def _workers() -> int:
+    """Processes that climb a search's restarts: the CPUs this process may
+    use, at most ``_MAX_WORKERS``."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _orphan_watch(parent: int) -> None:
+    """End this worker once ``parent`` is no longer its parent process."""
+    while os.getppid() == parent:
+        time.sleep(_PARENT_CHECK_S)
+    os._exit(1)
+
+
+def _worker_start(parent: int) -> None:
+    """In each worker: leave Ctrl-C to the caller, which stops the pool, and
+    exit as soon as the caller is gone, however it ended (a worker blocked on
+    an empty queue would otherwise wait forever)."""
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=_orphan_watch, args=(parent,), daemon=True).start()
+
+
+@lru_cache(maxsize=None)
+def _pool(workers: int):
+    """The pool of ``workers`` processes, made on first use and shut down at
+    exit: ``concurrent.futures`` loads only then, so a command with no search
+    of several restarts starts no process."""
+    import atexit
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(workers, initializer=_worker_start, initargs=(os.getpid(),))
+    atexit.register(pool.shutdown)
+    return pool
+
+
+def _stop(pool) -> None:
+    """End the pool's workers now, not after their climbs, and forget it; the
+    next search makes a new one."""
+    processes = list((pool._processes or {}).values())   # as Python 3.14's terminate_workers()
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.terminate()
+    for process in processes:
+        process.join()
+    _pool.cache_clear()
+
+
+def _all_climbs(cfg: SearchConfig) -> list:
+    """Every restart's climb, in restart order.
+
+    The restarts are cut into ``min(restarts, _workers())`` contiguous,
+    near-equal ranges. One range runs in the caller, since a worker could
+    run nothing beside it; several run on the pool, one job each. An
+    exception or an interrupt while the jobs run stops the pool, so that no
+    climb outlives the call.
+    """
+    workers = _workers()
+    parts = min(cfg.restarts, workers)
+    if parts == 1:
+        return _climbs(cfg, 0, cfg.restarts)
+    cuts = [cfg.restarts * i // parts for i in range(parts + 1)]
+    pool = _pool(workers)
+    try:
+        jobs = [pool.submit(_climbs, cfg, first, stop) for first, stop in zip(cuts, cuts[1:])]
+        return [climb for job in jobs for climb in job.result()]
+    except BaseException:
+        _stop(pool)
+        raise
+
+
+def search(cfg: SearchConfig) -> SearchResult:
+    """Hill-climb from the start circuit (or a random one per restart).
+
+    Returns the cheapest valid candidate found, plus the full cost trace.
+    When the budget runs out without a valid candidate the result carries the
+    least-violating circuit as a diagnostic instead. The restarts' climbs
+    are merged in restart order, so the result is the same at any worker count.
+    """
     best_valid: Optional[Candidate] = None
     best_invalid: Optional[Candidate] = None
     history = []
-    iterations = accepted = valid_proposals = 0
-    per_restart = cfg.budget // cfg.restarts
+    accepted = valid_proposals = 0
 
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,)))
-        start = cfg.start if cfg.start is not None else random_circuit(
-            N_QUBITS, int(rng.integers(1, cfg.max_ops + 1)), rng, cfg.alphabet)
-        current, blocks = evaluate(start)
-
-        for it in range(per_restart):
-            iterations += 1
-            proposal, proposal_blocks = evaluate(mutate(current.circuit, cfg, rng),
-                                                 current.circuit.ops, blocks)
-            valid_proposals += proposal.valid
-            if _accept_key(proposal) <= _accept_key(current):
-                current, blocks = proposal, proposal_blocks
-                accepted += 1
-            if current.valid and (best_valid is None or current.cost < best_valid.cost):
-                best_valid = current
-                history.append(HistoryEntry(restart, it, current.cost, True, best_valid.cost))
-            elif not current.valid and best_valid is None and (
-                    best_invalid is None or current.violation < best_invalid.violation):
-                best_invalid = current
-                history.append(HistoryEntry(restart, it, current.cost, False, None))
+    for restart, (climb_accepted, climb_valid, records) in enumerate(_all_climbs(cfg)):
+        accepted += climb_accepted
+        valid_proposals += climb_valid
+        for it, current in records:
+            if _improves(current, best_valid, best_invalid):
+                if current.valid:
+                    best_valid = current
+                else:
+                    best_invalid = current
+                history.append(HistoryEntry(restart, it, current.cost, current.valid,
+                                            current.cost if current.valid else None))
 
     if best_valid is not None:
         if not is_valid_perfect_code(best_valid.circuit, cfg.validity_mode).valid:   # no block: from scratch
             raise AssertionError("search bookkeeping reported an invalid circuit as valid")
         best_invalid = None
-    return SearchResult(best_valid, best_invalid, tuple(history), cfg.seed, iterations,
-                        accepted, valid_proposals)
-
+    return SearchResult(best_valid, best_invalid, tuple(history), cfg.seed,
+                        cfg.restarts * (cfg.budget // cfg.restarts), accepted, valid_proposals)

@@ -1,13 +1,16 @@
 import contextlib
+import importlib
 import io
 import itertools
 import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -760,6 +763,110 @@ def test_mc_commands_give_the_same_bytes_at_either_blas_setting(tmp_path):
     (noise_out, noise_thread), (figure5_out, figure5_thread), csv = runs["default"][1:]
     assert noise_out.count("\n") == 4 and figure5_out == "wrote f.csv: 12 rows\n" and csv.count("\n") == 13
     assert noise_thread and figure5_thread
+
+
+def _session(sid: int) -> list:
+    """The processes of session ``sid``, as (pid, state), from /proc/*/stat."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        with contextlib.suppress(OSError):
+            text = stat.read_text()
+            state, _, _, session = text[text.rindex(")") + 2:].split()[:4]
+            if int(session) == sid:
+                found.append((int(stat.parent.name), state))
+    return found
+
+
+@pytest.fixture
+def start_session():
+    """Start a Python command in a session of its own, so that its workers are
+    found by session; whatever is left of it is killed at teardown."""
+    started = []
+
+    def start(*argv) -> subprocess.Popen:
+        src = str(Path(qeclab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        started.append(subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                        text=True, env=env, start_new_session=True))
+        return started[-1]
+
+    yield start
+    for proc in started:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+
+
+SEARCH_WORKERS = importlib.import_module("qeclab.search")._workers()
+SEARCH_PROCESSES = 1 + SEARCH_WORKERS if SEARCH_WORKERS > 1 else 1    # the caller and its pool
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")
+def test_a_search_on_the_pool_leaves_no_process(start_session):
+    """The pool is shut down at exit: the workers are gone when the command
+    is, and the shutdown prints nothing."""
+    proc = start_session("-m", "qeclab", "search", "--start", "reference", "--budget", "400", "--restarts", "4")
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, "")
+    assert json.loads(out)["iterations"] == 400
+    assert _session(proc.pid) == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")
+@pytest.mark.parametrize("how", ["interrupt", "ctrl_c", "kill"])
+def test_a_stopped_search_leaves_no_process(how, start_session):
+    """SIGINT to the command, or to its whole process group as Ctrl-C sends
+    it, ends a long search within 5 s: the caller stops the pool, whose
+    workers ignore SIGINT. A worker whose caller was killed exits by itself."""
+    proc = start_session("-m", "qeclab", "search", "--budget", "100000")
+    time.sleep(1)
+    deadline = time.monotonic() + 60
+    while len(_session(proc.pid)) < SEARCH_PROCESSES:
+        assert time.monotonic() < deadline and proc.poll() is None
+        time.sleep(0.05)
+    if how == "interrupt":
+        proc.send_signal(signal.SIGINT)
+    elif how == "ctrl_c":
+        os.killpg(proc.pid, signal.SIGINT)
+    else:
+        proc.kill()
+    out, err = proc.communicate(timeout=5)
+    if how == "kill":
+        assert proc.returncode == -signal.SIGKILL
+        deadline = time.monotonic() + 5      # workers notice within _PARENT_CHECK_S
+        while [p for p in _session(proc.pid) if p[1] != "Z"] and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [p for p in _session(proc.pid) if p[1] != "Z"] == []
+    else:
+        assert proc.returncode == -signal.SIGINT and out == ""
+        assert err.rstrip().endswith("KeyboardInterrupt")
+        assert _session(proc.pid) == []
+
+
+IDLE_POOL_PROBE = """
+import contextlib, io, sys
+import qeclab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    qeclab.cli.main(["search", "--start", "reference", "--budget", "40", "--restarts", "4"])
+print("pool made", flush=True)
+qeclab.cli.main(["search", "--budget", "100000", "--restarts", "1"])
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")
+def test_ctrl_c_leaves_idle_workers_quiet(start_session):
+    """Ctrl-C reaches every process of the group. While one restart climbs
+    in the caller, the pool's idle workers ignore it; the caller's traceback
+    is the only one, and the pool is shut down at exit."""
+    proc = start_session("-c", IDLE_POOL_PROBE)
+    assert proc.stdout.readline() == "pool made\n"
+    assert len(_session(proc.pid)) == SEARCH_PROCESSES
+    time.sleep(0.5)
+    os.killpg(proc.pid, signal.SIGINT)
+    out, err = proc.communicate(timeout=5)
+    assert proc.returncode == -signal.SIGINT and out == ""
+    assert err.count("Traceback") == 1 and "Process" not in err
+    assert err.rstrip().endswith("KeyboardInterrupt")
+    assert _session(proc.pid) == []
 
 
 def test_readme_commands_parse():

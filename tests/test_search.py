@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from concurrent.futures import Future
 from pathlib import Path
 from unittest import mock
 
@@ -291,7 +295,8 @@ def test_seeded_search_results_are_unchanged(seed):
 
 def _audited_search(cfg: SearchConfig):
     """Run the search recording every candidate it scores and every validity
-    call it makes, as (circuit, mode, block, result)."""
+    call it makes, as (circuit, mode, block, result). The climbs run in this
+    process, on one worker, so that the recording stand-ins reach them."""
     candidates, calls = [], []
     real_check, real_candidate = search_module.is_valid_perfect_code, search_module.Candidate
 
@@ -305,7 +310,8 @@ def _audited_search(cfg: SearchConfig):
         return candidates[-1]
 
     with mock.patch.object(search_module, "is_valid_perfect_code", check), \
-            mock.patch.object(search_module, "Candidate", candidate):
+            mock.patch.object(search_module, "Candidate", candidate), \
+            mock.patch.object(search_module, "_workers", lambda: 1):
         result = search(cfg)
     return result, candidates, calls
 
@@ -367,3 +373,80 @@ def test_seed0_cost_trace_and_rates_are_unchanged():
     keys = ("restart", "iteration", "cost", "valid", "best_valid_cost")
     assert [tuple(h[k] for k in keys) for h in doc["cost_trace"]] == SEED0_COST_TRACE
     assert (doc["accept_rate"], doc["valid_fraction"]) == (0.112, 0.246)
+
+
+class TestWorkerCount:
+    """The restarts' climbs are merged in restart order, so the result has
+    the same bytes whether one process or several climb them."""
+
+    # Later restarts improve on earlier ones in "nothing_valid" (its best
+    # invalid circuit) and in "five_restarts", whose 5 restarts divide by
+    # neither 2 nor 3 workers.
+    CONFIGS = {
+        "reference_auto": SearchConfig(start=five_qubit_code().encoder, budget=500, restarts=2,
+                                       seed=0, validity_mode="auto"),
+        "reference_exact": SearchConfig(start=five_qubit_code().encoder, budget=500, restarts=2,
+                                        seed=0, validity_mode="exact"),
+        "nothing_valid": SearchConfig(budget=60, restarts=3, max_ops=6, seed=0, validity_mode="exact"),
+        "five_restarts": SearchConfig(start=five_qubit_code().encoder, budget=250, restarts=5, seed=4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_same_result_at_any_worker_count(self, name, monkeypatch):
+        cfg = self.CONFIGS[name]
+        docs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(search_module, "_workers", lambda: workers)
+            docs.append(search(cfg).to_dict())
+        assert docs[1] == docs[0] and docs[2] == docs[0]
+        assert docs[0]["found_valid"] == (name != "nothing_valid")
+
+    def test_restarts_are_cut_into_contiguous_near_equal_ranges(self, monkeypatch):
+        cfg = self.CONFIGS["five_restarts"]
+        monkeypatch.setattr(search_module, "_workers", lambda: 1)
+        serial = search(cfg).to_dict()
+        ranges = []
+
+        class Inline:
+            """A pool that runs each job at once, in this process."""
+            def submit(self, fn, *args):
+                ranges.append(args[1:])
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(search_module, "_workers", lambda: 3)
+        monkeypatch.setattr(search_module, "_pool", lambda workers: Inline())
+        assert search(cfg).to_dict() == serial
+        assert ranges == [(0, 1), (1, 3), (3, 5)]
+
+
+POOL_UNDER_PYTEST = """
+import importlib
+from hypothesis import given, strategies as st
+from qeclab.codes import five_qubit_code
+search = importlib.import_module("qeclab.search")
+
+@given(st.integers())
+def test_with_hypothesis(n):
+    pass
+
+def test_search_on_the_pool(monkeypatch):
+    monkeypatch.setattr(search, "_workers", lambda: 2)
+    search.search(search.SearchConfig(start=five_qubit_code().encoder, budget=40, restarts=2))
+"""
+
+
+def test_the_pool_is_shut_down_quietly_at_exit(tmp_path):
+    """Left to the garbage collector at interpreter exit, the executor's
+    own clean-up prints "Exception ignored in ... weakref_cb" after a pytest
+    run of a module that holds a hypothesis test, as this suite's modules
+    do; the pool is shut down at exit instead."""
+    (tmp_path / "test_pool.py").write_text(POOL_UNDER_PYTEST, encoding="utf-8")
+    src = str(Path(search_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_pool.py"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "2 passed" in proc.stdout
+    assert "Exception ignored" not in proc.stdout + proc.stderr

@@ -17,7 +17,12 @@ In each checkout, a child process imports ``qeclab`` from the checkout's
 * at each seed, the ``encoder_search`` benchmark workload's commands (its
   warm-up, then its timed command), then ``search --start`` this
   repository's ``tests/data/encoder_24.qc.json`` at budget 1000 and 2
-  restarts in each of the modes ``exact`` and ``auto``;
+  restarts in each of the modes ``exact`` and ``auto``, then four searches
+  that cover how the restarts' climbs are merged: a random start that finds
+  nothing valid (``search --budget 60 --restarts 3 --max-ops 6 --mode
+  exact``), and ``search --start reference`` at ``--restarts 5``, at
+  ``--restarts 1``, whose one restart climbs in the caller, and at
+  ``--restarts 4``;
 * at each seed, the ``figure5_mc`` benchmark workload's commands (its
   warm-up, then its timed command), then three MC commands at the job
   boundaries: ``noise --scheme phase3 --n 3 --t 0 0.5 1.5 --shots 9000``,
@@ -67,6 +72,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 ENCODER_24 = ROOT / "tests" / "data" / "encoder_24.qc.json"
 SEARCH_MODES = ("exact", "auto")
+SEARCH_MERGES = [["search", "--budget", "60", "--restarts", "3", "--max-ops", "6", "--mode", "exact"],
+                 ["search", "--start", "reference", "--budget", "500", "--restarts", "5"],
+                 ["search", "--start", "reference", "--budget", "500", "--restarts", "1"],
+                 ["search", "--start", "reference", "--budget", "400", "--restarts", "4"]]
 MC_NOISE = ["noise", "--scheme", "phase3", "--n", "3", "--psi", "iplus", "--t", "0", "0.5", "1.5",
             "--shots", "9000"]
 MC_FIGURE5_RIDER = ["figure5", "--steps", "3", "--shots", "4097"]
@@ -180,7 +189,9 @@ def search_commands(main, workdir: Path, seeds: list, programs: int) -> list:
         argvs = [op.argv for op in wl.warmup + wl.unit] + [
             ["search", "--start", str(ENCODER_24), "--budget", "1000", "--restarts", "2",
              "--seed", str(seed), "--mode", mode, "--out", str(folder / f"{mode}.qc.json")]
-            for mode in SEARCH_MODES]
+            for mode in SEARCH_MODES] + [
+            argv + ["--seed", str(seed), "--out", str(folder / f"merge{i}.qc.json")]
+            for i, argv in enumerate(SEARCH_MERGES)]
         records += [run_command(main, argv) for argv in argvs]
     return records
 
