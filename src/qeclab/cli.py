@@ -45,7 +45,7 @@ from .iontrap import (
     simulate_pulse_sequence,
     verify_compilation,
 )
-from .noise import IPLUS, MAX_STEPS, PLUS, Scheme, coherence_curves, curves_to_csv, figure5_data
+from .noise import IPLUS, MAX_STEPS, PLUS, SCHEME_KINDS, Scheme, coherence_curves, curves_to_csv, figure5_data
 from .search import VALIDITY_MODES, SearchConfig, is_valid_perfect_code, pulse_cost, search
 from .states import PureState, fidelity
 
@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate_pulses)
 
     p = sub.add_parser("noise", help="coherence of a scheme under phase diffusion")
-    p.add_argument("--scheme", choices=("uncoded", "zeno2", "phase3"), required=True)
+    p.add_argument("--scheme", choices=SCHEME_KINDS, required=True)
     p.add_argument("--t", type=float, nargs="+", required=True)
     p.add_argument("--n", type=int, default=1, help="evenly spaced repetitions")
     p.add_argument("--psi", choices=("plus", "iplus", "custom"), default="iplus")

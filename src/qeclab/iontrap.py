@@ -24,10 +24,10 @@ leave behind.
 Only OneQubit pulses mix amplitudes; the other pulses between two of them
 only move rows, each times a phase, and such a stretch runs as one cached row
 map that meets each element with the same exact factors as the whole-space
-kernel (``_stretch_map``). The rows are chosen before any pulse runs: the
-qubit corner (levels g/e, phonon 0) when every stretch maps it onto itself,
-else the fixed region of the trap space the program reaches, which every
-pulse maps into itself.
+kernel (``_stretch_map``, the one cache per stretch). The rows are chosen
+from those maps before any pulse runs: the qubit corner (levels g/e, phonon
+0) when every stretch maps it onto itself, else the fixed region of the trap
+space the program reaches, which every pulse maps into itself.
 """
 
 from __future__ import annotations
@@ -263,17 +263,24 @@ def _frozen(index: np.ndarray) -> Optional[np.ndarray]:
     return index
 
 
-@lru_cache(maxsize=4096)
 def _stretch_walk(stretch: tuple, shape: tuple):
     """Where a stretch of WPhon/VPhon-family and VPulse pulses, given as
     (kind, ion) pairs, takes each row of a block of the trap basis states in
     ``shape`` (levels per ion, then phonon states), and the factors the row
     meets on the way. Each row starts on its own level and phonon. Those
     pulses only move rows, each times a phase, so the walk follows the row
-    indices, all rows at once. None if a row ends outside ``shape``.
-    Otherwise (starts, ends, calls): the rows in trap order, sorted by the
-    codes they meet, where each of them ends, and the (slice, factors) calls
-    that give every row its factors in order."""
+    indices, all rows at once. Not cached: it runs when ``_stretch_map``
+    misses. None if a row ends outside ``shape``. Otherwise (starts, ends,
+    calls): the rows in trap order, sorted by the codes they meet, where
+    each of them ends, and the (start, stop, factors) calls that give every
+    row's run its factors in order. The runs are bounds, not slice objects:
+    a slice takes 56 bytes, and a cached region map can hold hundreds of
+    calls.
+    An empty stretch, a pure change of axis order between two OneQubit
+    pulses, leaves every row in place with no factors and skips the walk."""
+    if not stretch:
+        rows = np.arange(prod(shape))
+        return rows, rows, ()
     levels, state = _trap_rows(shape)
     levels = levels.copy()
     codes = []
@@ -299,21 +306,25 @@ def _stretch_walk(stretch: tuple, shape: tuple):
     np.not_equal(codes[:, 1:], codes[:, :-1], out=change[:, 1:])
     swap, lo = change.nonzero()
     met, lo = codes[swap, lo].tolist(), lo.tolist()
-    calls = tuple((slice(a, b or len(starts)), _FACTORS[c])
+    calls = tuple((a, b or len(starts), _FACTORS[c])
                   for a, b, c in zip(lo, lo[1:] + [0], met) if c)
     return starts, ends.take(starts), calls
 
 
 @lru_cache(maxsize=4096)
 def _stretch_map(stretch: tuple, shape: tuple, order_in: tuple, order_out: tuple):
-    """A stretch's action on a block of the rows of ``shape``, whose walk
-    keeps them in ``shape`` (``_stretch_walk``), rows in memory order: from a
-    block whose ion axes are in ``order_in`` to one in ``order_out``.
-    (gather, calls, place) for ``_map_rows``: gather the rows in the walk's
-    sorted order, run the calls on their slices, and gather the rows into
-    place. An index is None where it is the identity; with no factors to
-    run, the first gather does it all."""
-    starts, ends, calls = _stretch_walk(stretch, shape)
+    """A stretch's action on a block of the rows of ``shape``, rows in
+    memory order: from a block whose ion axes are in ``order_in`` to one in
+    ``order_out``. The simulator's one cache per stretch; None, cached too,
+    when the stretch moves a row out of ``shape`` (``_stretch_walk``).
+    Otherwise (gather, calls, place) for ``_map_rows``: gather the rows in
+    the walk's sorted order, run the calls on their runs of rows, and
+    gather the rows into place. An index is None where it is the identity;
+    with no factors to run, the first gather does it all."""
+    walk = _stretch_walk(stretch, shape)
+    if walk is None:
+        return None
+    starts, ends, calls = walk
     gather = _row_positions(shape, order_in)[starts]
     place = _row_positions(shape, order_out)[ends].argsort()   # the inverse: row i comes from place[i]
     if calls:
@@ -329,8 +340,8 @@ def _map_rows(block: np.ndarray, spare: np.ndarray, mapped: tuple) -> tuple:
     gather, calls, place = mapped
     if gather is not None:
         block, spare = block.take(gather, 0, spare, "clip"), block
-    for rows, factors in calls:
-        part = block[rows]
+    for start, stop, factors in calls:
+        part = block[start:stop]
         for factor in factors:
             if factor is _FLIP:
                 parts = part.view(np.float64)
@@ -342,8 +353,16 @@ def _map_rows(block: np.ndarray, spare: np.ndarray, mapped: tuple) -> tuple:
     return block, spare
 
 
-def _stretch_key(pulses: tuple, start: int, stop: int) -> tuple:
-    return tuple([(p.kind, p.ion) for p in pulses[start:stop]])
+def _maps(steps: list, shape: tuple) -> Optional[list]:
+    """Each step's map on the rows of ``shape`` (``_stretch_map``), or ()
+    where the step moves no row; None as soon as one stretch leaves ``shape``."""
+    maps = []
+    for key, order_in, order_out, _ in steps:
+        mapped = _stretch_map(key, shape, order_in, order_out) if key or order_in != order_out else ()
+        if mapped is None:
+            return None
+        maps.append(mapped)
+    return maps
 
 
 def _run(pulses: tuple, n_ions: int) -> tuple:
@@ -353,41 +372,43 @@ def _run(pulses: tuple, n_ions: int) -> tuple:
 
     The pulses other than OneQubit before, between and after the OneQubit
     pulses form stretches, and each runs as one cached map (``_stretch_map``).
-    The rows are chosen before any pulse runs. They are the qubit corner,
-    levels {g, e} and phonon 0, when every stretch keeps it: each stretch
-    then permutes the qubit rows, each element through the same exact
-    factors as on the whole space, and the other rows, zeros there, never
-    reach them. Otherwise they are the fixed region the program reaches:
-    phonon 1 if it has a phonon pulse, e' of the ions it VPhons. Each pulse
-    maps that region into itself, and the rest of the space stays zero."""
+    The rows are chosen from those maps before any pulse runs. They are the
+    qubit corner, levels {g, e} and phonon 0, when every stretch keeps it:
+    each stretch then permutes the qubit rows, each element through the same
+    exact factors as on the whole space, and the other rows, zeros there,
+    never reach them. Otherwise they are the fixed region the program
+    reaches: phonon 1 if it has a phonon pulse, e' of the ions it VPhons.
+    Each pulse maps that region into itself, and the rest of the space stays
+    zero."""
     nq, trap = 2**n_ions, tuple(range(n_ions))
-    stretches, start = [], 0            # (a stretch's (kind, ion) pairs, the OneQubit pulse after it)
-    for i, pulse in enumerate(pulses):
-        if pulse.kind == "OneQubit":
-            stretches.append((_stretch_key(pulses, start, i), pulse))
-            start = i + 1
-    stretches.append((_stretch_key(pulses, start, len(pulses)), None))
-    shape = (2,) * n_ions + (1,)
-    if any(_stretch_walk(key, shape) is None for key, _ in stretches if key):
-        eprime = {p.ion for p in pulses if p.kind.startswith("VPhon")}
-        phonon = bool(eprime) or any(p.kind.startswith("WPhon") for p in pulses)
-        shape = tuple(LEVELS if k in eprime else 2 for k in trap) + (1 + phonon,)
-    block = np.zeros(shape + (nq,), dtype=complex)
-    block[(slice(0, 2),) * n_ions + (0,)] = np.eye(nq).reshape((2,) * n_ions + (nq,))
-    block = block.reshape(-1, nq)
-    spare = np.empty_like(block)
-    # A OneQubit pulse runs with its ion's axis leading, where the ion's two
+    # The plan, one step per stretch: its (kind, ion) pairs, the ion axes'
+    # memory order before and after it, and the OneQubit pulse after it. A
+    # OneQubit pulse runs with its ion's axis leading, where the ion's two
     # level slices are contiguous; on a late ion in trap order they are short
     # strided runs, at two to ten times the cost. The stretch's map moves the
     # axes when a OneQubit pulse needs another ion first, and the last one
     # brings back trap order.
-    order = trap                        # the ion axes in memory order
-    for key, pulse in stretches:
-        new = trap if pulse is None else order if order[0] == pulse.ion else (
-            (pulse.ion,) + tuple(k for k in trap if k != pulse.ion))
-        if key or new != order:
-            block, spare = _map_rows(block, spare, _stretch_map(key, shape, order, new))
-            order = new
+    steps, start, order = [], 0, trap
+    for i, pulse in enumerate((*pulses, None)):
+        if pulse is None or pulse.kind == "OneQubit":
+            new = trap if pulse is None else order if order[0] == pulse.ion else (
+                (pulse.ion,) + tuple(k for k in trap if k != pulse.ion))
+            steps.append((tuple([(p.kind, p.ion) for p in pulses[start:i]]), order, new, pulse))
+            start, order = i + 1, new
+    shape = (2,) * n_ions + (1,)
+    maps = _maps(steps, shape)
+    if maps is None:
+        eprime = {p.ion for p in pulses if p.kind.startswith("VPhon")}
+        phonon = bool(eprime) or any(p.kind.startswith("WPhon") for p in pulses)
+        shape = tuple(LEVELS if k in eprime else 2 for k in trap) + (1 + phonon,)
+        maps = _maps(steps, shape)
+    block = np.zeros(shape + (nq,), dtype=complex)
+    block[(slice(0, 2),) * n_ions + (0,)] = np.eye(nq).reshape((2,) * n_ions + (nq,))
+    block = block.reshape(-1, nq)
+    spare = np.empty_like(block)
+    for (_, _, _, pulse), mapped in zip(steps, maps):
+        if mapped:
+            block, spare = _map_rows(block, spare, mapped)
         if pulse is not None:
             _pulse_apply(block, pulse, shape[pulse.ion])
     return block.reshape(shape + (nq,)), shape
@@ -487,34 +508,40 @@ def _matrix_bits(matrix) -> Optional[bytes]:
         return None
 
 
-def _parse_entry(doc: dict, kind: str, ion: int, dag: bool, i: int, checked: dict) -> Pulse:
+def _parse_entry(doc: dict, kind: str, ion: int, dag: bool, i: int, checked: dict,
+                 bits: Optional[bytes]) -> Pulse:
     """The ``Pulse`` of entry ``i``, whose kind, ion and dag are checked.
-    ``checked`` maps the shape and bytes of each ``OneQubit`` matrix already
-    checked, daggered where its entry says so, to the pulse matrix made of
-    it; an entry with the same shape and bytes shares that matrix."""
+    ``bits`` are the packed numbers of a ``OneQubit`` entry's matrix
+    (``_matrix_bits``), None when they are malformed or its label is.
+    ``checked`` maps (dag, packed numbers) of each ``OneQubit`` matrix
+    already checked to the pulse matrix made of it, daggered where its entry
+    says so; an entry with the same key shares that matrix, with no array
+    built. The others run the full parse, which reports the first of a
+    malformed matrix, a label that is not a string and a matrix that is not
+    unitary."""
     if kind != "OneQubit":
         full = kind + "Dag" if dag and kind != "VPulse" else kind
         if full not in PULSE_KINDS:
             raise ValueError(f"unknown pulse kind {kind!r} at position {i}")
         return Pulse(full, ion)
+    label = doc.get("label")
+    if (dag, bits) in checked:
+        return Pulse._trusted(ion, checked[dag, bits], label)
     try:
         mat = np.array([[complex(_json_number(re), _json_number(im)) for re, im in row]
                         for row in doc["matrix"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix at position {i}: {exc}") from None
-    label = doc.get("label")
     if label is not None and type(label) is not str:
         raise ValueError(f"pulse entry at position {i} has a 'label' that is not a string")
     if dag:
         mat = mat.conj().T
-    bits = (mat.shape, mat.tobytes())
-    if bits in checked:
-        return Pulse._trusted(ion, checked[bits], label)
     try:
         pulse = Pulse("OneQubit", ion, mat, label=label)
     except ValueError as exc:
         raise ValueError(f"pulse entry at position {i}: {exc}") from None
-    checked[bits] = pulse.matrix
+    if bits is not None:
+        checked[dag, bits] = pulse.matrix
     return pulse
 
 
@@ -523,9 +550,11 @@ def pulses_from_json(docs: Sequence[dict]) -> PulseSequence:
     first malformed entry by position. Each distinct entry is built once per
     call: a repeat of (kind, ion, dag), with the same label and matrix
     numbers for ``OneQubit``, shares that ``Pulse`` without building its
-    matrix again. Each distinct ``OneQubit`` matrix, daggered where its entry
-    says so, is checked once per call, and the entries that have its bits,
-    on any ion and with any label, share its read-only array."""
+    matrix again. Both caches key a matrix by its packed numbers
+    (``_matrix_bits``): each distinct pair of ``dag`` and numbers is built,
+    daggered where the entry says so, and checked once per call, and the
+    entries that have that pair, on any ion and with any label, share its
+    read-only array."""
     if not isinstance(docs, list):
         raise ValueError("a pulse program is a list of pulse entries")
     if len(docs) > MAX_PULSES:
@@ -542,16 +571,16 @@ def pulses_from_json(docs: Sequence[dict]) -> PulseSequence:
         if type(kind) is not str or type(ion) is not int or type(dag) is not bool:
             raise ValueError(f"pulse entry at position {i} needs a string 'kind', "
                              f"an integer 'ion' and a boolean 'dag'")
-        key = (kind, ion, dag)
+        key, bits = (kind, ion, dag), None
         if kind == "OneQubit":
             label = doc.get("label")
-            bits = _matrix_bits(doc.get("matrix"))
             # an entry the full parse would reject gets no key, and so no share
-            key = (kind, ion, dag, label, bits) if bits is not None and (
-                label is None or type(label) is str) else None
+            if label is None or type(label) is str:
+                bits = _matrix_bits(doc.get("matrix"))
+            key = None if bits is None else (kind, ion, dag, label, bits)
         pulse = built.get(key)
         if pulse is None:
-            pulse = _parse_entry(doc, kind, ion, dag, i, checked)
+            pulse = _parse_entry(doc, kind, ion, dag, i, checked, bits)
             if key is not None:
                 built[key] = pulse
         pulses.append(pulse)

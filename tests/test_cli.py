@@ -31,7 +31,7 @@ from qeclab.iontrap import (
     pulses_to_json,
     simulate_pulse_sequence,
 )
-from qeclab.noise import MAX_STEPS
+from qeclab.noise import MAX_STEPS, SCHEME_KINDS
 from qeclab.search import random_circuit
 
 from conftest import FILE_COMMANDS
@@ -278,6 +278,18 @@ class TestNoise:
             outs.add(run_cli(capsys, "noise", "--scheme", "phase3", "--n", "3", "--t", "0", "0.5", "1.5",
                              "--shots", str(2 * noise.MC_BLOCK + 17), "--seed", "7"))
         assert len(outs) == 1 and next(iter(outs))[0] == 0
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_every_scheme_kind_is_a_choice(self, capsys, kind):
+        code, out, err = run_cli(capsys, "noise", "--scheme", kind, "--t", "1")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split(",")[1] == kind
+
+    @pytest.mark.parametrize("kind", ["Zeno2", "phase", "five-qubit", ""])
+    def test_any_other_scheme_is_one_error_line(self, capsys, kind):
+        code, out, err = run_cli(capsys, "noise", "--scheme", kind, "--t", "1")
+        assert_one_error_line(code, out, err)
+        assert "--scheme" in err
 
     @pytest.mark.parametrize("times,message", [(("-1", "1"), "exposure time"), (("1", "-1"), "shots")])
     def test_the_first_time_is_checked_before_the_shot_count(self, capsys, times, message):

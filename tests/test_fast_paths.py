@@ -548,26 +548,91 @@ def test_a_stray_wphon_runs_each_pulse_once_on_the_fixed_region():
     """A WPhon(0) before the shipped encoder moves ion 0's |e,0> rows onto the
     phonon, so the first stretch leaves the qubit corner: the program runs
     on the fixed region, each pulse once and in order, in its stretch's map
-    or through the OneQubit kernel."""
+    or through the OneQubit kernel. Choosing the rows looks the maps up too,
+    so what runs is read off ``_map_rows``, each map named by its stretch."""
     seq = PulseSequence((Pulse("WPhon", 0),) + compile_circuit(five_qubit_encoder()).pulses)
     simulate_pulse_sequence(seq, 5)     # from here on, the stretches' maps are cached
-    ran = []
+    stretch_of, ran = {}, []
 
     def map_spy(stretch, *args):
-        ran.extend(stretch)
-        return stretch_map(stretch, *args)
+        mapped = stretch_map(stretch, *args)
+        stretch_of[id(mapped)] = stretch
+        return mapped
+
+    def rows_spy(block, spare, mapped):
+        ran.extend(stretch_of[id(mapped)])
+        return map_rows(block, spare, mapped)
 
     def apply_spy(block, pulse, *args):
         ran.append((pulse.kind, pulse.ion))
         return apply(block, pulse, *args)
 
-    stretch_map, apply = iontrap._stretch_map, iontrap._pulse_apply
+    stretch_map, map_rows, apply = iontrap._stretch_map, iontrap._map_rows, iontrap._pulse_apply
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(iontrap, "_stretch_map", map_spy)
+        patch.setattr(iontrap, "_map_rows", rows_spy)
         patch.setattr(iontrap, "_pulse_apply", apply_spy)
         sim, fixed = fixed_runs(seq, 5)
     assert fixed == 1
     assert ran == [(p.kind, p.ion) for p in seq.pulses]
+    assert_matches_reference(sim, seq, 5)
+
+
+def test_the_walk_runs_only_when_a_stretch_map_misses():
+    """``_stretch_map`` is the one cache per stretch: ``_stretch_walk`` is not
+    cached, a compiled program on cold caches walks once per map miss, all on
+    the qubit corner, and a second simulation walks not at all."""
+    assert not hasattr(iontrap._stretch_walk, "cache_info")
+    seq = compile_circuit(five_qubit_encoder())
+    walks = []
+
+    def walk_spy(stretch, shape):
+        walks.append(shape)
+        return walk(stretch, shape)
+
+    walk = iontrap._stretch_walk
+    iontrap._stretch_map.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iontrap, "_stretch_walk", walk_spy)
+        first, fixed = fixed_runs(seq, 5)
+        cold = iontrap._stretch_map.cache_info()
+        second = simulate_pulse_sequence(seq, 5)
+    assert fixed == 0 and set(walks) == {corner(5)}
+    assert len(walks) == cold.misses and cold.hits > 0
+    assert iontrap._stretch_map.cache_info().misses == cold.misses
+    assert same_bits(first.unitary, second.unitary)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_a_leaky_program_picks_the_region_from_its_maps(where):
+    """The corner lookups stop at the first stretch whose map is None, here
+    the one with a stray WPhon(0); the maps then looked up on one region are
+    the maps that run."""
+    stray, encoder = (Pulse("WPhon", 0),), compile_circuit(five_qubit_encoder()).pulses
+    seq = PulseSequence(stray + encoder if where == "first" else encoder + stray)
+    looked, ran = [], []
+
+    def map_spy(stretch, shape, *orders):
+        mapped = stretch_map(stretch, shape, *orders)
+        looked.append((stretch, shape, mapped))
+        return mapped
+
+    def rows_spy(block, spare, mapped):
+        ran.append(id(mapped))
+        return map_rows(block, spare, mapped)
+
+    stretch_map, map_rows = iontrap._stretch_map, iontrap._map_rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iontrap, "_stretch_map", map_spy)
+        patch.setattr(iontrap, "_map_rows", rows_spy)
+        sim, fixed = fixed_runs(seq, 5)
+    assert fixed == 1
+    misses = [i for i, (_, _, mapped) in enumerate(looked) if mapped is None]
+    assert len(misses) == 1 and ("WPhon", 0) in looked[misses[0]][0]
+    assert {shape for _, shape, _ in looked[:misses[0] + 1]} == {corner(5)}
+    region = looked[misses[0] + 1:]
+    assert len({shape for _, shape, _ in region}) == 1 and region[0][1] != corner(5)
+    assert ran == [id(mapped) for _, _, mapped in region]
     assert_matches_reference(sim, seq, 5)
 
 
@@ -597,7 +662,8 @@ def grow_run_cut(block: np.ndarray, stretch: tuple, n: int, shape: tuple, order_
 def assert_map_matches_grow_run_cut(stretch, n, shape, order_in, order_out, seed, cols):
     """On a random block of the rows of ``shape``, with zeros of both signs
     planted in every row, the map gives the bits of the grown run, and the
-    walk is None exactly when the stretch moves a row out of ``shape``."""
+    walk and the map are None exactly when the stretch moves a row out of
+    ``shape``."""
     rng = np.random.default_rng(seed)
     rows = prod(shape)
     block = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
@@ -606,10 +672,10 @@ def assert_map_matches_grow_run_cut(stretch, n, shape, order_in, order_out, seed
     zeros[np.arange(rows), rng.integers(2 * cols, size=rows)] = True
     parts[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
     walk = iontrap._stretch_walk(stretch, shape)
-    assert (walk is None) == (not keeps_rows_reference(stretch, n, shape))
-    if walk is not None:
+    mapped = iontrap._stretch_map(stretch, shape, order_in, order_out)
+    assert (walk is None) == (mapped is None) == (not keeps_rows_reference(stretch, n, shape))
+    if mapped is not None:
         expected = grow_run_cut(block, stretch, n, shape, order_in, order_out)
-        mapped = iontrap._stretch_map(stretch, shape, order_in, order_out)
         assert same_bits(iontrap._map_rows(block.copy(), np.empty_like(block), mapped)[0],
                          expected)
 
@@ -625,6 +691,8 @@ def stretch_cases(draw):
 @example(case=((("WPhon", 0), ("VPulse", 1), ("WPhon", 0)), 2, (1, 0), (0, 1), 0, 1))
 @example(case=((("VPulse", 0), ("WPhonDag", 1), ("VPulse", 0), ("VPulse", 2), ("WPhon", 1)),
                3, (2, 0, 1), (0, 1, 2), 1, 2))
+# an empty stretch, between OneQubit pulses on two ions: only the axes move
+@example(case=((), 6, (4, 0, 1, 2, 3, 5), (1, 0, 2, 3, 4, 5), 2, 3))
 @settings(max_examples=100, deadline=None)
 @given(stretch_cases())
 def test_stretch_map_matches_grow_run_cut(case):
@@ -650,6 +718,7 @@ def region_cases(draw):
 @example(case=((("WPhon", 0), ("VPulse", 0)), 1, (2, 2), (0,), (0,), 0, 2))
 # the README's example: the VPulse flips the sign of a zero that the WPhon moves
 @example(case=((("VPulse", 0), ("WPhon", 0)), 1, (2, 2), (0,), (0,), 1, 1))
+@example(case=((), 3, (3, 2, 3, 2), (2, 0, 1), (1, 0, 2), 3, 2))
 @settings(max_examples=100, deadline=None)
 @given(region_cases())
 def test_region_map_matches_grow_run_cut(case):

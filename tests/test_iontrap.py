@@ -344,8 +344,9 @@ class TestPulseJson:
             pulses_from_json([valid, valid, {**valid, "matrix": later}, {**valid, "matrix": later}])
 
     def test_each_distinct_one_qubit_entry_is_checked_once(self, monkeypatch):
-        """One check per distinct matrix bit pattern, taken after the dagger:
-        entries that differ only in ion or label share the checked array."""
+        """One check per distinct pair of dag and matrix numbers, keyed as
+        written, before any dagger is taken: entries that differ only in ion
+        or label share the checked array."""
         import qeclab.iontrap as iontrap
 
         calls, passed = [], set()
@@ -376,6 +377,31 @@ class TestPulseJson:
         assert np.signbit(signed_zero.matrix[0, 1].real) and not np.signbit(plain.matrix[0, 1].real)
         one_qubit = [p for p in seq.pulses if p.kind == "OneQubit"]
         assert all(p.matrix.tobytes() in passed and not p.matrix.flags.writeable for p in one_qubit)
+
+    def test_a_daggered_entry_is_keyed_apart_from_its_numbers(self, monkeypatch):
+        """A dag entry with the numbers of an earlier plain entry gets a check
+        of its own, and so does a plain entry with the numbers of that
+        dagger written out, though its array has the same bits; repeats of
+        each, on other ions, share its matrix."""
+        import qeclab.iontrap as iontrap
+
+        calls = []
+
+        def counting(mat):
+            calls.append(mat)
+            return is_unitary(mat)
+
+        plain = pulses_to_json(PulseSequence((Pulse("OneQubit", 0, U, label="U"),)))[0]
+        written = pulses_to_json(PulseSequence((Pulse("OneQubit", 0, U.conj().T, label="U"),)))[0]
+        distinct = [plain, {**plain, "dag": True}, written]
+        monkeypatch.setattr(iontrap, "is_unitary", counting)
+        seq = pulses_from_json(distinct + [{**doc, "ion": 1} for doc in distinct])
+        assert len(calls) == 3
+        first, repeats = seq.pulses[:3], seq.pulses[3:]
+        assert all(a.matrix is b.matrix and b.ion == 1 for a, b in zip(first, repeats))
+        _, daggered, spelled = first
+        assert daggered.matrix is not spelled.matrix
+        assert daggered.matrix.tobytes() == spelled.matrix.tobytes() == U.conj().T.tobytes()
 
     def test_each_distinct_entry_is_built_once(self, monkeypatch):
         """A repeat of (kind, ion, dag), with the same label and matrix
@@ -430,6 +456,20 @@ class TestPulseJson:
         entry = {"kind": "OneQubit", "ion": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
         with pytest.raises(ValueError, match="position 1"):
             pulses_from_json([entry, {**entry, "label": ["U"]}])
+
+    @pytest.mark.parametrize("later,message", [
+        ({"label": ["U"]}, "position 1 has a 'label' that is not a string"),
+        ({"label": 3, "matrix": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]},
+         "position 1 has a 'label' that is not a string"),
+        ({"label": 3, "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}, "malformed matrix at position 1"),
+    ], ids=["label", "label-before-unitary", "matrix-before-label"])
+    def test_a_checked_matrix_is_shared_only_under_a_valid_label(self, later, message):
+        """An entry whose label is not a string shares no checked matrix,
+        even one with its numbers: it runs the full parse, which reports a
+        malformed matrix, then the label, then a matrix that is not unitary."""
+        entry = {"kind": "OneQubit", "ion": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        with pytest.raises(ValueError, match=message):
+            pulses_from_json([entry, {**entry, **later}])
 
     @pytest.mark.parametrize("n_ions", [0, -1, 7])
     def test_ion_count_outside_one_to_six_rejected(self, n_ions):
