@@ -108,11 +108,12 @@ def _hamming_mask(n_qubits: int, qubits: tuple) -> np.ndarray:
     return ham
 
 
-def _dephase(mats: np.ndarray, n_qubits: int, times: Sequence[float], qubits: tuple) -> np.ndarray:
-    """Exact dephasing of ``qubits`` on a (T, N, N) stack, slice k for time
-    ``times[k]``: element (i, j) times exp(-t)**d(i, j)."""
+def _dephase(n_qubits: int, times: Sequence[float], qubits: tuple) -> np.ndarray:
+    """Exact dephasing factors of ``qubits``: a (T, N, N) stack whose slice k
+    holds exp(-times[k])**d(i, j), to multiply a (T, N, N) stack of matrices
+    by elementwise, matrices first."""
     mask = _hamming_mask(n_qubits, qubits)
-    return mats * np.stack([math.exp(-t) ** mask for t in times])
+    return np.stack([math.exp(-t) ** mask for t in times])
 
 
 def dephase_channel(rho: DensityMatrix, qubit: int, t: float) -> DensityMatrix:
@@ -120,7 +121,7 @@ def dephase_channel(rho: DensityMatrix, qubit: int, t: float) -> DensityMatrix:
     _check_time(t)
     if not 0 <= qubit < rho.n_qubits:
         raise ValueError(f"qubit index {qubit} out of range")
-    return DensityMatrix(rho.n_qubits, _dephase(rho.matrix[None], rho.n_qubits, [t], (qubit,))[0])
+    return DensityMatrix(rho.n_qubits, rho.matrix * _dephase(rho.n_qubits, [t], (qubit,))[0])
 
 
 # --- stochastic trajectories ---------------------------------------------------
@@ -246,7 +247,8 @@ def _run_exact(scheme: Scheme, psi: PureState, times: Sequence[float]):
     Each repetition runs once per chunk, on the whole stack: slice k holds
     time k, and every product, dephasing and recovery sum acts on it as on
     that time's matrix alone (a stacked matmul makes the same 2-D product
-    per slice), so each slice has the bits of its time run alone.
+    per slice), so each slice has the bits of its time run alone. A chunk's
+    dephasing factors are built once and serve every repetition.
     """
     n, isometry, recovery = _model(scheme.kind)
     n_reps = scheme.repetitions
@@ -254,10 +256,10 @@ def _run_exact(scheme: Scheme, psi: PureState, times: Sequence[float]):
     rho0 = np.outer(psi.amplitudes, psi.amplitudes.conj())
     for lo in range(0, len(times), _EXACT_CHUNK):
         steps = [t / n_reps for t in times[lo:lo + _EXACT_CHUNK]]
+        factors = _dephase(n, steps, qubits)
         rho = np.broadcast_to(rho0, (len(steps), 2, 2))
         for _ in range(n_reps):
-            full = isometry @ rho @ isometry.conj().T
-            full = _dephase(full, n, steps, qubits)
+            full = (isometry @ rho @ isometry.conj().T) * factors
             rho = sum(A @ full @ A.conj().T for A in recovery)
         yield rho
 

@@ -58,37 +58,36 @@ class ValidityResult:
 _FIVE_QUBIT_ERRORS = single_qubit_error_classes(N_QUBITS)
 
 
-def is_valid_perfect_code(circuit: Circuit, mode: str = "auto", *,
-                          block: Optional[np.ndarray] = None) -> ValidityResult:
+def is_valid_perfect_code(circuit: Circuit, mode: str = "auto") -> ValidityResult:
     """Does the circuit encode a code correcting every single-qubit error?
 
     ``mode="exact"`` also demands the generated codewords match the reference
     five-qubit codewords up to one common global phase; ``"auto"`` accepts any
     distance-3 code and reports the strongest property that holds: ``"exact"``,
     else ``"kl"``.
-    ``block``, when given, must be the circuit's ``codeword_block``.
     """
     if mode not in VALIDITY_MODES:
         raise ValueError(f"unknown validity mode {mode!r}; expected one of {', '.join(VALIDITY_MODES)}")
     if circuit.n_qubits != N_QUBITS:
         raise ValueError(f"the perfect-code check applies to {N_QUBITS}-qubit circuits")
-    block = codeword_block(circuit) if block is None else block
-    overlap = abs(np.vdot(block[:, 0], block[:, 1]))
-    if overlap > 1e-10:
-        return ValidityResult(False, None, float(overlap))
+    return _verdict(codeword_block(circuit), mode)
 
-    mismatch = _reference_mismatch(block)
-    exact = mismatch < 1e-10
+
+def _verdict(block: np.ndarray, mode: str) -> ValidityResult:
+    """``is_valid_perfect_code`` of a checked mode and a five-qubit circuit's
+    ``codeword_block``. A circuit is unitary, so its codewords are orthonormal
+    to rounding; ``"auto"`` matches them to the reference only once the
+    Knill-Laflamme check passes, to name the code."""
     if mode == "exact":
-        if exact:
+        mismatch = _reference_mismatch(block)
+        if mismatch < 1e-10:
             return ValidityResult(True, "exact", 0.0)
         return ValidityResult(False, None, mismatch)
-
-    candidate = CodeSpec._trusted("candidate", *(PureState._trusted(5, w) for w in block.T))
+    candidate = CodeSpec._trusted("candidate", *(PureState._trusted(N_QUBITS, w) for w in block.T))
     kl = check_knill_laflamme(candidate, _FIVE_QUBIT_ERRORS)
     if not kl.ok:
         return ValidityResult(False, None, kl.worst_violation)
-    return ValidityResult(True, "exact" if exact else "kl", 0.0)
+    return ValidityResult(True, "exact" if _reference_mismatch(block) < 1e-10 else "kl", 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -239,10 +238,6 @@ def mutate(circuit: Circuit, cfg: SearchConfig, rng: np.random.Generator) -> Cir
     return Circuit._trusted(N_QUBITS, tuple(ops))      # SearchConfig checks the start's register
 
 
-def _candidate(circuit: Circuit, res: ValidityResult) -> Candidate:
-    return Candidate(circuit, pulse_cost(circuit), res.valid, res.mode, res.violation)
-
-
 def _accept_key(cand: Candidate):
     """A proposal is taken when its key is no worse than the current one's,
     so equal-quality proposals are taken too; walking plateaus is what gets
@@ -270,33 +265,36 @@ def _climb(cfg: SearchConfig, restart: int) -> tuple:
     never worse than one restart's, so these are the only iterations at
     which they can change.
     """
-    def evaluate(circuit: Circuit, parent_ops: tuple = (), parent_blocks: Optional[list] = None):
-        """The candidate and its codeword blocks after each op prefix: the
-        parent's up to the first op that is not the parent's very object."""
+    def evaluate(circuit: Circuit, parent_ops: tuple = (), parent_prefixes: Optional[list] = None):
+        """The candidate and its (codeword block, pulse cost) after each op
+        prefix: the parent's up to the first op that is not the parent's very
+        object, then one more per op after it."""
         ops, k = circuit.ops, 0
         while k < len(ops) and k < len(parent_ops) and ops[k] is parent_ops[k]:
             k += 1
-        blocks = (parent_blocks or [codeword_block(Circuit(N_QUBITS))])[:k + 1]
+        prefixes = (parent_prefixes or [(codeword_block(Circuit(N_QUBITS)), 0)])[:k + 1]
         for op in ops[k:]:
-            blocks.append(_apply_op_array(blocks[-1], op, N_QUBITS))
-        res = is_valid_perfect_code(circuit, cfg.validity_mode, block=blocks[-1])   # by name: tracers patch it
-        return _candidate(circuit, res), blocks
+            block, cost = prefixes[-1]
+            prefixes.append((_apply_op_array(block, op, N_QUBITS), cost + op_pulse_cost(op)))
+        block, cost = prefixes[-1]
+        res = _verdict(block, cfg.validity_mode)
+        return Candidate(circuit, cost, res.valid, res.mode, res.violation), prefixes
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,)))
     start = cfg.start if cfg.start is not None else random_circuit(
         N_QUBITS, int(rng.integers(1, cfg.max_ops + 1)), rng, cfg.alphabet)
-    current, blocks = evaluate(start)
+    current, prefixes = evaluate(start)
     best_valid: Optional[Candidate] = None
     best_invalid: Optional[Candidate] = None
     records = []
     accepted = valid_proposals = 0
 
     for it in range(cfg.budget // cfg.restarts):
-        proposal, proposal_blocks = evaluate(mutate(current.circuit, cfg, rng),
-                                             current.circuit.ops, blocks)
+        proposal, proposal_prefixes = evaluate(mutate(current.circuit, cfg, rng),
+                                               current.circuit.ops, prefixes)
         valid_proposals += proposal.valid
         if _accept_key(proposal) <= _accept_key(current):
-            current, blocks = proposal, proposal_blocks
+            current, prefixes = proposal, proposal_prefixes
             accepted += 1
         if _improves(current, best_valid, best_invalid):
             if current.valid:
@@ -416,7 +414,7 @@ def search(cfg: SearchConfig) -> SearchResult:
                                             current.cost if current.valid else None))
 
     if best_valid is not None:
-        if not is_valid_perfect_code(best_valid.circuit, cfg.validity_mode).valid:   # no block: from scratch
+        if not is_valid_perfect_code(best_valid.circuit, cfg.validity_mode).valid:   # from scratch
             raise AssertionError("search bookkeeping reported an invalid circuit as valid")
         best_invalid = None
     return SearchResult(best_valid, best_invalid, tuple(history), cfg.seed,

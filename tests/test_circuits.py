@@ -69,6 +69,16 @@ class TestCircuitToUnitary:
         via_apply = apply_circuit(circ, psi).amplitudes
         assert np.abs(via_matrix - via_apply).max() < 1e-12
 
+    def test_register_above_the_dense_cap_rejected(self):
+        with pytest.raises(ValueError, match="^dense unitary construction is limited to 6 qubits$"):
+            circuit_to_unitary(Circuit(7))
+
+    def test_apply_circuit_needs_the_circuits_register(self, rng):
+        from conftest import random_pure_state
+
+        with pytest.raises(ValueError, match="^state has 2 qubits but circuit expects 3$"):
+            apply_circuit(Circuit(3), random_pure_state(2, rng))
+
 
 class TestInversion:
     def test_mechanical_reversal(self):

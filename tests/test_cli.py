@@ -634,6 +634,24 @@ class TestBadInputs:
         assert_one_error_line(code, out, err)
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("amplitudes,message", [
+        ((), "--psi custom needs --alpha and --beta"),
+        (("--alpha", "1"), "--psi custom needs --alpha and --beta"),
+        (("--alpha", "0", "--beta", "0"), "custom state has zero norm"),
+    ], ids=["neither", "alpha-only", "both-zero"])
+    def test_custom_state_needs_two_amplitudes_not_both_zero(self, capsys, amplitudes, message):
+        code, out, err = run_cli(capsys, "noise", "--scheme", "phase3", "--t", "1",
+                                 "--psi", "custom", *amplitudes)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {message}\n"
+
+    def test_unknown_pulse_kind_in_a_pulse_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.pulses.json"
+        path.write_text(json.dumps([{"kind": "Foo", "ion": 0}]))
+        code, out, err = run_cli(capsys, "simulate-pulses", "--pulses", str(path), "--ions", "1")
+        assert_one_error_line(code, out, err)
+        assert err == "error: unknown pulse kind 'Foo' at position 0\n"
+
     @pytest.mark.parametrize("argv", [
         ("noise", "--scheme", "phase3", "--t", "nan"),
         ("noise", "--scheme", "phase3", "--t", "1", "inf", "--shots", "100"),

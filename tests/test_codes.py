@@ -532,3 +532,27 @@ class TestCodeSpecValidation:
     def test_default_encoder_is_the_shipped_one(self):
         assert five_qubit_code().encoder == five_qubit_encoder()
         assert five_qubit_code(encoder=None).encoder == five_qubit_encoder()
+
+    def test_codewords_of_the_wrong_size_rejected(self):
+        code = two_qubit_zeno_code()
+        with pytest.raises(ValueError, match="^codeword size does not match n_physical$"):
+            CodeSpec("bad", 3, code.logical_zero, code.logical_one)
+
+    @pytest.mark.parametrize("kind,qubit,message", [
+        ("I", 0, "identity error carries no qubit index"),
+        ("X", None, "X error needs a qubit index"),
+    ])
+    def test_error_qubit_index_follows_its_kind(self, kind, qubit, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ErrorOp(kind, qubit)
+
+    def test_alignment_needs_an_encoder(self):
+        code = three_qubit_phase_code()
+        bare = CodeSpec("bare", 3, code.logical_zero, code.logical_one)
+        with pytest.raises(ValueError, match="^code bare has no encoder circuit$"):
+            encoder_alignment_error(bare)
+
+    def test_correcting_code_needs_a_syndrome_table(self):
+        code = three_qubit_phase_code()
+        with pytest.raises(ValueError, match="^a syndrome table is required for correcting codes$"):
+            decode_and_correct(code, None, code.logical_zero, rng=0)

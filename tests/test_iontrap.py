@@ -103,6 +103,16 @@ class TestPulsePrimitives:
         with pytest.raises(ValueError, match="unitary"):
             Pulse("OneQubit", 0, np.diag([1 + 4e-6, 1]))
 
+    @pytest.mark.parametrize("kind,matrix,message", [
+        ("Foo", None, "unknown pulse kind 'Foo'"),
+        ("OneQubit", None, "OneQubit pulse needs a 2x2 matrix"),
+        ("WPhon", U, "WPhon pulse carries no matrix"),
+    ], ids=["unknown-kind", "one-qubit-without-matrix", "phonon-with-matrix"])
+    def test_malformed_pulse_rejected(self, kind, matrix, message):
+        with pytest.raises(ValueError) as err:
+            Pulse(kind, 0, matrix)
+        assert str(err.value) == message
+
 
 class TestCphaseCompilation:
     def test_cost_law(self):
@@ -279,6 +289,14 @@ class TestVerifyCompilation:
         dropped = PulseSequence(tuple(p for p in seq.pulses if p.kind != "VPulse"))
         report = verify_compilation(circ, dropped)
         assert not report.ok
+
+    def test_target_orthogonal_to_the_program(self):
+        """Z's pulses against the circuit X: tr(X^dag Z) = 0 fixes no global
+        phase, so the deviation is max |Z - X| = 1."""
+        z_pulses = compile_circuit(Circuit(1, (GateOp("Z", (0,)),)))
+        report = verify_compilation(Circuit(1, (GateOp("X", (0,)),)), z_pulses)
+        assert not report.ok
+        assert report.max_deviation == 1.0
 
     def test_encoder_reproduces_codewords_at_pulse_level(self):
         code = five_qubit_code()

@@ -107,6 +107,11 @@ class TestDephaseChannel:
         with pytest.raises(ValueError):
             dephase_channel(random_pure_state(1, rng).density(), 0, -0.1)
 
+    @pytest.mark.parametrize("qubit", [-1, 2])
+    def test_qubit_out_of_range_rejected(self, rng, qubit):
+        with pytest.raises(ValueError, match=f"^qubit index {qubit} out of range$"):
+            dephase_channel(random_pure_state(2, rng).density(), qubit, 0.5)
+
     @pytest.mark.parametrize("t", [-0.1, math.nan, math.inf])
     def test_every_entry_point_rejects_a_negative_or_non_finite_time(self, rng, t):
         with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -512,6 +517,16 @@ def _decode_and_correct_trajectories(scheme, psi, t, shots, seed):
     return np.concatenate(out)
 
 
+class TestEstimate:
+    def test_rows_whose_mean_vanishes(self):
+        """With no mean direction the error bar spreads over both parts:
+        z = 0.5, -0.5, 0.5i, -0.5i has standard deviation sqrt(1/6) in each."""
+        states = np.array([[1, 1], [1, -1], [1, 1j], [1, -1j]]) / math.sqrt(2)
+        coherence, se = noise._estimate(states, 0.5)
+        assert coherence == 0.0
+        assert se == pytest.approx(1 / math.sqrt(3), rel=1e-12)
+
+
 class TestFigure5:
     def test_grid_shape_and_t0(self):
         curves = figure5_data(3.0, 60)
@@ -677,6 +692,48 @@ class TestBlocksOnAPool:
         assert len(calls) == ran                # no job of the failed call runs after it
         monkeypatch.setattr(noise, "_trajectory_job", real)
         assert figure5_data(3.0, 2, shots=self.SHOTS, seed=5) == expected
+
+    def test_a_failing_job_cancels_the_jobs_waiting_behind_it(self, monkeypatch):
+        """The first job raises while the jobs behind it wait in the window:
+        the reader gets its exception, the jobs no worker has started are
+        cancelled, the running ones are waited for, and none runs after."""
+        import concurrent.futures
+
+        workers = 2
+        self.force(monkeypatch, workers)
+        window = noise._WINDOW_PER_WORKER * workers
+        failure = RuntimeError("job 0")
+        release = threading.Event()
+        started, finished, at_wait = [], [], []
+        real_wait = concurrent.futures.wait
+
+        def job(i):
+            started.append(i)
+            if i == 0:
+                raise failure
+            release.wait(10)                    # held until the reader has cancelled
+            finished.append(i)
+
+        def wait(futures):
+            at_wait.append((sorted(started), [f.cancelled() for f in futures]))
+            release.set()
+            return real_wait(futures)
+
+        monkeypatch.setattr(concurrent.futures, "wait", wait)
+        try:
+            with pytest.raises(RuntimeError) as caught:
+                list(noise._in_order(job, ((i,) for i in range(3 * window))))
+        finally:
+            release.set()
+        assert caught.value is failure
+        [(running, cancelled)] = at_wait
+        assert 0 in running and len(running) <= 1 + workers
+        assert len(cancelled) == window - 1     # job 0 was read; the rest of the window waited
+        assert sum(cancelled) == len(cancelled) - (len(running) - 1)
+        assert sorted(started) == running       # no cancelled job started
+        assert sorted(finished) == running[1:]  # the running jobs ended before the call did
+        time.sleep(0.05)
+        assert sorted(started) == running and sorted(finished) == running[1:]
 
     MIXED = (("uncoded", 1), ("phase3", 10), ("zeno2", 1), ("phase3", 1), ("phase3", 10), ("uncoded", 1))
 

@@ -174,7 +174,7 @@ class TestSearch:
         assert doc["accept_rate"] == result.accepted / result.iterations
         # calls: the start, one per proposal, then the final recheck
         assert len(calls) == result.iterations + 2
-        assert doc["valid_fraction"] == sum(c[3].valid for c in calls[1:-1]) / result.iterations
+        assert doc["valid_fraction"] == sum(res.valid for _, _, res in calls[1:-1]) / result.iterations
 
 
 class TestMutate:
@@ -294,22 +294,22 @@ def test_seeded_search_results_are_unchanged(seed):
 
 
 def _audited_search(cfg: SearchConfig):
-    """Run the search recording every candidate it scores and every validity
-    call it makes, as (circuit, mode, block, result). The climbs run in this
-    process, on one worker, so that the recording stand-ins reach them."""
+    """Run the search recording every candidate it scores and every verdict
+    it reaches, as (block, mode, result). The climbs run in this process, on
+    one worker, so that the recording stand-ins reach them."""
     candidates, calls = [], []
-    real_check, real_candidate = search_module.is_valid_perfect_code, search_module.Candidate
+    real_verdict, real_candidate = search_module._verdict, search_module.Candidate
 
-    def check(circuit, mode="auto", *, block=None):
-        res = real_check(circuit, mode, block=block)
-        calls.append((circuit, mode, block, res))
+    def verdict(block, mode):
+        res = real_verdict(block, mode)
+        calls.append((block, mode, res))
         return res
 
     def candidate(*args):
         candidates.append(real_candidate(*args))
         return candidates[-1]
 
-    with mock.patch.object(search_module, "is_valid_perfect_code", check), \
+    with mock.patch.object(search_module, "_verdict", verdict), \
             mock.patch.object(search_module, "Candidate", candidate), \
             mock.patch.object(search_module, "_workers", lambda: 1):
         result = search(cfg)
@@ -319,11 +319,14 @@ def _audited_search(cfg: SearchConfig):
 def _assert_matches_uncached(cfg: SearchConfig):
     result, candidates, calls = _audited_search(cfg)
     assert len(candidates) == result.iterations + cfg.restarts
-    # one check per start and per proposal, then the final recheck
+    # one verdict per start and per proposal, then the final recheck
     assert len(calls) == result.iterations + cfg.restarts + (result.best is not None)
-    for circuit, mode, block, res in calls:
-        if block is not None:
-            assert block.tobytes() == codeword_block(circuit).tobytes()
+    scored = [cand.circuit for cand in candidates] + ([result.best.circuit] if result.best else [])
+    for circuit, (block, mode, res) in zip(scored, calls):
+        assert block.tobytes() == codeword_block(circuit).tobytes()
+        assert mode == cfg.validity_mode
+    for cand, (_, _, res) in zip(candidates, calls):
+        assert (cand.valid, cand.mode, cand.violation) == (res.valid, res.mode, res.violation)
     for cand in candidates:
         fresh = is_valid_perfect_code(cand.circuit, cfg.validity_mode)
         assert cand.valid == fresh.valid

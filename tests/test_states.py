@@ -127,6 +127,14 @@ class TestInvariantChecks:
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(1, np.array([[1.5, 0], [0, -0.5]]))
 
+    @pytest.mark.parametrize("matrix,message", [
+        (np.eye(4) / 4, r"matrix has shape \(4, 4\), expected \(2, 2\)"),
+        (np.eye(2), r"density matrix trace \(2\+0j\) is not 1"),
+    ], ids=["shape", "trace"])
+    def test_wrong_shape_or_trace_rejected(self, matrix, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DensityMatrix(1, matrix)
+
     def test_negative_eigenvalue_off_the_diagonal_rejected(self):
         """Hermitian, unit trace, positive diagonal, eigenvalues 1.5 and -0.5:
         only the eigenvalue check catches it."""

@@ -17,12 +17,13 @@ In each checkout, a child process imports ``qeclab`` from the checkout's
 * at each seed, the ``encoder_search`` benchmark workload's commands (its
   warm-up, then its timed command), then ``search --start`` this
   repository's ``tests/data/encoder_24.qc.json`` at budget 1000 and 2
-  restarts in each of the modes ``exact`` and ``auto``, then four searches
+  restarts in each of the modes ``exact`` and ``auto``, then five searches
   that cover how the restarts' climbs are merged: a random start that finds
-  nothing valid (``search --budget 60 --restarts 3 --max-ops 6 --mode
-  exact``), and ``search --start reference`` at ``--restarts 5``, at
-  ``--restarts 1``, whose one restart climbs in the caller, and at
-  ``--restarts 4``;
+  nothing valid in each mode (``search --budget 60 --restarts 3 --max-ops 6
+  --mode exact``, and ``--mode auto``, whose best invalid circuit reports
+  its worst Knill-Laflamme violation), and ``search --start reference`` at
+  ``--restarts 5``, at ``--restarts 1``, whose one restart climbs in the
+  caller, and at ``--restarts 4``;
 * at each seed, the ``figure5_mc`` benchmark workload's commands (its
   warm-up, then its timed command), then three MC commands at the job
   boundaries: ``noise --scheme phase3 --n 3 --t 0 0.5 1.5 --shots 9000``,
@@ -73,6 +74,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ENCODER_24 = ROOT / "tests" / "data" / "encoder_24.qc.json"
 SEARCH_MODES = ("exact", "auto")
 SEARCH_MERGES = [["search", "--budget", "60", "--restarts", "3", "--max-ops", "6", "--mode", "exact"],
+                 ["search", "--budget", "60", "--restarts", "3", "--max-ops", "6", "--mode", "auto"],
                  ["search", "--start", "reference", "--budget", "500", "--restarts", "5"],
                  ["search", "--start", "reference", "--budget", "500", "--restarts", "1"],
                  ["search", "--start", "reference", "--budget", "400", "--restarts", "4"]]
