@@ -110,8 +110,8 @@ def _hamming_mask(n_qubits: int, qubits: tuple) -> np.ndarray:
 
 def _dephase(n_qubits: int, times: Sequence[float], qubits: tuple) -> np.ndarray:
     """Exact dephasing factors of ``qubits``: a (T, N, N) stack whose slice k
-    holds exp(-times[k])**d(i, j), to multiply a (T, N, N) stack of matrices
-    by elementwise, matrices first."""
+    holds exp(-times[k])**d(i, j). Callers multiply matrices by it elementwise,
+    matrices first, the operand order whose bits the tests pin."""
     mask = _hamming_mask(n_qubits, qubits)
     return np.stack([math.exp(-t) ** mask for t in times])
 

@@ -321,8 +321,8 @@ def _assert_matches_uncached(cfg: SearchConfig):
     assert len(candidates) == result.iterations + cfg.restarts
     # one verdict per start and per proposal, then the final recheck
     assert len(calls) == result.iterations + cfg.restarts + (result.best is not None)
-    scored = [cand.circuit for cand in candidates] + ([result.best.circuit] if result.best else [])
-    for circuit, (block, mode, res) in zip(scored, calls):
+    scored = [cand.circuit for cand in candidates] + ([result.best.circuit] if result.best is not None else [])
+    for circuit, (block, mode, _) in zip(scored, calls):
         assert block.tobytes() == codeword_block(circuit).tobytes()
         assert mode == cfg.validity_mode
     for cand, (_, _, res) in zip(candidates, calls):
