@@ -9,8 +9,8 @@ Subcommands:
     figure5          full coherence-curve CSV for all schemes
     search           randomized hunt for cheap valid encoders
 
-Exit codes: 0 success, 2 validation failure, 3 I/O error. The environment
-variable QECC_SEED provides the default seed.
+Exit codes: 0 success, 2 validation failure, 3 I/O error or a lost search
+worker process. The environment variable QECC_SEED provides the default seed.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .codes import (
     apply_error,
     encoder_alignment_error,
     five_qubit_code,
+    five_qubit_encoder,
     three_qubit_phase_code,
     two_qubit_zeno_code,
 )
@@ -376,7 +377,7 @@ def cmd_figure5(args) -> int:
 def cmd_search(args) -> int:
     start = None
     if args.start == "reference":
-        start = five_qubit_code().encoder
+        start = five_qubit_encoder()
     elif args.start is not None:
         start = _load(args.start, MAX_CIRCUIT_BYTES, parse_circuit)
     alphabet = tuple(args.alphabet.split(",")) if args.alphabet is not None else SearchConfig().alphabet
@@ -479,10 +480,10 @@ def main(argv=None) -> int:
         # the reader is gone (``| head``); the final flush at exit goes to /dev/null
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
-    except (_IOFailure, CircuitFormatError, ValueError, KeyError) as exc:
+    except (_IOFailure, ChildProcessError, CircuitFormatError, ValueError, KeyError) as exc:
         # one line, though the message quotes a path or an argument with a line break in it
         print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
-        return EXIT_IO if isinstance(exc, _IOFailure) else EXIT_VALIDATION
+        return EXIT_IO if isinstance(exc, (_IOFailure, ChildProcessError)) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

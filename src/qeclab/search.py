@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -314,8 +313,6 @@ def _climbs(cfg: SearchConfig, first: int, stop: int) -> list:
 
 # Processes that climb restarts, at most; fewer when the process may use fewer CPUs.
 _MAX_WORKERS = 4
-# How often, in seconds, a worker checks that the process that made it still runs.
-_PARENT_CHECK_S = 0.5
 
 
 def _workers() -> int:
@@ -325,20 +322,20 @@ def _workers() -> int:
     return min(cpus, _MAX_WORKERS)
 
 
-def _orphan_watch(parent: int) -> None:
-    """End this worker once ``parent`` is no longer its parent process."""
-    while os.getppid() == parent:
-        time.sleep(_PARENT_CHECK_S)
+def _orphan_watch() -> None:
+    """End this worker once its parent sentinel reports the caller gone, under any start method."""
+    from multiprocessing import connection, parent_process
+    connection.wait([parent_process().sentinel])
     os._exit(1)
 
 
-def _worker_start(parent: int) -> None:
+def _worker_start() -> None:
     """In each worker: leave Ctrl-C to the caller, which stops the pool, and
     exit as soon as the caller is gone, however it ended (a worker blocked on
     an empty queue would otherwise wait forever)."""
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    threading.Thread(target=_orphan_watch, args=(parent,), daemon=True).start()
+    threading.Thread(target=_orphan_watch, daemon=True).start()
 
 
 @lru_cache(maxsize=None)
@@ -348,7 +345,7 @@ def _pool(workers: int):
     of several restarts starts no process."""
     import atexit
     from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(workers, initializer=_worker_start, initargs=(os.getpid(),))
+    pool = ProcessPoolExecutor(workers, initializer=_worker_start)
     atexit.register(pool.shutdown)
     return pool
 
@@ -372,19 +369,22 @@ def _all_climbs(cfg: SearchConfig) -> list:
     near-equal ranges. One range runs in the caller, since a worker could
     run nothing beside it; several run on the pool, one job each. An
     exception or an interrupt while the jobs run stops the pool, so that no
-    climb outlives the call.
+    climb outlives the call; a lost worker ends it in ``ChildProcessError``.
     """
     workers = _workers()
     parts = min(cfg.restarts, workers)
     if parts == 1:
         return _climbs(cfg, 0, cfg.restarts)
     cuts = [cfg.restarts * i // parts for i in range(parts + 1)]
+    from concurrent.futures import BrokenExecutor      # loaded by _pool in any case
     pool = _pool(workers)
     try:
         jobs = [pool.submit(_climbs, cfg, first, stop) for first, stop in zip(cuts, cuts[1:])]
         return [climb for job in jobs for climb in job.result()]
-    except BaseException:
+    except BaseException as exc:
         _stop(pool)
+        if isinstance(exc, BrokenExecutor):       # a worker was killed, say
+            raise ChildProcessError("a search worker ended before its climbs were done") from exc
         raise
 
 

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import shlex
 import signal
@@ -827,7 +828,43 @@ def start_session():
 
 
 SEARCH_WORKERS = importlib.import_module("qeclab.search")._workers()
-SEARCH_PROCESSES = 1 + SEARCH_WORKERS if SEARCH_WORKERS > 1 else 1    # the caller and its pool
+START_METHODS = ("fork", "forkserver", "spawn")
+DEFAULT_METHOD = multiprocessing.get_all_start_methods()[0]
+# The processes of a command while its search runs on the pool, by start
+# method: the caller and its workers, plus the fork server and the resource
+# tracker under forkserver, or the resource tracker under spawn.
+SEARCH_PROCESSES = {method: 1 + SEARCH_WORKERS + helpers if SEARCH_WORKERS > 1 else 1
+                    for method, helpers in zip(START_METHODS, (0, 2, 1))}
+
+# A script that runs the CLI under a given start method, with the search's
+# worker count forced unless it is "-". Run as a file, a spawned worker
+# imports it again; the guard keeps it from setting the method a second time.
+SEARCH_PROBE = """
+import importlib, multiprocessing, sys
+if __name__ == "__main__":
+    method, workers, *argv = sys.argv[1:]
+    multiprocessing.set_start_method(method)
+    import qeclab.cli
+    if workers != "-":
+        importlib.import_module("qeclab.search")._workers = lambda: int(workers)
+    sys.exit(qeclab.cli.main(argv))
+"""
+
+
+@pytest.fixture
+def search_probe(tmp_path) -> str:
+    path = tmp_path / "search_probe.py"
+    path.write_text(SEARCH_PROBE, encoding="utf-8")
+    return str(path)
+
+
+def _running(sid: int, seconds: float = 5) -> list:
+    """The processes of session ``sid`` that still run, zombies aside, once
+    they are all gone or ``seconds`` have passed."""
+    deadline = time.monotonic() + seconds
+    while [p for p in _session(sid) if p[1] != "Z"] and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [p for p in _session(sid) if p[1] != "Z"]
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")
@@ -842,15 +879,42 @@ def test_a_search_on_the_pool_leaves_no_process(start_session):
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")
-@pytest.mark.parametrize("how", ["interrupt", "ctrl_c", "kill"])
-def test_a_stopped_search_leaves_no_process(how, start_session):
+def test_a_search_gives_the_same_bytes_under_every_start_method(search_probe, start_session):
+    """A worker watches the pipe end multiprocessing gives it, not its parent's
+    pid, so it runs alike under each start method, though under forkserver its
+    parent is the fork server: the same stdout bytes, and no process left."""
+    outs = []
+    for method in START_METHODS:
+        proc = start_session(search_probe, method, "-", "search", "--start", "reference",
+                             "--budget", "400", "--restarts", "4", "--seed", "3")
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, ""), method
+        assert _running(proc.pid) == [], method
+        outs.append(out)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    assert json.loads(outs[0])["iterations"] == 400
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")
+@pytest.mark.parametrize("how, method, workers", [
+    ("interrupt", None, None), ("ctrl_c", None, None), *(("kill", m, None) for m in START_METHODS),
+    ("kill", "fork", 4)], ids=["interrupt", "ctrl_c", *(f"kill-{m}" for m in START_METHODS), "kill-fork-4-workers"])
+def test_a_stopped_search_leaves_no_process(how, method, workers, search_probe, start_session):
     """SIGINT to the command, or to its whole process group as Ctrl-C sends
     it, ends a long search within 5 s: the caller stops the pool, whose
-    workers ignore SIGINT. A worker whose caller was killed exits by itself."""
-    proc = start_session("-m", "qeclab", "search", "--budget", "100000")
+    workers ignore SIGINT. A worker whose caller was killed exits by itself,
+    under each start method. Under fork, each worker holds the pipe ends of
+    the workers forked before it, so four of them exit one after another,
+    the newest first."""
+    if method is None:
+        proc = start_session("-m", "qeclab", "search", "--budget", "100000")
+        processes = SEARCH_PROCESSES[DEFAULT_METHOD]
+    else:
+        proc = start_session(search_probe, method, str(workers or "-"), "search", "--budget", "100000")
+        processes = SEARCH_PROCESSES[method] if workers is None else 1 + workers
     time.sleep(1)
     deadline = time.monotonic() + 60
-    while len(_session(proc.pid)) < SEARCH_PROCESSES:
+    while len(_session(proc.pid)) < processes:
         assert time.monotonic() < deadline and proc.poll() is None
         time.sleep(0.05)
     if how == "interrupt":
@@ -862,14 +926,29 @@ def test_a_stopped_search_leaves_no_process(how, start_session):
     out, err = proc.communicate(timeout=5)
     if how == "kill":
         assert proc.returncode == -signal.SIGKILL
-        deadline = time.monotonic() + 5      # workers notice within _PARENT_CHECK_S
-        while [p for p in _session(proc.pid) if p[1] != "Z"] and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert [p for p in _session(proc.pid) if p[1] != "Z"] == []
+        assert _running(proc.pid) == []
     else:
         assert proc.returncode == -signal.SIGINT and out == ""
         assert err.rstrip().endswith("KeyboardInterrupt")
         assert _session(proc.pid) == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")
+def test_a_lost_worker_ends_the_search_in_one_error_line(search_probe, start_session):
+    """A worker killed while it climbs breaks the pool: the command stops the
+    other workers, prints one ``error:`` line and exits 3."""
+    proc = start_session(search_probe, "fork", "2", "search", "--budget", "100000", "--restarts", "4")
+    deadline = time.monotonic() + 60
+    while len(_session(proc.pid)) < 3:
+        assert time.monotonic() < deadline and proc.poll() is None
+        time.sleep(0.05)
+    time.sleep(1)
+    # under fork every process of the session but the caller is a worker
+    os.kill(next(pid for pid, _ in _session(proc.pid) if pid != proc.pid), signal.SIGKILL)
+    out, err = proc.communicate(timeout=30)
+    assert (proc.returncode, out) == (3, "")
+    assert err == "error: a search worker ended before its climbs were done\n"
+    assert _running(proc.pid) == []
 
 
 IDLE_POOL_PROBE = """
@@ -889,7 +968,7 @@ def test_ctrl_c_leaves_idle_workers_quiet(start_session):
     is the only one, and the pool is shut down at exit."""
     proc = start_session("-c", IDLE_POOL_PROBE)
     assert proc.stdout.readline() == "pool made\n"
-    assert len(_session(proc.pid)) == SEARCH_PROCESSES
+    assert len(_session(proc.pid)) == SEARCH_PROCESSES[DEFAULT_METHOD]
     time.sleep(0.5)
     os.killpg(proc.pid, signal.SIGINT)
     out, err = proc.communicate(timeout=5)

@@ -423,6 +423,28 @@ class TestWorkerCount:
         assert search(cfg).to_dict() == serial
         assert ranges == [(0, 1), (1, 3), (3, 5)]
 
+    def test_a_broken_pool_is_stopped_and_reported_as_a_lost_worker(self, monkeypatch):
+        """A pool whose worker died fails its jobs with ``BrokenProcessPool``;
+        the search stops that pool, so the next one makes a new pool, and
+        raises ``ChildProcessError``, which the CLI reports as exit 3."""
+        from concurrent.futures.process import BrokenProcessPool
+        stopped = []
+
+        class Broken:
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_exception(BrokenProcessPool("a process was terminated abruptly"))
+                return future
+
+        pool = Broken()
+        monkeypatch.setattr(search_module, "_workers", lambda: 2)
+        monkeypatch.setattr(search_module, "_pool", lambda workers: pool)
+        monkeypatch.setattr(search_module, "_stop", stopped.append)
+        with pytest.raises(ChildProcessError, match="a search worker ended") as info:
+            search(self.CONFIGS["five_restarts"])
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+        assert stopped == [pool]
+
 
 POOL_UNDER_PYTEST = """
 import importlib
