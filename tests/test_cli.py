@@ -897,8 +897,11 @@ def test_a_search_gives_the_same_bytes_under_every_start_method(search_probe, st
 
 @pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")
 @pytest.mark.parametrize("how, method, workers", [
-    ("interrupt", None, None), ("ctrl_c", None, None), *(("kill", m, None) for m in START_METHODS),
-    ("kill", "fork", 4)], ids=["interrupt", "ctrl_c", *(f"kill-{m}" for m in START_METHODS), "kill-fork-4-workers"])
+    pytest.param("interrupt", None, None, id="interrupt"),
+    pytest.param("ctrl_c", None, None, id="ctrl_c"),
+    *(pytest.param("kill", m, None, id=f"kill-{m}") for m in START_METHODS),
+    pytest.param("kill", "fork", 4, id="kill-fork-4-workers"),
+])
 def test_a_stopped_search_leaves_no_process(how, method, workers, search_probe, start_session):
     """SIGINT to the command, or to its whole process group as Ctrl-C sends
     it, ends a long search within 5 s: the caller stops the pool, whose
