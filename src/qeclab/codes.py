@@ -33,7 +33,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -204,6 +204,17 @@ class CodeSpec:
         """(2**n, 2) matrix whose columns are the codewords."""
         return np.stack([self.logical_zero.amplitudes, self.logical_one.amplitudes], axis=1)
 
+    @cached_property
+    def _decoder_blocks(self) -> np.ndarray:
+        """Read-only uncorrected decoder stack of the encoder, built once per
+        code: a decode reads it without hashing the encoder's ops."""
+        n = self.n_physical
+        decode = circuit_to_unitary(invert_circuit(self.encoder))
+        # row d * K + s of the decoded space holds data bit d and ancilla outcome s
+        blocks = decode.reshape(2, 2 ** (n - 1), 2**n).transpose(1, 0, 2)
+        blocks.flags.writeable = False
+        return blocks
+
 
 def encoder_alignment_error(code: CodeSpec) -> float:
     """Distance between encoder-generated and stored codewords after removing
@@ -252,11 +263,12 @@ def five_qubit_encoder() -> Circuit:
 
 
 def five_qubit_code(encoder: Optional[Circuit] = None) -> CodeSpec:
-    """The perfect code with the shipped encoder, or with a custom circuit,
-    which is validated against the reference codewords."""
-    zero, one = five_qubit_codewords()
+    """The perfect code with the shipped encoder, built once per process, or
+    with a custom circuit, which is validated against the reference codewords
+    on every call."""
     if encoder is None:
-        encoder = five_qubit_encoder()
+        return _shipped_five_qubit_code()
+    zero, one = five_qubit_codewords()
     return CodeSpec(
         name="five-qubit",
         n_physical=5,
@@ -267,9 +279,16 @@ def five_qubit_code(encoder: Optional[Circuit] = None) -> CodeSpec:
     )
 
 
+@lru_cache(maxsize=None)
+def _shipped_five_qubit_code() -> CodeSpec:
+    return five_qubit_code(five_qubit_encoder())
+
+
+@lru_cache(maxsize=None)
 def three_qubit_phase_code() -> CodeSpec:
     """Phase-flip code: |0_L> = |+++>, |1_L> = -|---> (the sign the encoder
-    produces), correcting a Z on any one qubit via majority vote."""
+    produces), correcting a Z on any one qubit via majority vote. Built once
+    per process."""
     encoder = Circuit(3, (
         GateOp("CNOT", (1,), (0,)),
         GateOp("CNOT", (2,), (0,)),
@@ -291,10 +310,12 @@ def three_qubit_phase_code() -> CodeSpec:
     )
 
 
+@lru_cache(maxsize=None)
 def two_qubit_zeno_code() -> CodeSpec:
     """Parity code: |0_L> = (|00>+|11>)/sqrt(2), |1_L> = (|01>+|10>)/sqrt(2).
 
     Detection only: decoding reads the ancilla but applies no correction.
+    Built once per process.
     """
     encoder = Circuit(2, (
         GateOp("U", (1,)),
@@ -336,17 +357,6 @@ def _syndrome(outcome: int, n: int) -> str:
     return format(outcome, f"0{n - 1}b")
 
 
-@lru_cache(maxsize=64)
-def _decoder_blocks(encoder: Circuit) -> np.ndarray:
-    """Read-only uncorrected decoder stack of one encoder, built once."""
-    n = encoder.n_qubits
-    decode = circuit_to_unitary(invert_circuit(encoder))
-    # row d * K + s of the decoded space holds data bit d and ancilla outcome s
-    blocks = decode.reshape(2, 2 ** (n - 1), 2**n).transpose(1, 0, 2)
-    blocks.flags.writeable = False
-    return blocks
-
-
 def recovery_operators(code: CodeSpec, table: Optional[SyndromeTable] = None) -> np.ndarray:
     """(K, 2, 2**n) stack, K = 2**(n-1): block s runs the encoder backwards,
     keeps the two data-qubit rows where the ancillas read s, and applies the
@@ -354,7 +364,7 @@ def recovery_operators(code: CodeSpec, table: Optional[SyndromeTable] = None) ->
     if code.encoder is None:
         raise ValueError(f"code {code.name} has no encoder circuit")
     n = code.n_physical
-    blocks = _decoder_blocks(code.encoder)
+    blocks = code._decoder_blocks
     if table is None:
         return blocks
     corrections = np.stack([CORRECTION_MATRICES[table.lookup(_syndrome(s, n))]

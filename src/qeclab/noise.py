@@ -27,8 +27,9 @@ execution order. Every MC command runs its points through one path, as jobs
 of whole blocks (a partial last block rides with the full block before it,
 unless that would leave a worker idle), heaviest point first, on a small
 thread pool: a thread per usable CPU (at most four) when BLAS runs one
-thread, else one. The outputs have the same bits at any worker count, and
-come back in input order.
+thread, else one. Each point is reduced from its jobs' final states as they
+arrive. The outputs have the same bits at any worker count, and come back
+in input order.
 """
 
 from __future__ import annotations
@@ -61,9 +62,10 @@ IPLUS = PureState(1, np.array([1, 1j], dtype=complex) / np.sqrt(2))
 
 # Bounds on the memory one call may ask for: a job's phases take
 # 8 * repetitions * n bytes per trajectory, for at most 2 * MC_BLOCK - 1
-# trajectories (about 200 MB at the cap), and the MC route holds 72 bytes per
-# shot of the point it reduces (tracemalloc's peak; about 720 MB at the cap),
-# besides the few jobs in flight.
+# trajectories (about 200 MB at the cap), and the MC route holds about 41 bytes
+# per shot of the point it reduces (tracemalloc's peak on one worker: its 16-byte
+# off-diagonal elements and the reduction's temporaries; about 410 MB at the
+# cap), besides the few jobs in flight.
 MAX_REPETITIONS = 1000
 MAX_SHOTS = 10**7
 MAX_STEPS = 10_000      # figure5_data runs 4 * (steps + 1) exact points
@@ -346,33 +348,6 @@ def _weight(scheme: Scheme) -> int:
     return scheme.repetitions * 2 ** _model(scheme.kind)[0]
 
 
-def _trajectory_rows(points: list, shots: int):
-    """Yield (index, final one-qubit pure states) for each point, heaviest
-    first: its states have shape (shots, 2), one row per trajectory.
-
-    A point is a ``_trajectory_point``; its block b holds trajectories
-    [b * MC_BLOCK, (b + 1) * MC_BLOCK), whatever the shot count, and its jobs
-    are ``_job_spans(shots)``; when all points together would have fewer
-    jobs than ``_workers()``, each partial last block of 2 or more
-    trajectories is a job of its own. The points run by their scheme's
-    ``_weight``, largest first (a stable sort: equal weights keep their
-    order), so the longest jobs do not finish last. Every point's jobs run in
-    turn through ``_in_order``, so the pool runs the next jobs while the
-    caller reads a point's rows, and only one point's rows are held here at
-    a time.
-    """
-    order = sorted(range(len(points)), key=lambda i: -_weight(points[i][0]))
-    spans = _job_spans(shots, -(-_workers() // max(len(points), 1)))
-    jobs = ((*points[i], start, stop) for i in order for start, stop in spans)
-    with contextlib.closing(_in_order(_trajectory_job, jobs)) as results:
-        for i in order:
-            rows = np.empty((shots, 2), dtype=complex)
-            for start, stop in spans:
-                rows[start:stop] = next(results).T
-            yield i, rows
-            del rows                    # freed before the next point's rows are made
-
-
 def run_scheme(scheme: Scheme, psi: PureState, t: float) -> DensityMatrix:
     """Final reduced one-qubit density matrix after the full protection cycle,
     by exact channel propagation."""
@@ -431,24 +406,42 @@ def mc_coherence(scheme: Scheme, psi: PureState, t: float, shots: int, seed=None
 
 def mc_estimates(points: Sequence[tuple], shots: int) -> list:
     """``mc_coherence`` of each (scheme, psi, t, seed) point, as a list in
-    input order: every point is checked before any trajectory runs, and the
-    jobs of all points run through one ``_trajectory_rows``, heaviest point
-    first. Each point's rows are reduced as they come, to two floats."""
+    input order: every point is checked before any trajectory runs.
+
+    A point's block b holds trajectories [b * MC_BLOCK, (b + 1) * MC_BLOCK),
+    whatever the shot count, and its jobs are ``_job_spans(shots)``; when all
+    points together would have fewer jobs than ``_workers()``, each partial
+    last block of 2 or more trajectories is a job of its own. The points run
+    by their scheme's ``_weight``, largest first (a stable sort: equal
+    weights keep their order), so the longest jobs do not finish last. Every
+    point's jobs run in turn through ``_in_order``, so the pool runs the next
+    jobs while the caller reduces a point: each job's final states become
+    that point's off-diagonal elements z as they come, and only one point's
+    z is held at a time.
+    """
     refs, checked = [], []
     for scheme, psi, t, seed in points:
         refs.append(_off_diagonal(psi))
         checked.append(_trajectory_point(scheme, psi, t, shots, seed))
+    order = sorted(range(len(checked)), key=lambda i: -_weight(checked[i][0]))
+    spans = _job_spans(shots, -(-_workers() // max(len(checked), 1)))
+    jobs = ((*checked[i], start, stop) for i in order for start, stop in spans)
     estimates = [None] * len(checked)
-    for i, states in _trajectory_rows(checked, shots):
-        estimates[i] = _estimate(states, refs[i])
-        del states                      # one point's rows alive at a time
+    with contextlib.closing(_in_order(_trajectory_job, jobs)) as results:
+        for i in order:
+            z = np.empty(shots, dtype=complex)
+            for start, stop in spans:
+                states = next(results)
+                np.multiply(states[1], states[0].conj(), out=z[start:stop])
+            estimates[i] = _estimate(z, refs[i])
+            del z                       # freed before the next point's z is made
     return estimates
 
 
-def _estimate(states: np.ndarray, z0: complex) -> tuple:
-    """(coherence, standard error) of one point from its final states."""
-    shots = len(states)
-    z = states[:, 1] * states[:, 0].conj()
+def _estimate(z: np.ndarray, z0: complex) -> tuple:
+    """(coherence, standard error) of one point from the off-diagonal
+    elements z = a1 * conj(a0) of its trajectories' final states."""
+    shots = len(z)
     mean = z.mean()
     if abs(mean) < 1e-300:
         se_abs = math.hypot(z.real.std(ddof=1), z.imag.std(ddof=1)) / math.sqrt(shots)

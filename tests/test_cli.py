@@ -99,6 +99,17 @@ class TestVerifyCode:
         assert doc["valid"] is False
         assert doc["worst_violation"] > 0
 
+    def test_a_broken_encoder_exits_2_after_the_shipped_code_is_built(self, capsys, tmp_path):
+        """The shipped code is built once per process; a custom encoder is
+        checked on every command."""
+        from qeclab.codes import five_qubit_encoder
+
+        path = write_circuit(tmp_path, Circuit(5, five_qubit_encoder().ops[:-1]))
+        assert run_cli(capsys, "verify-code", "--code", "five-qubit", "--trials", "1")[0] == 0
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, "verify-code", "--code", "five-qubit", "--encoder", path)
+            assert code == 2 and json.loads(out)["valid"] is False
+
     def test_twenty_thousand_op_encoder_gets_its_report(self, capsys, tmp_path):
         """The codeword norms drift past 1e-12 over 20,000 ops; the report
         still comes, instead of the candidate code's normalization error."""

@@ -307,9 +307,9 @@ class TestDecodeAndCorrect:
                 assert fidelity(recovered, psi) >= 1 - 1e-10
         assert raised == 1
 
-    def test_decoder_is_built_once_per_encoder(self, rng, monkeypatch):
-        """Repeated decodes reuse one dense decoder; an X X tail gives an
-        encoder no other test has decoded, so its first use builds it."""
+    def test_decoder_is_built_once_per_code(self, rng, monkeypatch):
+        """Repeated decodes reuse one dense decoder; a code of its own (the
+        shipped encoder with an X X tail) builds it on first use."""
         x0 = GateOp("X", (0,))
         code = five_qubit_code(Circuit(5, five_qubit_encoder().ops + (x0, x0)))
         built = []
@@ -327,6 +327,23 @@ class TestDecodeAndCorrect:
             assert syndrome != "0000" and fidelity(recovered, psi) >= 1 - 1e-10
         assert len(built) == 1
         assert not recovery_operators(code).flags.writeable
+
+    def test_decodes_neither_hash_nor_compare_the_encoder(self, rng, monkeypatch):
+        """80 decodes, as ``verify-code`` runs, make no ``GateOp`` hash or
+        comparison: the decoder is found through the code object."""
+        code = five_qubit_code()
+        table = build_syndrome_table(code)
+        states = [apply_error(encode(code, random_pure_state(1, rng)), ErrorOp("Y", i % 5)) for i in range(80)]
+        calls = []
+        for name in ("__hash__", "__eq__"):
+            real = getattr(GateOp, name)
+            monkeypatch.setattr(GateOp, name,
+                                lambda self, *other, real=real, name=name: calls.append(name) or real(self, *other))
+        assert hash(GateOp("X", (0,))) and calls == ["__hash__"]   # the count sees a hash
+        calls.clear()
+        for state in states:
+            decode_and_correct(code, table, state, rng=rng)
+        assert calls == []
 
 
 def _collapse_reference(amps, draws):
@@ -512,6 +529,33 @@ class TestZenoCode:
 
     def test_exact_alignment(self):
         assert encoder_alignment_error(two_qubit_zeno_code()) < 1e-15
+
+
+class TestBuiltInCodes:
+    @pytest.mark.parametrize("factory", [five_qubit_code, three_qubit_phase_code, two_qubit_zeno_code])
+    def test_each_is_built_once_per_process(self, factory):
+        assert factory() is factory()
+
+    def test_the_noise_models_build_no_code(self, monkeypatch):
+        from qeclab import noise
+
+        three_qubit_phase_code(), two_qubit_zeno_code()      # built before the count
+        built = []
+        real = CodeSpec.__post_init__
+        monkeypatch.setattr(CodeSpec, "__post_init__", lambda self: built.append(self.name) or real(self))
+        noise._model.cache_clear()
+        for kind in noise.SCHEME_KINDS:
+            noise._model(kind)
+        assert built == []
+
+    def test_a_custom_encoder_is_checked_on_every_call(self):
+        five_qubit_code()
+        broken = Circuit(5, five_qubit_encoder().ops[:-1])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="encoder does not reproduce the codewords"):
+                five_qubit_code(encoder=broken)
+        custom = five_qubit_encoder()
+        assert five_qubit_code(custom) is not five_qubit_code(custom)
 
 
 class TestCodeSpecValidation:

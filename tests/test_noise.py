@@ -28,7 +28,6 @@ from qeclab.noise import (
     CurveSample,
     Scheme,
     _trajectory_point,
-    _trajectory_rows,
     block_rng,
     curves_to_csv,
     dephase_channel,
@@ -52,8 +51,11 @@ TIME_GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 3.0)
 
 
 def _run_trajectories(scheme, psi, t, shots, seed) -> np.ndarray:
-    """One point's (shots, 2) final states, through the MC route's checks and blocks."""
-    return next(_trajectory_rows([_trajectory_point(scheme, psi, t, shots, seed)], shots))[1]
+    """One point's (2, shots) final states, through the MC route's checks and
+    the jobs a lone point runs on one worker."""
+    point = _trajectory_point(scheme, psi, t, shots, seed)
+    return np.concatenate([noise._trajectory_job(*point, start, stop)
+                           for start, stop in noise._job_spans(shots)], axis=1)
 
 
 def gaussian_char_quadrature(t: float) -> float:
@@ -399,7 +401,7 @@ class TestMonteCarlo:
         """Averaged single-qubit trajectories reproduce the exact channel."""
         shots = 30_000
         states = _run_trajectories(Scheme("uncoded"), IPLUS, 1.0, shots, 11)
-        rho = states.T @ states.conj() / shots
+        rho = states @ states.conj().T / shots
         exact = dephase_channel(IPLUS.density(), 0, 1.0)
         assert np.abs(rho - exact.matrix).max() < 5.0 / math.sqrt(shots)
 
@@ -423,8 +425,8 @@ class TestMonteCarlo:
         scheme = Scheme("phase3", 3)
         a = _run_trajectories(scheme, IPLUS, 0.7, MC_BLOCK, seed=4)
         b = _run_trajectories(scheme, IPLUS, 0.7, MC_BLOCK + 5, seed=4)
-        assert b.shape == (MC_BLOCK + 5, 2)
-        np.testing.assert_array_equal(a, b[:MC_BLOCK])
+        assert b.shape == (2, MC_BLOCK + 5)
+        np.testing.assert_array_equal(a, b[:, :MC_BLOCK])
 
     @pytest.mark.parametrize("kind,reps", DEFAULT_CURVES)
     def test_recovery_route_matches_decode_and_corrections_loop(self, kind, reps):
@@ -433,7 +435,7 @@ class TestMonteCarlo:
         shots, t, seed = MC_BLOCK + 300, 1.3, 8
         expected = _decode_and_correct_trajectories(Scheme(kind, reps), IPLUS, t, shots, seed)
         got = _run_trajectories(Scheme(kind, reps), IPLUS, t, shots, seed)
-        assert np.abs(got - expected).max() < 1e-12
+        assert np.abs(got.T - expected).max() < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(SCHEME_KINDS), reps=st.integers(1, 12),
@@ -446,8 +448,8 @@ class TestMonteCarlo:
         psi = random_pure_state(1, np.random.default_rng(psi_seed))
         expected = _decode_and_correct_trajectories(Scheme(kind, reps), psi, t, shots, seed)
         got = _run_trajectories(Scheme(kind, reps), psi, t, shots, seed)
-        assert got.shape == (shots, 2)
-        assert np.abs(got - expected).max() < 1e-12
+        assert got.shape == (2, shots)
+        assert np.abs(got.T - expected).max() < 1e-12
 
     def test_stderr_matches_the_spread_of_replicates(self):
         """On a 45 degree input the error bar is the spread of |mean| over replicates.
@@ -465,7 +467,7 @@ class TestMonteCarlo:
         covariance term drops out and the two formulas agree."""
         shots, t, seed = 5000, 1.0, 31
         states = _run_trajectories(Scheme(kind, reps), IPLUS, t, shots, seed)
-        z = states[:, 1] * states[:, 0].conj()
+        z = states[1] * states[0].conj()
         m = z.mean()
         se_re = z.real.std(ddof=1) / math.sqrt(shots)
         se_im = z.imag.std(ddof=1) / math.sqrt(shots)
@@ -518,11 +520,10 @@ def _decode_and_correct_trajectories(scheme, psi, t, shots, seed):
 
 
 class TestEstimate:
-    def test_rows_whose_mean_vanishes(self):
+    def test_elements_whose_mean_vanishes(self):
         """With no mean direction the error bar spreads over both parts:
         z = 0.5, -0.5, 0.5i, -0.5i has standard deviation sqrt(1/6) in each."""
-        states = np.array([[1, 1], [1, -1], [1, 1j], [1, -1j]]) / math.sqrt(2)
-        coherence, se = noise._estimate(states, 0.5)
+        coherence, se = noise._estimate(np.array([0.5, -0.5, 0.5j, -0.5j]), 0.5)
         assert coherence == 0.0
         assert se == pytest.approx(1 / math.sqrt(3), rel=1e-12)
 
@@ -752,18 +753,45 @@ class TestBlocksOnAPool:
             self.force(monkeypatch, workers)
             assert list(noise.mc_estimates(points, shots)) == alone
 
+    @pytest.mark.parametrize("shots", [2, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 8191, 3 * MC_BLOCK + 5])
+    def test_each_estimate_reduces_the_states_of_its_jobs(self, monkeypatch, shots):
+        """At 1, 2 and 3 workers, each point's estimate has the bits of
+        ``_estimate`` over z = a1 * conj(a0) of its jobs' final states."""
+        points = [(Scheme("uncoded"), PLUS, 0.4, 2), (Scheme("phase3", 3), IPLUS, 0.7, 9)]
+        expected = []
+        for scheme, psi, t, seed in points:
+            states = _run_trajectories(scheme, psi, t, shots, seed)
+            expected.append(noise._estimate(states[1] * states[0].conj(), noise._off_diagonal(psi)))
+        for workers in (1, 2, 3):
+            self.force(monkeypatch, workers)
+            assert noise.mc_estimates(points, shots) == expected
+
+    def test_a_point_is_reduced_in_at_most_48_bytes_per_shot(self, monkeypatch):
+        """One worker on a 200,000-shot point: its z takes 16 bytes per shot
+        and ``_estimate``'s temporaries 24, besides the jobs in flight."""
+        self.force(monkeypatch, 1)
+        points, shots = [(Scheme("phase3"), IPLUS, 1.0, 3)], 200_000
+        noise.mc_estimates(points, 2 * MC_BLOCK)        # the pool and the model exist before the count
+        tracemalloc.start()
+        try:
+            noise.mc_estimates(points, shots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * shots
+
     @pytest.mark.parametrize("shots", [MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 5])
     def test_joined_jobs_keep_the_columns_of_their_blocks(self, shots):
         """A job's columns are its blocks' columns, run one block at a time.
         A lone trajectory (shots one past a block) run by itself takes
         NumPy's matrix-vector product, which rounds differently: within 1e-15."""
         point = _trajectory_point(Scheme("phase3", 3), PLUS, 0.9, shots, 6)
-        rows = next(_trajectory_rows([point], shots))[1]
+        jobs = _run_trajectories(Scheme("phase3", 3), PLUS, 0.9, shots, 6)
         blocks = np.concatenate([noise._trajectory_job(*point, start, min(start + MC_BLOCK, shots))
-                                 for start in range(0, shots, MC_BLOCK)], axis=1).T
+                                 for start in range(0, shots, MC_BLOCK)], axis=1)
         lone = 1 if shots % MC_BLOCK == 1 and shots > MC_BLOCK else 0
-        np.testing.assert_array_equal(rows[:shots - lone], blocks[:shots - lone])
-        assert np.abs(rows[shots - lone:] - blocks[shots - lone:]).max(initial=0.0) < 1e-15
+        np.testing.assert_array_equal(jobs[:, :shots - lone], blocks[:, :shots - lone])
+        assert np.abs(jobs[:, shots - lone:] - blocks[:, shots - lone:]).max(initial=0.0) < 1e-15
 
     @pytest.mark.parametrize("shots", [2, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, MC_BLOCK + 2,
                                        2 * MC_BLOCK - 1, 2 * MC_BLOCK, 3 * MC_BLOCK + 5, 6 * MC_BLOCK - 1])

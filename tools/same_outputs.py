@@ -9,7 +9,9 @@ In each checkout, a child process imports ``qeclab`` from the checkout's
 
 * every command of the ``verify_suite`` benchmark workload at each seed (its
   warm-up batch, then its timed batch), then ``simulate-pulses --unitary``
-  on every pulse file those commands wrote;
+  on every pulse file those commands wrote, then ``verify-code --code
+  five-qubit --encoder`` this repository's ``tests/data/encoder_24.qc.json``,
+  a custom encoder that is checked on every command;
 * ``--programs`` pulse programs, in turn compiled (``compile --out`` of a
   random circuit on 2-6 qubits), spliced (that program with 1-3 random
   pulses inserted) and leaky (0-40 random pulses of a random subset of kinds,
@@ -169,6 +171,8 @@ def verify_suite_commands(main, workdir: Path, seeds: list, programs: int) -> li
             circuit = json.loads(pulses.with_name(pulses.name.replace(".pulses", ".qc")).read_text())
             argv = ["simulate-pulses", "--pulses", str(pulses), "--ions", str(circuit["n"]), "--unitary"]
             records.append(run_command(main, argv))
+        argv = ["verify-code", "--code", "five-qubit", "--encoder", str(ENCODER_24), "--seed", str(seed)]
+        records.append(run_command(main, argv))
     return records
 
 
