@@ -446,6 +446,9 @@ def _estimate(z: np.ndarray, z0: complex) -> tuple:
     if abs(mean) < 1e-300:
         se_abs = math.hypot(z.real.std(ddof=1), z.imag.std(ddof=1)) / math.sqrt(shots)
     else:
+        # the real part of the complex product: with c the unit factor, the
+        # parts form z.real * c.real - z.imag * c.imag rounds about a quarter
+        # of the elements differently, and can change the printed error bar
         radial = (z * (mean.conjugate() / abs(mean))).real
         se_abs = radial.std(ddof=1) / math.sqrt(shots)
     return float(abs(mean) / abs(z0)), float(se_abs / abs(z0))
@@ -511,12 +514,18 @@ def coherence_curves(curves: Sequence[tuple], shots: Optional[int] = None) -> li
     """A ``CoherenceCurve`` of each (scheme, psi, times, seeds) curve: the
     exact coherence at each of ``times`` and, with ``shots`` set, the
     ``mc_coherence`` of each time with its seed (``seeds`` is read only
-    then). The MC points of every curve are checked first and run in one
+    then, and must hold one seed per time). The seeds and the MC points of
+    every curve are checked first, and the points run in one
     ``mc_estimates`` call; then each curve's exact values come from one
     ``scheme_coherences`` call."""
     if shots is None:
         estimates = itertools.repeat((None, None))
     else:
+        for k, (scheme, _, times, seeds) in enumerate(curves):
+            if seeds is None or len(seeds) != len(times):
+                raise ValueError(f"curve {k} ({scheme.kind}, n={scheme.repetitions}) has "
+                                 f"{'no' if seeds is None else len(seeds)} seeds for {len(times)} "
+                                 f"times; with shots it needs one seed per time")
         estimates = iter(mc_estimates([(scheme, psi, t, seed) for scheme, psi, times, seeds in curves
                                        for t, seed in zip(times, seeds)], shots))
     built = []

@@ -1,8 +1,11 @@
-"""The cached op kernels, the one-Gram Knill-Laflamme check, and the pulse
-simulator's one-qubit kernel and row maps on the rows a program reaches,
-cross-checked against slow references: dense Kronecker products, a loop of
-inner products, and the mask/gather pulse kernel on the whole trap space."""
+"""The cached op kernels, the one-Gram Knill-Laflamme check, the pulse
+simulator's one-qubit kernel and row maps on the rows a program reaches, and
+the pulse-program parser's process-wide caches, cross-checked against slow
+references: dense Kronecker products, a loop of inner products, the
+mask/gather pulse kernel on the whole trap space, and a parser that builds
+and checks each distinct entry once per call."""
 
+import struct
 from math import prod
 
 import numpy as np
@@ -27,10 +30,11 @@ from qeclab.iontrap import (
     _pulse_apply,
     compile_circuit,
     compile_cphase,
+    pulses_from_json,
     simulate_pulse_sequence,
 )
 from qeclab.search import random_circuit, random_op
-from qeclab.states import I2, X, Y, Z, PureState
+from qeclab.states import I2, U, UDAG, X, Y, Z, PureState
 
 P0 = np.diag([1, 0]).astype(complex)
 P1 = np.diag([0, 1]).astype(complex)
@@ -724,3 +728,169 @@ def region_cases(draw):
 def test_region_map_matches_grow_run_cut(case):
     """On the fixed region and other sets of rows, in any axis orders."""
     assert_map_matches_grow_run_cut(*case)
+
+
+# --- the pulse-program parser ---------------------------------------------------------
+# pulses_from_json keeps no state of its own: each OneQubit matrix is built and
+# checked once per process, and each phonon pulse built once. The reference
+# builds and checks each distinct entry once per call, with dicts of its own.
+
+
+def reference_number(value) -> float:
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a number")
+    return value
+
+
+def reference_matrix_bits(matrix):
+    """The eight numbers of a 2x2 matrix of [re, im] pairs, packed as doubles;
+    None for anything else."""
+    try:
+        ((a, b), (c, d)), ((e, f), (g, h)) = matrix
+        return struct.pack("<8d", *map(reference_number, (a, b, c, d, e, f, g, h)))
+    except (TypeError, ValueError, struct.error):
+        return None
+
+
+def reference_entry(doc: dict, kind: str, ion: int, dag: bool, i: int, checked: dict, bits) -> Pulse:
+    """Entry ``i``'s Pulse: a OneQubit matrix whose (dag, bits) were checked
+    earlier in the call is shared; any other runs the full parse."""
+    if kind != "OneQubit":
+        full = kind + "Dag" if dag and kind != "VPulse" else kind
+        if full not in PULSE_KINDS:
+            raise ValueError(f"unknown pulse kind {kind!r} at position {i}")
+        return Pulse(full, ion)
+    label = doc.get("label")
+    if (dag, bits) in checked:
+        return Pulse._trusted(ion, checked[dag, bits], label)
+    try:
+        mat = np.array([[complex(reference_number(re), reference_number(im)) for re, im in row]
+                        for row in doc["matrix"]])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed matrix at position {i}: {exc}") from None
+    if label is not None and type(label) is not str:
+        raise ValueError(f"pulse entry at position {i} has a 'label' that is not a string")
+    if dag:
+        mat = mat.conj().T
+    try:
+        pulse = Pulse("OneQubit", ion, mat, label=label)
+    except ValueError as exc:
+        raise ValueError(f"pulse entry at position {i}: {exc}") from None
+    if bits is not None:
+        checked[dag, bits] = pulse.matrix
+    return pulse
+
+
+def reference_pulses_from_json(docs) -> PulseSequence:
+    """The per-call parser: each distinct entry is built once per call, a
+    repeat of (kind, ion, dag), with the same label and matrix numbers for
+    OneQubit, sharing its Pulse."""
+    if not isinstance(docs, list):
+        raise ValueError("a pulse program is a list of pulse entries")
+    if len(docs) > iontrap.MAX_PULSES:
+        raise ValueError(f"pulse program has {len(docs)} entries; at most {iontrap.MAX_PULSES} are allowed")
+    pulses, built, checked = [], {}, {}
+    for i, doc in enumerate(docs):
+        try:
+            kind = doc["kind"]
+            ion = doc["ion"]
+            dag = doc.get("dag", False)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed pulse entry at position {i}: {exc}") from None
+        if type(kind) is not str or type(ion) is not int or type(dag) is not bool:
+            raise ValueError(f"pulse entry at position {i} needs a string 'kind', "
+                             f"an integer 'ion' and a boolean 'dag'")
+        key, bits = (kind, ion, dag), None
+        if kind == "OneQubit":
+            label = doc.get("label")
+            if label is None or type(label) is str:
+                bits = reference_matrix_bits(doc.get("matrix"))
+            key = None if bits is None else (kind, ion, dag, label, bits)
+        pulse = built.get(key)
+        if pulse is None:
+            pulse = reference_entry(doc, kind, ion, dag, i, checked, bits)
+            if key is not None:
+                built[key] = pulse
+        pulses.append(pulse)
+    return PulseSequence(tuple(pulses))
+
+
+def pairs(matrix) -> list:
+    return [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
+
+
+MISSING = object()      # an entry without the key
+VALID_MATRICES = [
+    pairs(np.eye(2)), [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],               # floats; ints
+    [[[1.0, -0.0], [-0.0, 0.0]], [[0, 0.0], [1, -0.0]]],                 # signed zeros
+    [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], pairs(U), pairs(UDAG),         # X; U and its dagger spelled out
+]
+BAD_MATRICES = [
+    [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],       # NaN
+    [[[2, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [1, 0]], [[0, 0], [1, 0]]],   # not unitary
+    [[[1, 0], [0, 0], [0, 0], [1, 0]]],                                  # shape (1, 4)
+    [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]],              # three rows
+    [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],                # two rows of three
+    [[[1, 0], [0, 0]], [[0, 0]]], [], [[]], [[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]],
+    [[[True, 0], [0, 0]], [[0, 0], [1, 0]]], [[["a", 0], [0, 0]], [[0, 0], [1, 0]]],
+    [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]], [[[None, 0], [0, 0]], [[0, 0], [1, 0]]],
+    3, "matrix", None, MISSING,
+]
+VALID_LABELS = [MISSING, None, "U", "", "I" * 200]
+BAD_LABELS = [3, ["U"], True, {"a": 1}]
+ODD_ENTRIES = [{"kind": "WPhon", "ion": 1.5}, {"kind": "WPhon", "ion": True}, {"kind": 3, "ion": 0},
+               {"kind": "VPulse", "ion": 0, "dag": "yes"}, {"ion": 0}, {"kind": "OneQubitDag", "ion": 0},
+               {"kind": "bogus", "ion": 0}, "WPhon", ["WPhon", 0], None]
+
+
+angles = st.floats(-4.0, 4.0).map(lambda a: pairs([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]))
+matrices = st.one_of(st.sampled_from(VALID_MATRICES), angles, st.sampled_from(BAD_MATRICES))
+labels = st.one_of(st.sampled_from(VALID_LABELS), st.sampled_from(VALID_LABELS), st.sampled_from(BAD_LABELS))
+
+
+@st.composite
+def parser_entries(draw):
+    """A pulse entry, most often a OneQubit one; its matrix and label are
+    mostly valid, so that programs reach their later entries."""
+    kind = draw(st.sampled_from(("OneQubit",) * 4 + ("WPhon", "VPulse", "VPhon", "WPhonDag")))
+    doc = {"kind": kind, "ion": draw(st.integers(-1, 6))}
+    if draw(st.booleans()):
+        doc["dag"] = draw(st.booleans())
+    if kind == "OneQubit":
+        fields = (("matrix", draw(matrices)), ("label", draw(labels)))
+        doc.update({k: v for k, v in fields if v is not MISSING})
+    return doc
+
+
+@st.composite
+def parser_programs(draw):
+    """A program of repeats of a few distinct entries, in any order; one
+    entry in about twenty is malformed before its kind is read."""
+    odd = st.sampled_from(ODD_ENTRIES)
+    pool = [draw(odd if draw(st.integers(0, 19)) == 7 else parser_entries())
+            for _ in range(draw(st.integers(1, 6)))]
+    return [pool[k] for k in draw(st.lists(st.integers(0, len(pool) - 1), max_size=14))]
+
+
+def parse_outcome(parse, docs):
+    """The (kind, ion, label, matrix bytes) of each pulse, or the error message."""
+    try:
+        seq = parse(docs)
+    except ValueError as exc:
+        return str(exc)
+    return [(p.kind, p.ion, p.label, None if p.matrix is None else p.matrix.tobytes()) for p in seq.pulses]
+
+
+@pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+@settings(max_examples=300, deadline=None)
+@given(docs=parser_programs())
+def test_parser_matches_per_call_reference(cold, docs):
+    """The same pulses or the same first error, with the caches kept across
+    examples (each program parsed twice) or cleared before each one."""
+    if cold:
+        iontrap._checked_matrix.cache_clear()
+        iontrap._phonon_pulse.cache_clear()
+    expected = parse_outcome(reference_pulses_from_json, docs)
+    assert parse_outcome(pulses_from_json, docs) == expected
+    if not cold:
+        assert parse_outcome(pulses_from_json, docs) == expected

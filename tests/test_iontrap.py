@@ -361,22 +361,22 @@ class TestPulseJson:
         with pytest.raises(ValueError, match="position 2: OneQubit pulse matrix must be a 2x2 unitary"):
             pulses_from_json([valid, valid, {**valid, "matrix": later}, {**valid, "matrix": later}])
 
+    @staticmethod
+    def counting_unitary_checks(monkeypatch) -> list:
+        """Empty the parser's caches and count the unitary checks from now on."""
+        import qeclab.iontrap as iontrap
+
+        iontrap._checked_matrix.cache_clear()
+        iontrap._phonon_pulse.cache_clear()
+        calls = []
+        monkeypatch.setattr(iontrap, "is_unitary", lambda mat: calls.append(mat) or is_unitary(mat))
+        return calls
+
     def test_each_distinct_one_qubit_entry_is_checked_once(self, monkeypatch):
         """One check per distinct pair of dag and matrix numbers, keyed as
         written, before any dagger is taken: entries that differ only in ion
         or label share the checked array."""
-        import qeclab.iontrap as iontrap
-
-        calls, passed = [], set()
-
-        def counting(mat):
-            calls.append(mat)
-            if is_unitary(mat):
-                passed.add(np.asarray(mat, dtype=complex).tobytes())
-                return True
-            return False
-
-        monkeypatch.setattr(iontrap, "is_unitary", counting)
+        calls = self.counting_unitary_checks(monkeypatch)
         identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         signed = [[[1.0, 0.0], [-0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         entry = {"kind": "OneQubit", "ion": 0, "dag": False, "matrix": identity}
@@ -386,13 +386,15 @@ class TestPulseJson:
         # the identity, its dagger (imaginary parts -0.0) and the signed zero
         assert len(calls) == 3
         assert len(seq) == 3 * len(distinct) + 1
-        assert seq.pulses[0] is seq.pulses[-5] and seq.pulses[0] is not seq.pulses[4]
+        assert seq.pulses[0].matrix is seq.pulses[-5].matrix
+        assert seq.pulses[0].matrix is not seq.pulses[4].matrix
         plain, other_ion, dagger, labelled, signed_zero = seq.pulses[:5]
         assert (other_ion.ion, labelled.label) == (1, "I")
         assert other_ion.matrix is plain.matrix and labelled.matrix is plain.matrix
         assert dagger.matrix is not plain.matrix and signed_zero.matrix is not plain.matrix
         assert np.signbit(dagger.matrix.imag).all() and not np.signbit(plain.matrix.imag).any()
         assert np.signbit(signed_zero.matrix[0, 1].real) and not np.signbit(plain.matrix[0, 1].real)
+        passed = {np.asarray(mat, dtype=complex).tobytes() for mat in calls if is_unitary(mat)}
         one_qubit = [p for p in seq.pulses if p.kind == "OneQubit"]
         assert all(p.matrix.tobytes() in passed and not p.matrix.flags.writeable for p in one_qubit)
 
@@ -401,18 +403,10 @@ class TestPulseJson:
         of its own, and so does a plain entry with the numbers of that
         dagger written out, though its array has the same bits; repeats of
         each, on other ions, share its matrix."""
-        import qeclab.iontrap as iontrap
-
-        calls = []
-
-        def counting(mat):
-            calls.append(mat)
-            return is_unitary(mat)
-
         plain = pulses_to_json(PulseSequence((Pulse("OneQubit", 0, U, label="U"),)))[0]
         written = pulses_to_json(PulseSequence((Pulse("OneQubit", 0, U.conj().T, label="U"),)))[0]
         distinct = [plain, {**plain, "dag": True}, written]
-        monkeypatch.setattr(iontrap, "is_unitary", counting)
+        calls = self.counting_unitary_checks(monkeypatch)
         seq = pulses_from_json(distinct + [{**doc, "ion": 1} for doc in distinct])
         assert len(calls) == 3
         first, repeats = seq.pulses[:3], seq.pulses[3:]
@@ -422,26 +416,39 @@ class TestPulseJson:
         assert daggered.matrix.tobytes() == spelled.matrix.tobytes() == U.conj().T.tobytes()
 
     def test_each_distinct_entry_is_built_once(self, monkeypatch):
-        """A repeat of (kind, ion, dag), with the same label and matrix
-        numbers for OneQubit, shares the first entry's Pulse."""
+        """A repeat of (kind, ion, dag) shares the first entry's phonon
+        Pulse, and a repeat of dag and matrix numbers its OneQubit matrix,
+        whatever its ion and label."""
         import qeclab.iontrap as iontrap
 
-        built = []
-
-        def counting(doc, *args):
-            built.append(doc)
-            return parse_entry(doc, *args)
-
-        parse_entry = iontrap._parse_entry
-        monkeypatch.setattr(iontrap, "_parse_entry", counting)
+        self.counting_unitary_checks(monkeypatch)
         one_qubit = pulses_to_json(PulseSequence((Pulse("OneQubit", 1, U, label="U"),)))[0]
         distinct = [{"kind": "WPhon", "ion": 0}, {"kind": "WPhon", "ion": 0, "dag": True},
                     {"kind": "WPhon", "ion": 1}, {"kind": "VPulse", "ion": 2}, one_qubit,
                     {**one_qubit, "label": None}, {**one_qubit, "ion": 0}]
         seq = pulses_from_json(distinct + distinct[::-1])
-        assert len(built) == len(distinct)
-        assert all(a is b for a, b in zip(seq.pulses, seq.pulses[::-1]))
+        assert iontrap._phonon_pulse.cache_info().misses == 4
+        assert iontrap._checked_matrix.cache_info().misses == 1
+        assert all(a is b if a.kind != "OneQubit" else a.matrix is b.matrix
+                   for a, b in zip(seq.pulses, seq.pulses[::-1]))
+        assert [(p.ion, p.label) for p in seq.pulses[4:7]] == [(1, "U"), (1, None), (0, "U")]
         assert [p.kind for p in seq.pulses[:2]] == ["WPhon", "WPhonDag"]
+
+    def test_a_second_parse_checks_no_matrix(self, monkeypatch):
+        docs = pulses_to_json(compile_circuit(five_qubit_code().encoder))
+        calls = self.counting_unitary_checks(monkeypatch)
+        first = pulses_from_json(docs)
+        checked = len(calls)
+        second = pulses_from_json(docs)
+        assert checked > 0 and len(calls) == checked
+        assert all(a is b if a.kind != "OneQubit" else a.matrix is b.matrix and a.label == b.label
+                   for a, b in zip(first.pulses, second.pulses))
+
+    def test_the_parse_caches_are_bounded(self):
+        import qeclab.iontrap as iontrap
+
+        for cache in (iontrap._checked_matrix, iontrap._phonon_pulse):
+            assert cache.cache_parameters()["maxsize"] is not None
 
     @pytest.mark.parametrize("value", [True, "1", None, [1]])
     def test_repeat_with_a_mistyped_number_is_still_rejected(self, value):

@@ -626,6 +626,18 @@ class TestCoherenceCurves:
         noise.coherence_curves(self.curves(), 50)
         assert calls == [("mc", 3), ("exact", 2), ("exact", 1)]
 
+    @pytest.mark.parametrize("seeds,given", [([7], "1"), (None, "no"), ([7, 8, 9], "3")],
+                             ids=["fewer", "none", "more"])
+    def test_with_shots_each_curve_needs_one_seed_per_time(self, monkeypatch, seeds, given):
+        """Checked before any point runs, and named by the curve."""
+        ran = []
+        monkeypatch.setattr(noise, "_trajectory_job", lambda *job: ran.append(job))
+        curves = self.curves() + [(Scheme("phase3", 4), IPLUS, [0.2, 0.5], seeds)]
+        with pytest.raises(ValueError, match=rf"^curve 2 \(phase3, n=4\) has {given} seeds for 2 times; "
+                                             r"with shots it needs one seed per time$"):
+            noise.coherence_curves(curves, 50)
+        assert ran == []
+
     def test_every_mc_point_is_checked_before_any_runs(self, monkeypatch):
         ran = []
         monkeypatch.setattr(noise, "_trajectory_job", lambda *job: ran.append(job))

@@ -38,6 +38,19 @@ def test_each_field_and_the_command_list_are_compared():
     assert same_outputs.compare(base, base[:2]) == ["3 commands on the base, 2 on the change"]
 
 
+def test_each_malformed_pulse_file_fails_alike_cold_and_warm(tmp_path):
+    """Every such file ends in one error line and exit code 2, the same
+    on its second run in the process as on its first."""
+    from qeclab.cli import main
+
+    records = []
+    same_outputs.malformed_commands(tmp_path, lambda argv: records.append(same_outputs.run_command(main, argv)))
+    assert len(records) == 2 * len(same_outputs.MALFORMED_PROGRAMS)
+    assert all(r["code"] == 2 and r["stdout"] == same_outputs._digest(b"") for r in records)
+    assert all(cold == warm for cold, warm in zip(records[::2], records[1::2]))
+    assert len({r["stderr"] for r in records}) == len(same_outputs.MALFORMED_PROGRAMS)
+
+
 def summary(capsys) -> tuple:
     out = capsys.readouterr().out
     found = SUMMARY.search(out)

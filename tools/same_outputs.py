@@ -12,7 +12,11 @@ In each checkout, a child process imports ``qeclab`` from the checkout's
   on every pulse file those commands wrote, then ``verify-code --code
   five-qubit --encoder`` this repository's ``tests/data/encoder_24.qc.json``,
   a custom encoder that is checked on every command;
-* ``--programs`` pulse programs, in turn compiled (``compile --out`` of a
+* four pulse files that fail to parse, each run through ``simulate-pulses``
+  twice, with its matrices first unseen in the process and then seen: a
+  malformed matrix, a matrix that is not unitary, a label that is not a
+  string, and a valid entry repeated around a bad one with its numbers; then
+  ``--programs`` pulse programs, in turn compiled (``compile --out`` of a
   random circuit on 2-6 qubits), spliced (that program with 1-3 random
   pulses inserted) and leaky (0-40 random pulses of a random subset of kinds,
   on 1-6 ions), each run through ``simulate-pulses --unitary``;
@@ -90,6 +94,15 @@ EXACT_NOISE = ["noise", "--scheme", "phase3", "--n", "10", "--t",
                *map(repr, np.linspace(0.0, 3.0, 1500).tolist())]
 EXACT_FIGURE5 = ["figure5", "--steps", "60"]
 PROGRAM_SEED = 2026
+# A rotation no compiled program holds, so that its first check is in these files.
+ROTATION = {"kind": "OneQubit", "ion": 0, "matrix": [[[0.6, 0.0], [-0.8, 0.0]], [[0.8, 0.0], [0.6, 0.0]]]}
+MALFORMED_PROGRAMS = {
+    "matrix": [{"kind": "WPhon", "ion": 0}, {**ROTATION, "matrix": [[[0.6, 0.0], ["-0.8", 0.0]],
+                                                                    [[0.8, 0.0], [0.6, 0.0]]]}],
+    "unitary": [ROTATION, {**ROTATION, "ion": 1, "matrix": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]}],
+    "label": [{**ROTATION, "label": 3}],
+    "repeated": [ROTATION, {**ROTATION, "dag": True}, {**ROTATION, "ion": 1, "label": ["R"]}, ROTATION],
+}
 FAMILIES = ("compiled", "spliced", "leaky")
 PULSE_KINDS = ("WPhon", "VPulse", "VPhon", "OneQubit")     # each with a ``dag`` flag
 SHOWN = 20
@@ -176,10 +189,21 @@ def verify_suite_commands(main, workdir: Path, seeds: list, programs: int) -> li
     return records
 
 
+def malformed_commands(folder: Path, run) -> None:
+    """Write the pulse files that fail to parse into ``folder`` and run
+    ``simulate-pulses`` on each twice through ``run(argv)``."""
+    for name, docs in MALFORMED_PROGRAMS.items():
+        pulses = folder / f"malformed_{name}.pulses.json"
+        _write_json(pulses, docs)
+        for _ in range(2):
+            run(["simulate-pulses", "--pulses", str(pulses), "--ions", "2"])
+
+
 def program_set_commands(main, workdir: Path, seeds: list, programs: int) -> list:
     records = []
     folder = workdir / "programs"
     folder.mkdir(parents=True)
+    malformed_commands(folder, lambda argv: records.append(run_command(main, argv)))
     for i in range(programs):
         program_commands(i, folder, lambda argv: records.append(run_command(main, argv)))
     return records
