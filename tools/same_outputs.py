@@ -13,9 +13,10 @@ In each checkout, a child process imports ``qeclab`` from the checkout's
   five-qubit --encoder`` this repository's ``tests/data/encoder_24.qc.json``,
   a custom encoder that is checked on every command;
 * four pulse files that fail to parse, each run through ``simulate-pulses``
-  twice, with its matrices first unseen in the process and then seen: a
-  malformed matrix, a matrix that is not unitary, a label that is not a
-  string, and a valid entry repeated around a bad one with its numbers; then
+  twice, so that its error is compared before and after its valid matrices
+  are checked in the process: a malformed matrix, a matrix that is not
+  unitary, a label that is not a string, and a valid entry repeated around a
+  bad one with its numbers; then
   ``--programs`` pulse programs, in turn compiled (``compile --out`` of a
   random circuit on 2-6 qubits), spliced (that program with 1-3 random
   pulses inserted) and leaky (0-40 random pulses of a random subset of kinds,
