@@ -501,9 +501,42 @@ def check_knill_laflamme(code: CodeSpec, errors: Sequence[ErrorOp]) -> KnillLafl
     for a, error in enumerate(errors):                       # column 2a + i = Ea|i_L>
         images[:, 2 * a] = apply_error(code.logical_zero, error).amplitudes
         images[:, 2 * a + 1] = apply_error(code.logical_one, error).amplitudes
+    return _kl_reduction(images)
+
+
+def _kl_reduction(images: np.ndarray) -> KnillLaflammeResult:
+    """``check_knill_laflamme`` of the C-contiguous ``(2**n, 2m)`` image block
+    whose column 2a + i holds Ea|i_L>."""
+    m = images.shape[1] // 2
     gram = (images.conj().T @ images).reshape(m, 2, m, 2)
     g00, g11 = gram[:, 0, :, 0], gram[:, 1, :, 1]
     worst = float(max(np.abs(gram[:, 0, :, 1]).max(initial=0.0),
                       np.abs(gram[:, 1, :, 0]).max(initial=0.0),
                       np.abs(g00 - g11).max(initial=0.0)))
     return KnillLaflammeResult(worst < 1e-10, (g00 + g11) / 2.0, worst)
+
+
+@lru_cache(maxsize=16)
+def _stacked_gather(n: int, errors: tuple) -> tuple:
+    """Every error's ``_error_gather`` at once, read-only: the ``(2**n, m)``
+    row indices, their ``(2**n, m, 1)`` phases and the positions of the
+    identities, whose images are the codewords themselves."""
+    gathers = [_error_gather(n, e.kind, e.qubit) for e in errors]
+    index = np.stack([g[0] for g in gathers], axis=1)
+    phase = np.stack([g[1] for g in gathers], axis=1)[:, :, None]
+    index.flags.writeable = phase.flags.writeable = False
+    return index, phase, tuple(a for a, e in enumerate(errors) if e.kind == "I")
+
+
+def _error_images(block: np.ndarray, errors: tuple) -> np.ndarray:
+    """The image block ``check_knill_laflamme`` builds, with the same bits,
+    from the ``(2**n, 2)`` codeword block in one gather: column 2a + i holds
+    Ea|i_L>. An identity's columns are copied, not multiplied by one, as
+    ``apply_error`` returns the state itself."""
+    n = block.shape[0].bit_length() - 1
+    index, phase, identities = _stacked_gather(n, errors)
+    images = block.take(index, axis=0)                       # (2**n, m, 2)
+    images *= phase
+    for a in identities:
+        images[:, a] = block
+    return images.reshape(block.shape[0], -1)

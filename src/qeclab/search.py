@@ -7,17 +7,28 @@ for valid circuits or the worst correction-condition violation for invalid
 ones, then op count. The best *valid* candidate can only improve over the
 run, and it is re-checked from scratch at the end.
 
+One verdict rule, ``_verdict``, serves both checks, each with its own
+Knill-Laflamme image builder: the climb gathers all 32 error images of a
+proposal's codeword block at once (``codes._error_images``), and the final
+re-check, like ``is_valid_perfect_code``, builds them with one
+``apply_error`` each inside the public ``check_knill_laflamme``. Both give
+the same bits, and a fault in the climb's builder cannot pass the re-check.
+
 Restarts are keyed by (seed, restart index), so a run is reproducible and
 restarts can execute in any order. They are cut into contiguous ranges, one
 per worker process of a small pool (a process per usable CPU, at most four,
 made on first use), and a lone range climbs in the caller. Each climb
 returns the iterations where it beat its own bests; the caller replays
 them in restart order, so the result has the same bytes at any worker count.
+The workers ignore Ctrl-C, which stops the caller and so the pool; they are
+made with SIGINT blocked, so that holds while they start, too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import signal
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,6 +39,9 @@ import numpy as np
 from .circuits import Circuit, GateOp, SINGLE_QUBIT_KINDS, _apply_op_array
 from .codes import (
     CodeSpec,
+    KnillLaflammeResult,
+    _error_images,
+    _kl_reduction,
     check_knill_laflamme,
     circuit_codewords,  # also public here, as search.circuit_codewords
     codeword_block,
@@ -69,21 +83,33 @@ def is_valid_perfect_code(circuit: Circuit, mode: str = "auto") -> ValidityResul
         raise ValueError(f"unknown validity mode {mode!r}; expected one of {', '.join(VALIDITY_MODES)}")
     if circuit.n_qubits != N_QUBITS:
         raise ValueError(f"the perfect-code check applies to {N_QUBITS}-qubit circuits")
-    return _verdict(codeword_block(circuit), mode)
+    return _verdict(codeword_block(circuit), mode, _per_error_kl)
 
 
-def _verdict(block: np.ndarray, mode: str) -> ValidityResult:
+def _per_error_kl(block: np.ndarray) -> KnillLaflammeResult:
+    """The public Knill-Laflamme check, one ``apply_error`` per image."""
+    candidate = CodeSpec._trusted("candidate", *(PureState._trusted(N_QUBITS, w) for w in block.T))
+    return check_knill_laflamme(candidate, _FIVE_QUBIT_ERRORS)
+
+
+def _stacked_kl(block: np.ndarray) -> KnillLaflammeResult:
+    """The same check with the same bits, its images built in one gather:
+    the climb's check."""
+    return _kl_reduction(_error_images(block, _FIVE_QUBIT_ERRORS))
+
+
+def _verdict(block: np.ndarray, mode: str, kl_check) -> ValidityResult:
     """``is_valid_perfect_code`` of a checked mode and a five-qubit circuit's
-    ``codeword_block``. A circuit is unitary, so its codewords are orthonormal
-    to rounding; ``"auto"`` matches them to the reference only once the
-    Knill-Laflamme check passes, to name the code."""
+    ``codeword_block``, with ``kl_check`` as the Knill-Laflamme check. A
+    circuit is unitary, so its codewords are orthonormal to rounding;
+    ``"auto"`` matches them to the reference only once the Knill-Laflamme
+    check passes, to name the code."""
     if mode == "exact":
         mismatch = _reference_mismatch(block)
         if mismatch < 1e-10:
             return ValidityResult(True, "exact", 0.0)
         return ValidityResult(False, None, mismatch)
-    candidate = CodeSpec._trusted("candidate", *(PureState._trusted(N_QUBITS, w) for w in block.T))
-    kl = check_knill_laflamme(candidate, _FIVE_QUBIT_ERRORS)
+    kl = kl_check(block)
     if not kl.ok:
         return ValidityResult(False, None, kl.worst_violation)
     return ValidityResult(True, "exact" if _reference_mismatch(block) < 1e-10 else "kl", 0.0)
@@ -276,7 +302,7 @@ def _climb(cfg: SearchConfig, restart: int) -> tuple:
             block, cost = prefixes[-1]
             prefixes.append((_apply_op_array(block, op, N_QUBITS), cost + op_pulse_cost(op)))
         block, cost = prefixes[-1]
-        res = _verdict(block, cfg.validity_mode)
+        res = _verdict(block, cfg.validity_mode, _stacked_kl)
         return Candidate(circuit, cost, res.valid, res.mode, res.violation), prefixes
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,)))
@@ -313,6 +339,7 @@ def _climbs(cfg: SearchConfig, first: int, stop: int) -> list:
 
 # Processes that climb restarts, at most; fewer when the process may use fewer CPUs.
 _MAX_WORKERS = 4
+_MASKS = hasattr(signal, "pthread_sigmask")      # POSIX only: a thread's signal mask
 
 
 def _workers() -> int:
@@ -332,10 +359,39 @@ def _orphan_watch() -> None:
 def _worker_start() -> None:
     """In each worker: leave Ctrl-C to the caller, which stops the pool, and
     exit as soon as the caller is gone, however it ended (a worker blocked on
-    an empty queue would otherwise wait forever)."""
-    import signal
+    an empty queue would otherwise wait forever). The worker started with
+    SIGINT blocked (``_sigint_held``), so a Ctrl-C while it started, even while
+    a spawned one imported its modules, is dropped here unseen."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if _MASKS:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     threading.Thread(target=_orphan_watch, daemon=True).start()
+
+
+@contextlib.contextmanager
+def _sigint_held():
+    """Hold a Ctrl-C while the pool makes its processes, then deliver it.
+
+    This thread blocks SIGINT, so each process it makes starts with the
+    signal blocked, under every start method (a spawned one keeps the mask
+    across its exec) until ``_worker_start`` ignores it. In the main thread
+    the handler is swapped for one that only notes the signal, since a
+    thread that does not block it, such as an OpenBLAS worker, may take it;
+    a Ctrl-C noted meanwhile is raised again once both are restored."""
+    held = []
+    handler = signal.getsignal(signal.SIGINT) if threading.current_thread() is threading.main_thread() else None
+    if handler is not None:
+        signal.signal(signal.SIGINT, lambda *args: held.append(args))
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT}) if _MASKS else None
+    try:
+        yield
+    finally:
+        if _MASKS:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if handler is not None:
+            signal.signal(signal.SIGINT, handler)
+            if held:
+                signal.raise_signal(signal.SIGINT)
 
 
 @lru_cache(maxsize=None)
@@ -379,7 +435,8 @@ def _all_climbs(cfg: SearchConfig) -> list:
     from concurrent.futures import BrokenExecutor      # loaded by _pool in any case
     pool = _pool(workers)
     try:
-        jobs = [pool.submit(_climbs, cfg, first, stop) for first, stop in zip(cuts, cuts[1:])]
+        with _sigint_held():                       # the pool makes its processes in submit
+            jobs = [pool.submit(_climbs, cfg, first, stop) for first, stop in zip(cuts, cuts[1:])]
         return [climb for job in jobs for climb in job.result()]
     except BaseException as exc:
         _stop(pool)

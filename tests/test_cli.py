@@ -992,6 +992,29 @@ def test_ctrl_c_leaves_idle_workers_quiet(start_session):
     assert _session(proc.pid) == []
 
 
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")
+def test_ctrl_c_while_spawned_workers_start_is_left_to_the_caller(search_probe, start_session):
+    """A spawned worker imports NumPy and qeclab afresh before its
+    initializer runs. It starts with SIGINT blocked, so a Ctrl-C meanwhile
+    stays pending until the initializer ignores it: the caller's traceback is
+    the only one, with no worker's ``Fatal Python error: init_import_site``
+    beside it. Each try sends Ctrl-C at another time after the fourth
+    process (the caller, the resource tracker and two workers) appeared."""
+    for delay in (0.0, 0.025, 0.05, 0.075, 0.1, 0.125, 0.15, 0.2):
+        proc = start_session(search_probe, "spawn", "2", "search", "--budget", "100000")
+        deadline = time.monotonic() + 60
+        while len(_session(proc.pid)) < 4:
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.005)
+        time.sleep(delay)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=10)
+        assert proc.returncode == -signal.SIGINT and out == "", delay
+        assert err.count("Traceback") == 1 and "Fatal Python error" not in err, (delay, err)
+        assert err.rstrip().endswith("KeyboardInterrupt"), delay
+        assert _running(proc.pid) == [], delay
+
+
 def test_readme_commands_parse():
     """Each ``qeclab ...`` line of the README's ``## Command line`` block is
     accepted by the parser (none is run)."""

@@ -63,7 +63,7 @@ def test_the_repository_matches_itself(capsys):
     assert same_outputs.main(args) == 0
     (verify, verify_diffs, programs, program_diffs, searches, search_diffs, mc, mc_diffs, exact, exact_diffs,
      mc_blas, mc_blas_diffs) = summary(capsys)
-    assert verify > 0 and programs >= 20 and searches == 9 and mc == mc_blas == 7 and exact == 2
+    assert verify > 0 and programs >= 20 and searches == 10 and mc == mc_blas == 7 and exact == 2
     assert verify_diffs == program_diffs == search_diffs == mc_diffs == exact_diffs == mc_blas_diffs == 0
 
 
@@ -78,5 +78,5 @@ def test_a_changed_output_is_reported(tmp_path, capsys):
     (verify, verify_diffs, programs, program_diffs, searches, search_diffs, mc, mc_diffs, exact, exact_diffs,
      mc_blas, mc_blas_diffs) = summary(capsys)
     assert verify_diffs > 0 and program_diffs == 6       # every simulate-pulses command
-    assert searches == 9 and search_diffs == 0 and mc == mc_blas == 7 and mc_diffs == mc_blas_diffs == 0
+    assert searches == 10 and search_diffs == 0 and mc == mc_blas == 7 and mc_diffs == mc_blas_diffs == 0
     assert exact == 2 and exact_diffs == 0

@@ -1,5 +1,7 @@
+import contextlib
 import importlib
 import os
+import signal
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qeclab.circuits import Circuit, GateOp, parse_circuit
-from qeclab.codes import check_knill_laflamme, codeword_block, CodeSpec, single_qubit_error_classes
+from qeclab.codes import (CodeSpec, _error_images, _kl_reduction, check_knill_laflamme, codeword_block,
+                          single_qubit_error_classes)
 from qeclab.search import (
     Candidate,
     SearchConfig,
@@ -25,6 +28,7 @@ from qeclab.search import (
     search,
 )
 from qeclab.codes import five_qubit_code
+from qeclab.states import PureState
 
 search_module = importlib.import_module("qeclab.search")   # the package exports search() itself
 ENCODER_24 = Path(__file__).resolve().parent / "data" / "encoder_24.qc.json"
@@ -174,7 +178,7 @@ class TestSearch:
         assert doc["accept_rate"] == result.accepted / result.iterations
         # calls: the start, one per proposal, then the final recheck
         assert len(calls) == result.iterations + 2
-        assert doc["valid_fraction"] == sum(res.valid for _, _, res in calls[1:-1]) / result.iterations
+        assert doc["valid_fraction"] == sum(res.valid for *_, res in calls[1:-1]) / result.iterations
 
 
 class TestMutate:
@@ -295,14 +299,15 @@ def test_seeded_search_results_are_unchanged(seed):
 
 def _audited_search(cfg: SearchConfig):
     """Run the search recording every candidate it scores and every verdict
-    it reaches, as (block, mode, result). The climbs run in this process, on
-    one worker, so that the recording stand-ins reach them."""
+    it reaches, as (block, mode, Knill-Laflamme check, result). The climbs
+    run in this process, on one worker, so that the recording stand-ins
+    reach them."""
     candidates, calls = [], []
     real_verdict, real_candidate = search_module._verdict, search_module.Candidate
 
-    def verdict(block, mode):
-        res = real_verdict(block, mode)
-        calls.append((block, mode, res))
+    def verdict(block, mode, kl_check):
+        res = real_verdict(block, mode, kl_check)
+        calls.append((block, mode, kl_check, res))
         return res
 
     def candidate(*args):
@@ -317,15 +322,21 @@ def _audited_search(cfg: SearchConfig):
 
 
 def _assert_matches_uncached(cfg: SearchConfig):
+    """Every scored block equals the candidate's ``codeword_block``, and every
+    verdict of the climb, whose Knill-Laflamme images come from the stacked
+    gather, equals the reference verdict of ``is_valid_perfect_code``, which
+    builds them with one ``apply_error`` each."""
     result, candidates, calls = _audited_search(cfg)
     assert len(candidates) == result.iterations + cfg.restarts
     # one verdict per start and per proposal, then the final recheck
     assert len(calls) == result.iterations + cfg.restarts + (result.best is not None)
     scored = [cand.circuit for cand in candidates] + ([result.best.circuit] if result.best is not None else [])
-    for circuit, (block, mode, _) in zip(scored, calls):
+    for circuit, (block, mode, _, _) in zip(scored, calls):
         assert block.tobytes() == codeword_block(circuit).tobytes()
         assert mode == cfg.validity_mode
-    for cand, (_, _, res) in zip(candidates, calls):
+    checks = [kl_check for _, _, kl_check, _ in calls]
+    assert checks == [search_module._stacked_kl] * len(candidates) + [search_module._per_error_kl] * (len(calls) - len(candidates))
+    for cand, (_, _, _, res) in zip(candidates, calls):
         assert (cand.valid, cand.mode, cand.violation) == (res.valid, res.mode, res.violation)
     for cand in candidates:
         fresh = is_valid_perfect_code(cand.circuit, cfg.validity_mode)
@@ -338,7 +349,9 @@ def _assert_matches_uncached(cfg: SearchConfig):
 
 class TestPrefixCache:
     """Proposals are scored from the current circuit's cached prefix blocks;
-    every block and verdict must equal a from-scratch evaluation."""
+    every block and verdict must equal a from-scratch evaluation. So every
+    proposal's climb verdict, from the stacked Knill-Laflamme images, is
+    also compared with the reference verdict, from the per-error images."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), start=st.none() | st.just(-1) | st.integers(1, 12),
@@ -357,6 +370,79 @@ class TestPrefixCache:
                                                        restarts=1, seed=0))
         assert 0 < result.accepted < result.iterations
         assert result.valid_proposals > 0
+
+
+BLOCK_KINDS = ("circuit", "mutant", "orthonormal", "nan", "inf")
+
+
+def _test_block(kind: str, seed: int) -> np.ndarray:
+    """A (32, 2) codeword block: of a random circuit, of the shipped encoder
+    after 1-3 mutations, the QR of a Gaussian block, or the shipped block
+    with one NaN or infinite entry. Only the infinite entry tells a copied
+    identity image from one multiplied by 1 (inf * 0 is NaN)."""
+    rng = np.random.default_rng(seed)
+    if kind == "circuit":
+        return codeword_block(random_circuit(5, int(rng.integers(0, 41)), rng))
+    if kind == "mutant":
+        circuit = five_qubit_code().encoder
+        cfg = SearchConfig(start=circuit, max_ops=60)
+        for _ in range(int(rng.integers(1, 4))):
+            circuit = mutate(circuit, cfg, rng)
+        return codeword_block(circuit)
+    if kind == "orthonormal":
+        q, _ = np.linalg.qr(rng.normal(size=(32, 2)) + 1j * rng.normal(size=(32, 2)))
+        return np.ascontiguousarray(q)
+    block = codeword_block(five_qubit_code().encoder)
+    block[rng.integers(32), rng.integers(2)] = np.nan if kind == "nan" else np.inf
+    return block
+
+
+def _quiet(kind: str):
+    """An infinite entry makes NaNs in the images and the Gram matrix."""
+    return np.errstate(invalid="ignore") if kind == "inf" else contextlib.nullcontext()
+
+
+class TestStackedKnillLaflamme:
+    """The climb builds its Knill-Laflamme images with one stacked gather;
+    the public check builds them with one ``apply_error`` per error. Both
+    feed one reduction, so they must agree bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(BLOCK_KINDS), seed=st.integers(0, 2**32 - 1),
+           order=st.permutations(range(16)), m=st.integers(1, 16))
+    def test_stacked_images_give_the_per_error_bits(self, kind, seed, order, m):
+        """Any error subset in any order, so the identity's copied columns sit
+        at any position or nowhere."""
+        block = _test_block(kind, seed)
+        errors = tuple(search_module._FIVE_QUBIT_ERRORS[a] for a in order[:m])
+        words = (PureState._trusted(5, w) for w in block.T)
+        with _quiet(kind):
+            reference = check_knill_laflamme(CodeSpec._trusted("reference", *words), errors)
+            stacked = _kl_reduction(_error_images(block, errors))
+        assert stacked.ok == reference.ok
+        assert np.float64(stacked.worst_violation).tobytes() == np.float64(reference.worst_violation).tobytes()
+        assert stacked.witness.tobytes() == reference.witness.tobytes()
+
+    @pytest.mark.parametrize("kind", BLOCK_KINDS)
+    def test_the_climb_and_the_boundary_reach_one_verdict(self, kind):
+        for seed in range(20):
+            block = _test_block(kind, seed)
+            for mode in VALIDITY_MODES:
+                with _quiet(kind):
+                    climb = search_module._verdict(block, mode, search_module._stacked_kl)
+                    reference = search_module._verdict(block, mode, search_module._per_error_kl)
+                assert np.float64(climb.violation).tobytes() == np.float64(reference.violation).tobytes()
+                assert (climb.valid, climb.mode) == (reference.valid, reference.mode)
+
+    def test_the_final_recheck_is_independent_of_the_climbs_images(self, monkeypatch):
+        """All-zero images break no condition, so the climb reads every
+        proposal as valid; the final re-check builds its own images, one
+        ``apply_error`` per error, and refuses the result."""
+        monkeypatch.setattr(search_module, "_error_images",
+                            lambda block, errors: np.zeros((block.shape[0], 2 * len(errors)), dtype=complex))
+        monkeypatch.setattr(search_module, "_workers", lambda: 1)
+        with pytest.raises(AssertionError, match="search bookkeeping reported an invalid circuit as valid"):
+            search(SearchConfig(budget=20, restarts=1, max_ops=6, seed=0))
 
 
 # `search --start reference --budget 500 --restarts 2 --mode auto --seed 0`:
@@ -446,10 +532,27 @@ class TestWorkerCount:
         assert stopped == [pool]
 
 
+def test_a_ctrl_c_while_the_pool_makes_its_processes_is_raised_after():
+    """``_sigint_held`` notes a Ctrl-C and raises it once the pool's
+    processes are made; meanwhile the thread blocks SIGINT, so that each of
+    them starts with it blocked."""
+    reached = []
+    handler = signal.getsignal(signal.SIGINT)
+    with pytest.raises(KeyboardInterrupt):
+        with search_module._sigint_held():
+            assert signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, set())
+            signal.raise_signal(signal.SIGINT)
+            reached.append(True)
+    assert reached == [True]
+    assert signal.getsignal(signal.SIGINT) is handler
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, set())
+
+
 POOL_UNDER_PYTEST = """
 import importlib
 from hypothesis import given, strategies as st
 from qeclab.codes import five_qubit_code
+from qeclab.states import PureState
 search = importlib.import_module("qeclab.search")
 
 @given(st.integers())

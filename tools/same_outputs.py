@@ -30,7 +30,9 @@ In each checkout, a child process imports ``qeclab`` from the checkout's
   --mode exact``, and ``--mode auto``, whose best invalid circuit reports
   its worst Knill-Laflamme violation), and ``search --start reference`` at
   ``--restarts 5``, at ``--restarts 1``, whose one restart climbs in the
-  caller, and at ``--restarts 4``;
+  caller, and at ``--restarts 4``; then ``search --budget 3000 --restarts 3
+  --max-ops 10 --mode auto``, a random start whose walk is steered by
+  thousands of comparisons of Knill-Laflamme violations;
 * at each seed, the ``figure5_mc`` benchmark workload's commands (its
   warm-up, then its timed command), then three MC commands at the job
   boundaries: ``noise --scheme phase3 --n 3 --t 0 0.5 1.5 --shots 9000``,
@@ -84,7 +86,8 @@ SEARCH_MERGES = [["search", "--budget", "60", "--restarts", "3", "--max-ops", "6
                  ["search", "--budget", "60", "--restarts", "3", "--max-ops", "6", "--mode", "auto"],
                  ["search", "--start", "reference", "--budget", "500", "--restarts", "5"],
                  ["search", "--start", "reference", "--budget", "500", "--restarts", "1"],
-                 ["search", "--start", "reference", "--budget", "400", "--restarts", "4"]]
+                 ["search", "--start", "reference", "--budget", "400", "--restarts", "4"],
+                 ["search", "--budget", "3000", "--restarts", "3", "--max-ops", "10", "--mode", "auto"]]
 MC_NOISE = ["noise", "--scheme", "phase3", "--n", "3", "--psi", "iplus", "--t", "0", "0.5", "1.5",
             "--shots", "9000"]
 MC_FIGURE5_RIDER = ["figure5", "--steps", "3", "--shots", "4097"]
